@@ -25,7 +25,7 @@ class UnitCircleFunction:
     """Polynomial / rational / finite-Blaschke function on the closed disk."""
 
     def __init__(self, kind, num, den=None, zeros=None, phase=None,
-                 boundary_singular=False):
+                 boundary_singular=False, den_roots=None):
         self.kind = kind
         self.boundary_singular = bool(boundary_singular)
         if kind == "poly":
@@ -34,7 +34,8 @@ class UnitCircleFunction:
             if not np.all(np.isfinite(self.num)):
                 raise ValueError("polynomial coefficients must be finite")
         elif kind == "rational":
-            num, den = _normalize_rational(num, den, boundary_singular)
+            num, den = _normalize_rational(num, den, boundary_singular,
+                                           den_roots)
             self.num, self.den = num, den
         elif kind == "blaschke":
             zs = [complex(z) for z in (zeros or [])]
@@ -62,8 +63,16 @@ class UnitCircleFunction:
         return cls("poly", coeffs)
 
     @classmethod
-    def rational(cls, num, den, boundary_singular=False) -> "UnitCircleFunction":
-        return cls("rational", num, den, boundary_singular=boundary_singular)
+    def rational(cls, num, den, boundary_singular=False,
+                 den_roots=None) -> "UnitCircleFunction":
+        """num/den, common roots cancelled and poles checked.
+
+        den_roots, when given, are the roots with multiplicity of a den
+        the caller has already cancelled against num (cancel_with_roots);
+        the cancellation and the root solve are then skipped.
+        """
+        return cls("rational", num, den, boundary_singular=boundary_singular,
+                   den_roots=den_roots)
 
     @classmethod
     def blaschke(cls, zeros, phase=1.0) -> "UnitCircleFunction":
@@ -232,20 +241,23 @@ def _make_rational(num, den) -> UnitCircleFunction:
     return UnitCircleFunction.rational(num, den)
 
 
-def _normalize_rational(num, den, boundary_singular):
+def _normalize_rational(num, den, boundary_singular, den_roots=None):
     num = poly.trim(num)
     den = poly.trim(den)
     if poly.degree(den) < 0 or (poly.degree(den) == 0 and den[0] == 0):
         raise ZeroDivisionError("zero denominator")
-    if poly.degree(num) >= 1 and poly.degree(den) >= 1:
-        num, den = cancel_common_roots(num, den)
-    if poly.degree(den) >= 1:
-        for r, _m in poly.roots_with_multiplicity(den):
-            if abs(r) < 1 - config.PAIRING_RTOL:
-                raise PoleError("denominator vanishes inside the open disk")
-            if abs(abs(r) - 1) <= config.PAIRING_RTOL and not boundary_singular:
-                raise PoleError("denominator vanishes on the circle; "
-                                "construct with boundary_singular=True")
+    if den_roots is None:
+        rd = poly.roots_with_multiplicity(den) if poly.degree(den) >= 1 \
+            else []
+        rn = poly.roots_with_multiplicity(num) \
+            if rd and poly.degree(num) >= 1 else []
+        num, den, den_roots = cancel_with_roots(num, den, rn, rd)
+    for r, _m in den_roots:
+        if abs(r) < 1 - config.PAIRING_RTOL:
+            raise PoleError("denominator vanishes inside the open disk")
+        if abs(abs(r) - 1) <= config.PAIRING_RTOL and not boundary_singular:
+            raise PoleError("denominator vanishes on the circle; "
+                            "construct with boundary_singular=True")
     if den[0] == 0:
         raise PoleError("denominator vanishes at 0")
     scale = den[0]
@@ -257,10 +269,24 @@ def cancel_common_roots(num, den, tol: float = 1e-9):
     num, den = poly.trim(num), poly.trim(den)
     if poly.degree(num) < 1 or poly.degree(den) < 1:
         return num, den
-    rn = poly.roots_with_multiplicity(num)
-    rd = poly.roots_with_multiplicity(den)
-    keep_n = [[r, m] for r, m in rn]
-    keep_d = [[r, m] for r, m in rd]
+    num, den, _rd = cancel_with_roots(
+        num, den, poly.roots_with_multiplicity(num),
+        poly.roots_with_multiplicity(den), tol)
+    return num, den
+
+
+def cancel_with_roots(num, den, num_roots, den_roots, tol: float = 1e-9):
+    """cancel_common_roots for polynomials whose roots are already known.
+
+    num_roots and den_roots list (root, multiplicity) pairs of num and
+    den.  Each root of den cancels against the first root of num within
+    tol (relative), down to the smaller multiplicity; the reduced pair is
+    rebuilt from the remaining roots and the leading coefficients.
+    Returns (num, den, remaining den roots).
+    """
+    num, den = poly.trim(num), poly.trim(den)
+    keep_n = [[r, m] for r, m in num_roots]
+    keep_d = [[r, m] for r, m in den_roots]
     cancelled = False
     for dn in keep_d:
         for nn in keep_n:
@@ -271,13 +297,12 @@ def cancel_common_roots(num, den, tol: float = 1e-9):
                     nn[1] -= k
                     cancelled = True
                 break
+    left_d = [(r, m) for r, m in keep_d if m > 0]
     if not cancelled:
-        return num, den
-    lead_n = num[-1]
-    lead_d = den[-1]
-    new_num = poly.from_roots([(r, m) for r, m in keep_n if m > 0], lead_n)
-    new_den = poly.from_roots([(r, m) for r, m in keep_d if m > 0], lead_d)
-    return poly.trim(new_num), poly.trim(new_den)
+        return num, den, left_d
+    new_num = poly.from_roots([(r, m) for r, m in keep_n if m > 0], num[-1])
+    new_den = poly.from_roots(left_d, den[-1])
+    return poly.trim(new_num), poly.trim(new_den), left_d
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Aleksandrov-Clark measures of b and the normalized Cauchy transform.
 
-Each measure splits into the density (1-|b|^2)/|alpha-b|^2 against
-normalized Lebesgue measure plus finitely many atoms at the unimodular
-solutions of b = alpha.  Atom masses come from the radial limit of the
+Each measure splits into the density |phi_alpha|^2 = (1-|b|^2)/|alpha-b|^2
+against normalized Lebesgue measure plus finitely many atoms at the
+unimodular solutions of b = alpha.  A measure costs one root solve, of
+q - conj(alpha) p: its circle roots are the atoms, and together with the
+alpha-free roots of a.num*q and a.den (cached on the space) its roots
+give the cancelled density root phi_alpha = a.num*q / (a.den*(q -
+conj(alpha) p)), whose remaining denominator roots set the singular flag
+and the pole checks.  Atom masses come from the radial limit of the
 Herglotz transform, accelerated by Richardson extrapolation; no closed
 form is assumed, and the total mass is checked against the transform's
 value at the origin.
@@ -16,7 +21,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import config, factor, poly
-from .boundary import CircleMeasure, UnitCircleFunction, cancel_common_roots
+from .boundary import (CircleMeasure, UnitCircleFunction, cancel_common_roots,
+                       cancel_with_roots)
 from .errors import DomainError, MembershipError
 from .hb import HbSpace
 
@@ -27,18 +33,26 @@ def phi_alpha(space: HbSpace, alpha: complex) -> UnitCircleFunction:
     """The outer density root a/(1 - conj(alpha) b) as a rational function.
 
     Flagged boundary-singular when the denominator keeps circle zeros
-    after cancellation (the atom locations of the measure).
+    after cancellation.  At an atom zeta of a valid space b - alpha has a
+    simple zero (b'(zeta) != 0 by Julia-Caratheodory) that cancels against
+    the zero of a, so the flag stays off there.
     """
-    alpha = _unimodular(alpha)
-    num = poly.pmul(space.a.num, space.q)
-    den = poly.pmul(space.a.den,
-                    poly.psub(space.q, np.conj(alpha) * space.p))
-    num, den = cancel_common_roots(num, den, tol=1e-7)
-    singular = False
-    if poly.degree(den) >= 1:
-        singular = any(abs(abs(r) - 1) <= config.PAIRING_RTOL
-                       for r, _ in poly.roots_with_multiplicity(den))
-    return UnitCircleFunction.rational(num, den, boundary_singular=singular)
+    return _density_root(space, _unimodular(alpha))[0]
+
+
+def _density_root(space: HbSpace, alpha: complex):
+    """(phi_alpha, roots of q - conj(alpha) p) from one root solve."""
+    qa = poly.psub(space.q, np.conj(alpha) * space.p)
+    qa_roots = poly.roots_with_multiplicity(qa) if poly.degree(qa) >= 1 \
+        else []
+    num_roots, den_roots = space.phi_roots()
+    num, den, left = cancel_with_roots(
+        poly.pmul(space.a.num, space.q), poly.pmul(space.a.den, qa),
+        num_roots, list(den_roots) + qa_roots, tol=1e-7)
+    singular = any(abs(abs(r) - 1) <= config.PAIRING_RTOL for r, _m in left)
+    root = UnitCircleFunction.rational(num, den, boundary_singular=singular,
+                                       den_roots=left)
+    return root, qa_roots
 
 
 def _unimodular(alpha: complex) -> complex:
@@ -95,10 +109,7 @@ class ClarkMeasure:
         return not self.atoms
 
     def density_values(self, pts: np.ndarray) -> np.ndarray:
-        nv = poly.horner(self.density_root.num, pts)
-        dv = poly.horner(self.density_root.den, pts)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.abs(nv) ** 2 / np.abs(dv) ** 2
+        return _modulus_sq(self.density_root, pts)
 
     def as_measure(self) -> CircleMeasure:
         return CircleMeasure(density=lambda pts: self.density_values(pts),
@@ -127,21 +138,19 @@ def clark_measure(space: HbSpace, alpha: complex,
     """
     grid = grid or space.grid
     alpha = _unimodular(alpha)
-    num_b_minus = poly.psub(space.p, alpha * space.q)
+    root, qa_roots = _density_root(space, alpha)
     atoms = []
     errors = []
-    if poly.degree(num_b_minus) >= 1:
-        for r, _m in poly.roots_with_multiplicity(num_b_minus):
-            if abs(abs(r) - 1) <= config.ATOM_LOCATION_TOL:
-                zeta = r / abs(r)
-                mass, err = radial_atom_mass(
-                    lambda z: herglotz_value(space, alpha, z), zeta, grid)
-                if mass <= 0:
-                    raise ArithmeticError(
-                        f"nonpositive atom mass {mass:.3e} at {zeta:.6g}")
-                atoms.append((zeta, mass))
-                errors.append(err)
-    root = phi_alpha(space, alpha)
+    for r, _m in qa_roots:
+        if abs(abs(r) - 1) <= config.ATOM_LOCATION_TOL:
+            zeta = r / abs(r)
+            mass, err = radial_atom_mass(
+                lambda z: herglotz_value(space, alpha, z), zeta, grid)
+            if mass <= 0:
+                raise ArithmeticError(
+                    f"nonpositive atom mass {mass:.3e} at {zeta:.6g}")
+            atoms.append((zeta, mass))
+            errors.append(err)
     hmass = float(np.real(herglotz_value(space, alpha, 0.0)))
     ac = _stable_ac_mass(root, grid, hmass)
     cm = ClarkMeasure(alpha=alpha, density_root=root, atoms=atoms,
@@ -155,24 +164,42 @@ def clark_measure(space: HbSpace, alpha: complex,
     return cm
 
 
+def clark_sweep(space: HbSpace, alphas=None) -> list:
+    """[(alpha, ClarkMeasure)] over alphas (default alpha_sweep_values)."""
+    if alphas is None:
+        alphas = alpha_sweep_values(space)
+    return [(a, clark_measure(space, a)) for a in alphas]
+
+
+def _modulus_sq(root: UnitCircleFunction, pts: np.ndarray) -> np.ndarray:
+    nv = poly.horner(root.num, pts)
+    dv = poly.horner(root.den, pts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.abs(nv) ** 2 / np.abs(dv) ** 2
+
+
 def _stable_ac_mass(root: UnitCircleFunction, grid: config.GridConfig,
                     scale: float) -> float:
+    """Trapezoid mean of |root|^2 over finite samples, doubling the grid
+    until two levels agree.  Each doubling evaluates only the new (odd)
+    nodes and adds them to the running sum of the coarser levels."""
     n = grid.n
+    pts = config.unit_circle_points(n)
+    total, count = 0.0, 0
     prev = None
     for _ in range(6):
-        pts = config.unit_circle_points(n)
-        nv = poly.horner(root.num, pts)
-        dv = poly.horner(root.den, pts)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.abs(nv) ** 2 / np.abs(dv) ** 2
+        vals = _modulus_sq(root, pts)
         vals = vals[np.isfinite(vals)]
-        cur = float(np.mean(vals))
+        total += float(np.sum(vals))
+        count += vals.size
+        cur = total / count
         if prev is not None and abs(cur - prev) <= 1e-7 * max(1.0, scale):
             return cur
         prev = cur
         if n >= (1 << 17):
             break
         n *= 2
+        pts = config.unit_circle_points(n)[1::2]
     return prev
 
 

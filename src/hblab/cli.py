@@ -46,7 +46,10 @@ def _fail(reason: str, code: int = 1):
 def _grid(args) -> config.GridConfig:
     if args.grid is None:
         return config.DEFAULT_GRID
-    return config.GridConfig(n=args.grid)
+    try:
+        return config.GridConfig(n=args.grid)
+    except ValueError as exc:
+        _fail(f"--grid: {exc}", 2)
 
 
 def _exact_mode(args):
@@ -189,6 +192,7 @@ def cmd_sigma(args):
            "upper_angles": [float(np.angle(z)) % (2 * np.pi)
                             for z in bounds.upper],
            "provenance": bounds.provenance,
+           "upper_source": bounds.upper_source,
            "base_measure_absolutely_continuous":
                bounds.base_measure_absolutely_continuous,
            "nested": bounds.consistent()})
@@ -307,6 +311,7 @@ def main(argv=None) -> int:
         raise
     if args.tol is not None:
         config.POINT_ZERO_TOL = float(args.tol)
+    _grid(args)     # an invalid --grid is a usage error for every command
     try:
         args.handler(args)
     except SystemExit:

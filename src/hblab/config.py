@@ -1,9 +1,7 @@
-"""Grid configuration, shared tolerances, and the thread cap."""
+"""Grid configuration and shared tolerances."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,21 +72,3 @@ def unit_circle_points(n: int) -> np.ndarray:
     pts.flags.writeable = False
     return pts
 
-
-def max_threads() -> int:
-    """Thread cap from HB_LAB_THREADS (default 1 = serial)."""
-    raw = os.environ.get("HB_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Map fn over items, threaded when HB_LAB_THREADS allows it."""
-    items = list(items)
-    k = min(max_threads(), len(items))
-    if k <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, items))

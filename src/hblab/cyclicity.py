@@ -546,12 +546,9 @@ def necessity_check(space: HbSpace, f, alphas=None) -> NecessityOutcome:
             "outer_necessity", "cyclic vectors must be outer",
             numbers={"is_outer": False})])
         return NecessityOutcome(False, rep, None)
-    if alphas is None:
-        alphas = clark.alpha_sweep_values(space)
-    measures = config.parallel_map(
-        lambda a: clark.clark_measure(space, a), alphas)
+    sweep = clark.clark_sweep(space, alphas)
     checked = 0
-    for a, cm in zip(alphas, measures):
+    for a, cm in sweep:
         for zeta, mass in cm.atoms:
             checked += 1
             val = float(abs(poly.horner(f, zeta)))
@@ -568,7 +565,7 @@ def necessity_check(space: HbSpace, f, alphas=None) -> NecessityOutcome:
         "singular_atom_necessity",
         "no Clark atom in the sweep annihilates the candidate",
         numbers={"atoms_checked": checked,
-                 "alphas_swept": len(list(alphas))})])
+                 "alphas_swept": len(sweep)})])
     return NecessityOutcome(True, rep, None)
 
 

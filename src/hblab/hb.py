@@ -56,6 +56,7 @@ class HbSpace:
         self.q = b.den.copy()
         self.A = poly.trim(np.asarray(A, dtype=complex))
         self._one: Optional[HbElement] = None
+        self._phi_roots: Optional[tuple] = None
 
     def __repr__(self):
         tag = "exact" if self.exact else "float"
@@ -69,6 +70,18 @@ class HbSpace:
         if self._one is None:
             self._one = make_element(self, [1.0])
         return self._one
+
+    def phi_roots(self) -> tuple:
+        """Roots with multiplicity of a.num*q and of a.den (cached).
+
+        These are the alpha-free factors of every Clark density root
+        a.num*q / (a.den*(q - conj(alpha) p)).
+        """
+        if self._phi_roots is None:
+            self._phi_roots = tuple(
+                poly.roots_with_multiplicity(c) if poly.degree(c) >= 1
+                else [] for c in (poly.pmul(self.a.num, self.q), self.a.den))
+        return self._phi_roots
 
     def pythagorean_residual(self) -> float:
         """max over the grid of | |a|^2 + |b|^2 - 1 |."""

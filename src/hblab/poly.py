@@ -184,19 +184,20 @@ def roots_with_multiplicity(c, cluster_rtol: float | None = None):
         raise ValueError("root finding needs degree >= 1")
     rtol = config.ROOT_CLUSTER_RTOL if cluster_rtol is None else cluster_rtol
     raw = np.roots(arr[::-1])
-    clusters: list[list[complex]] = []
-    for r in sorted(raw, key=lambda t: (abs(t), np.angle(t))):
+    clusters: list[list] = []           # [sum of members, member count]
+    for r in sorted(raw.tolist(), key=lambda t: (abs(t), np.angle(t))):
         for cl in clusters:
-            center = np.mean(cl)
+            center = cl[0] / cl[1]
             if abs(r - center) <= rtol * max(1.0, abs(center)):
-                cl.append(r)
+                cl[0] += r
+                cl[1] += 1
                 break
         else:
-            clusters.append([r])
+            clusters.append([r, 1])
     dp = derivative(arr)
     out = []
-    for cl in clusters:
-        z = _polish(arr, dp, complex(np.mean(cl)), len(cl))
-        out.append((z, len(cl)))
+    for total, count in clusters:
+        z = _polish(arr, dp, complex(total / count), count)
+        out.append((z, count))
     out.sort(key=lambda t: (abs(t[0]), np.angle(t[0])))
     return out

@@ -32,12 +32,17 @@ def phi_for_space(space: HbSpace) -> UnitCircleFunction:
 
 @dataclass
 class SigmaBounds:
-    """Certified bracket lower <= sigma(phi) <= upper (finite point sets)."""
+    """Certified bracket lower <= sigma(phi) <= upper (finite point sets).
+
+    provenance maps the angle of each lower point to the witnessing alpha
+    and atom mass; upper_source names the rule behind the upper set.
+    """
 
     lower: list
     upper: list
     provenance: dict = field(default_factory=dict)
     base_measure_absolutely_continuous: bool = True
+    upper_source: str = ""
 
     def consistent(self, tol: float = 1e-8) -> bool:
         return all(any(abs(p - u) <= tol for u in self.upper)
@@ -68,14 +73,10 @@ def sigma_lower(space: HbSpace, alphas=None) -> SigmaBounds:
     each point to the witnessing alpha.  The flag records whether the
     base measure (alpha = 1) is absolutely continuous.
     """
-    if alphas is None:
-        alphas = clark.alpha_sweep_values(space)
-    measures = config.parallel_map(
-        lambda a: clark.clark_measure(space, a), alphas)
     points = []
     prov = {}
     base_ac = True
-    for a, cm in zip(alphas, measures):
+    for a, cm in clark.clark_sweep(space, alphas):
         if abs(a - 1.0) <= 1e-12 and cm.atoms:
             base_ac = False
         for zeta, mass in cm.atoms:
@@ -94,7 +95,7 @@ def sigma_bounds(space: HbSpace, alphas=None) -> SigmaBounds:
     low = sigma_lower(space, alphas)
     up = sigma_upper(phi_for_space(space))
     low.upper = up
-    low.provenance.update({"upper_source": "unimodular numerator zeros"})
+    low.upper_source = "unimodular numerator zeros"
     return low
 
 
@@ -200,7 +201,8 @@ def toeplitz_kernel_sections(phi: UnitCircleFunction, n_section: int,
                              compute_uv=False)
 
     svs, counts, smallest = {}, {}, {}
-    for m, s in zip(sizes, config.parallel_map(section_svals, sizes)):
+    for m in sizes:
+        s = section_svals(m)
         svs[m] = s
         counts[m] = int(np.sum(s < threshold))
         smallest[m] = float(s[-1])

@@ -79,6 +79,72 @@ class TestAlphaSweep:
         assert abs(mass - 0.5) < 1e-6
 
 
+def _sweep_spaces(all_test_spaces):
+    rng = np.random.default_rng(83)
+    c = rng.normal(size=9) + 1j * rng.normal(size=9)
+    c *= 0.9 / np.max(np.abs(poly.horner(c, config.unit_circle_points(4096))))
+    return dict(all_test_spaces,
+                **{"(1+z^4)/2": hb.make_space(UCF.polynomial(
+                    [0.5, 0, 0, 0, 0.5])),
+                   "random degree 8": hb.make_space(UCF.polynomial(c),
+                                                    use_exact=False)})
+
+
+class TestSweep:
+    """Every swept measure against values computed from b alone."""
+
+    def test_measures_match_closed_forms(self, all_test_spaces):
+        pts = config.unit_circle_points(512) * np.exp(0.37j * np.pi / 512)
+        for name, sp in _sweep_spaces(all_test_spaces).items():
+            p, q = sp.b.num, sp.b.den
+            b0 = complex(sp.b(0.0))
+            bvals = sp.b(pts)
+            for alpha, cm in clark.clark_sweep(sp):
+                what = (name, complex(alpha))
+                for (zeta, mass), err in zip(cm.atoms, cm.atom_errors):
+                    # Julia-Caratheodory: the atom mass is 1/|b'(zeta)|
+                    qz = poly.horner(q, zeta)
+                    db = (poly.horner(poly.derivative(p), zeta) * qz -
+                          poly.horner(p, zeta) *
+                          poly.horner(poly.derivative(q), zeta)) / qz ** 2
+                    assert abs(mass - 1 / abs(db)) <= max(err, 1e-12), what
+                    # phi = a/(1 - conj(alpha) b) keeps no pole at the atom:
+                    # |phi(zeta)|^2 = |a'(zeta)|^2 / |b'(zeta)|^2, where
+                    # a(zeta) = 0 gives a'(zeta) = a.num'(zeta) / a.den(zeta)
+                    av = poly.horner(poly.derivative(sp.a.num), zeta) / \
+                        poly.horner(sp.a.den, zeta)
+                    dens = cm.density_values(np.array([zeta]))[0]
+                    assert abs(dens - abs(av / db) ** 2) <= \
+                        1e-8 * max(1.0, dens), what
+                assert not cm.density_root.boundary_singular, what
+                far = np.array([min((abs(z - zeta) for zeta, _m in cm.atoms),
+                                    default=1.0) > 1e-2 for z in pts])
+                want = (1 - np.abs(bvals) ** 2) / np.abs(alpha - bvals) ** 2
+                got = cm.density_values(pts)
+                assert np.all(np.abs(got - want)[far] <=
+                              1e-8 * np.maximum(1.0, want[far])), what
+                h0 = ((1 + np.conj(alpha) * b0) /
+                      (1 - np.conj(alpha) * b0)).real
+                total = cm.ac_mass + sum(m for _z, m in cm.atoms)
+                assert abs(total - h0) <= 1e-6 * max(1.0, h0), what
+
+    def test_one_root_solve_per_measure(self, monkeypatch):
+        calls = []
+        solve = poly.roots_with_multiplicity
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(poly, "roots_with_multiplicity", counted)
+        for coeffs in ([0.0, 0.5, 0.5], [0.5, 0, 0, 0, 0.5],
+                       [0.1, 0.2j, -0.3, 0.25, 0.1j]):
+            sp = hb.make_space(UCF.polynomial(coeffs), use_exact=False)
+            calls.clear()
+            sweep = clark.clark_sweep(sp)
+            assert len(calls) <= len(sweep) + 4, (coeffs, len(calls))
+
+
 class TestNormalizedCauchy:
     def test_constant_maps_to_one(self, all_test_spaces):
         zs = 0.7 * config.unit_circle_points(16)

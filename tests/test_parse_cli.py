@@ -97,6 +97,20 @@ class TestCli:
         assert code == 0 and doc["nested"]
         assert doc["lower_angles"] == [] and doc["upper_angles"] == []
 
+    def test_sigma_with_atoms(self, capsys):
+        code, doc, out = run_cli(capsys, "sigma", "--b", "(1+z)/2")
+        assert code == 0 and json.loads(out) == doc
+        assert len(doc["lower_angles"]) == 1
+        assert abs(doc["lower_angles"][0]) < 1e-9
+        assert doc["provenance"]["0.0"]["mass"] == pytest.approx(2.0)
+        assert doc["upper_source"] == "unimodular numerator zeros"
+
+    def test_invalid_grid_exit_two(self, capsys):
+        for argv in (["mate", "--b", "z/2"], ["theta", "--theta", "z^2",
+                                                 "--f", "2+z"]):
+            code, doc, _ = run_cli(capsys, "--grid", "100", *argv)
+            assert code == 2 and "grid" in doc["error"], argv
+
     def test_certify_rules(self, capsys):
         code, doc, _ = run_cli(capsys, "certify", "--rule", "A",
                                "--b", "(1+z)/2", "--f", "1+z",

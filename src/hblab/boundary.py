@@ -558,9 +558,9 @@ def boundary_conjugate(fn: UnitCircleFunction):
     num = poly.reverse_conj(n)
     den = poly.reverse_conj(d)
     if dd >= dn:
-        num = poly.pmul(num, _monomial(dd - dn))
+        num = poly.pmul(num, poly.monomial(dd - dn))
     else:
-        den = poly.pmul(den, _monomial(dn - dd))
+        den = poly.pmul(den, poly.monomial(dn - dd))
     return num, den
 
 
@@ -569,12 +569,6 @@ def modulus_sq_rational(fn: UnitCircleFunction):
     cn, cd = boundary_conjugate(fn)
     n, d = fn.as_num_den()
     return poly.pmul(n, cn), poly.pmul(d, cd)
-
-
-def _monomial(k: int) -> np.ndarray:
-    out = np.zeros(k + 1, dtype=complex)
-    out[k] = 1.0
-    return out
 
 
 def analytic_projection(num, den) -> UnitCircleFunction:
@@ -624,11 +618,3 @@ def analytic_projection(num, den) -> UnitCircleFunction:
         for _ in range(m):
             v, rem = poly.synthetic_div(v, r)
     return UnitCircleFunction.rational(poly.trim(v, 1e-11), den_out)
-
-
-def analytic_projection_samples(values: np.ndarray) -> np.ndarray:
-    """FFT-based P_+ of boundary samples, returned as samples."""
-    n = values.size
-    coeffs = np.fft.fft(values) / n
-    coeffs[n // 2:] = 0.0
-    return np.fft.ifft(coeffs) * n

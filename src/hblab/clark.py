@@ -16,11 +16,11 @@ value at the origin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from . import config, factor, poly
+from . import config, poly
 from .boundary import (CircleMeasure, UnitCircleFunction, cancel_common_roots,
                        cancel_with_roots)
 from .errors import DomainError, MembershipError
@@ -72,20 +72,30 @@ def radial_atom_mass(h_fn: Callable[[complex], complex], zeta: complex,
                      grid: config.GridConfig = config.DEFAULT_GRID):
     """Atom mass of the measure behind a Herglotz transform.
 
-    Extrapolates (1-r)/(1+r) * Re h(r zeta) along r = 1 - 2^-k with two
-    Richardson levels; returns (mass, error_estimate).
+    Extrapolates (1-r)/(1+r) * Re h(r zeta) along the configured radii;
+    returns (mass, error_estimate).
     """
     radii = grid.radii()
     g = np.array([((1 - r) / (1 + r)) * np.real(h_fn(r * zeta))
                   for r in radii])
-    t1 = 2 * g[1:] - g[:-1]
+    mass, err = _richardson(g)
+    return float(mass), err
+
+
+def _richardson(samples: np.ndarray):
+    """(limit, error_estimate) of samples taken at r_k = 1 - 2^-k.
+
+    Two Richardson levels remove the O(1-r) and O((1-r)^2) terms; the
+    error estimate is the gap between the last two extrapolants.  Three
+    samples allow one level, two samples none (infinite error).
+    """
+    t1 = 2 * samples[1:] - samples[:-1]
     if t1.size < 2:
-        return float(g[-1]), float("inf")
+        return samples[-1], float("inf")
     t2 = (4 * t1[1:] - t1[:-1]) / 3
     if t2.size < 2:
-        return float(t1[-1]), float(abs(t1[-1] - t1[-2]))
-    err = abs(t2[-1] - t2[-2])
-    return float(t2[-1]), float(err)
+        return t1[-1], float(abs(t1[-1] - t1[-2]))
+    return t2[-1], float(abs(t2[-1] - t2[-2]))
 
 
 @dataclass
@@ -206,12 +216,10 @@ def _stable_ac_mass(root: UnitCircleFunction, grid: config.GridConfig,
 def alpha_sweep_values(space: HbSpace, count: int = _ALPHA_SWEEP) -> np.ndarray:
     """Equispaced unimodular targets plus b at each circle zero of a."""
     alphas = list(np.exp(2j * np.pi * np.arange(count) / count))
-    if poly.degree(space.A) >= 1:
-        for r, _m in poly.roots_with_multiplicity(space.A):
-            if abs(abs(r) - 1) <= config.PAIRING_RTOL:
-                val = complex(space.b(r / abs(r)))
-                if abs(abs(val) - 1) <= 1e-8:
-                    alphas.append(val / abs(val))
+    for zeta in space.a_circle_zeros():
+        val = complex(space.b(zeta))
+        if abs(abs(val) - 1) <= 1e-8:
+            alphas.append(val / abs(val))
     out = []
     for a in alphas:
         if not any(abs(a - b) <= 1e-10 for b in out):
@@ -369,8 +377,5 @@ def poltoratski_limit(space: HbSpace, alpha: complex, h, zeta: complex,
     transform = normalized_cauchy(space, alpha, h, measure, grid)
     radii = (grid or space.grid).radii()
     vals = np.array([complex(transform(r * zeta)) for r in radii])
-    t1 = 2 * vals[1:] - vals[:-1]
-    t2 = (4 * t1[1:] - t1[:-1]) / 3
-    if t2.size >= 2:
-        return complex(t2[-1]), float(abs(t2[-1] - t2[-2]))
-    return complex(vals[-1]), float("inf")
+    value, err = _richardson(vals)
+    return complex(value), err

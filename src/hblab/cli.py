@@ -14,8 +14,7 @@ import sys
 
 import numpy as np
 
-from . import acceptance, clark, config, cyclicity, factor, hb, models, \
-    sigma
+from . import acceptance, clark, config, cyclicity, hb, models, sigma
 from .boundary import Arc, UnitCircleFunction
 from .errors import HBLabError
 from .parse import ParseError, parse_function

@@ -44,15 +44,12 @@ class GridConfig:
     n: int = 4096
     k0: int = 6
     k1: int = 16
-    rule: str = "trapezoid"
 
     def __post_init__(self):
         if self.n < 256 or (self.n & (self.n - 1)) != 0:
             raise ValueError("sample count must be a power of two >= 256")
         if not (self.k0 >= 3 and self.k1 > self.k0):
             raise ValueError("radial sequence needs k1 > k0 >= 3")
-        if self.rule != "trapezoid":
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
     def points(self) -> np.ndarray:
         return unit_circle_points(self.n)

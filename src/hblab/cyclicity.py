@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import clark, config, exact, factor, poly, sigma
 from .boundary import Arc, UnitCircleFunction, arc_union_contains, \
     arcs_cover_circle
 from .errors import NormalizationError
-from .hb import HbElement, HbSpace, element_from_rational, inner_product, \
-    make_element
+from .hb import HbElement, HbSpace, element_from_rational, make_element
 
 CYCLIC = "cyclic"
 NOT_CYCLIC = "not_cyclic"
@@ -85,13 +82,8 @@ def defect_spectrum(space: HbSpace) -> list:
     element of the space has a finite non-tangential limit and the
     classifier evaluates candidates.
     """
-    out = []
-    if poly.degree(space.A) >= 1:
-        for r, _m in poly.roots_with_multiplicity(space.A):
-            if abs(abs(r) - 1) <= config.PAIRING_RTOL:
-                out.append(r / abs(r))
-    out.sort(key=lambda z: float(np.angle(z)) % (2 * np.pi))
-    return out
+    return sorted(space.a_circle_zeros(),
+                  key=lambda z: float(np.angle(z)) % (2 * np.pi))
 
 
 def classify_finite_defect(space: HbSpace, f) -> CyclicityReport:
@@ -100,22 +92,32 @@ def classify_finite_defect(space: HbSpace, f) -> CyclicityReport:
     f is cyclic iff it is outer and does not vanish at any unimodular
     zero of a.
     """
-    f = _as_poly(f)
-    lambdas = defect_spectrum(space)
+    return outer_nonvanishing_rule(
+        _as_poly(f), defect_spectrum(space), "finite_defect_classifier",
+        "cyclic iff outer and nonvanishing at every unimodular zero of a")
+
+
+def outer_nonvanishing_rule(f, points, rule: str,
+                            statement: str) -> CyclicityReport:
+    """Cyclic iff the polynomial f is outer and nonzero at every point.
+
+    The rule behind the finite-defect classifier and the Dirichlet and
+    inner-model oracles; points are the circle points where the space
+    carries its defect (zeros of a, atoms of the measure).
+    """
+    f = poly.trim(np.asarray(f, dtype=complex))
     if poly.degree(f) < 0:
         return CyclicityReport(NOT_CYCLIC, [Evidence(
-            "finite_defect_classifier", "the zero function is never cyclic")])
+            rule, "the zero function is never cyclic")])
     outer = factor.is_outer(f)
-    values = {(_ang(lam)): float(abs(poly.horner(f, lam))) for lam in lambdas}
+    values = {_ang(z): float(abs(poly.horner(f, z))) for z in points}
     small = [a for a, v in values.items() if v <= config.POINT_ZERO_TOL]
     verdict = CYCLIC if outer and not small else NOT_CYCLIC
-    ev = [Evidence(
-        "finite_defect_classifier",
-        "cyclic iff outer and nonvanishing at every unimodular zero of a",
+    return CyclicityReport(verdict, [Evidence(
+        rule, statement,
         inputs={"defect_points_angle": sorted(values)},
         numbers={"is_outer": outer, "abs_values": values,
-                 "vanishing_points": small})]
-    return CyclicityReport(verdict, ev)
+                 "vanishing_points": small})])
 
 
 def _as_poly(f) -> np.ndarray:
@@ -182,13 +184,16 @@ def decay_table(space: HbSpace, f, n_max: int,
     """Distances from 1 to the polynomial-multiple spans of f.
 
     Through the embedding, d_N^2 = ||w||^2 - sum of |<w, q_i>|^2 over an
-    orthonormal basis q_i of the span of the first N embedded multiples
-    (QR orthonormalization of the stacked coefficient matrix).  Columns
-    whose triangular pivot collapses are flagged as near-dependent.
-    Normal equations on the raw Gram matrix square the conditioning and
-    were observed to stall on kernel-type data, so they are used only in
-    the exact rational backend, where conditioning is irrelevant and the
-    two routes cross-validate.
+    orthonormal basis q_i of the span of the first N embedded multiples.
+    The stacked coefficient matrix M of those multiples gets the
+    embedded constant w appended as one more column, and only the
+    triangular factor of [M | w] = Q R is formed: its last column holds
+    the coordinates <w, q_i> = R[i, N], so no Q is needed.  Columns whose
+    triangular pivot collapses are flagged as near-dependent.  Normal
+    equations on the raw Gram matrix square the conditioning and were
+    observed to stall on kernel-type data, so they are used only in the
+    exact rational backend, where conditioning is irrelevant and the two
+    routes cross-validate.
     """
     f = _as_poly(f)
     if poly.degree(f) < 0:
@@ -204,19 +209,18 @@ def decay_table(space: HbSpace, f, n_max: int,
         cur = poly.pmul(cur, shift)
     deg = max(e.f.size for e in els)
     degm = max(max(e.mate.size for e in els), one.mate.size)
-    M = np.zeros((deg + degm, n_max), dtype=complex)
+    Mw = np.zeros((deg + degm, n_max + 1), dtype=complex)
     for k, e in enumerate(els):
-        M[: e.f.size, k] = e.f
-        M[deg: deg + e.mate.size, k] = e.mate
-    w = np.zeros(deg + degm, dtype=complex)
-    w[: one.f.size] = one.f
-    w[deg: deg + one.mate.size] = one.mate
-    Q, R = scipy.linalg.qr(M, mode="economic")
-    col_scale = np.sqrt(np.sum(np.abs(M) ** 2, axis=0))
+        Mw[: e.f.size, k] = e.f
+        Mw[deg: deg + e.mate.size, k] = e.mate
+    Mw[: one.f.size, n_max] = one.f
+    Mw[deg: deg + one.mate.size, n_max] = one.mate
+    R = np.linalg.qr(Mw, mode="r")
+    col_scale = np.sqrt(np.sum(np.abs(Mw[:, :n_max]) ** 2, axis=0))
     flags = [n + 1 for n in range(n_max)
              if abs(R[n, n]) <= 1e-12 * max(1.0, float(col_scale[n]))]
-    u = np.abs(Q.conj().T @ w) ** 2
-    wn = float(np.sum(np.abs(w) ** 2))
+    u = np.abs(R[:n_max, n_max]) ** 2
+    wn = float(np.sum(np.abs(Mw[:, n_max]) ** 2))
     running = wn
     entries = []
     for n in range(1, n_max + 1):

@@ -132,11 +132,6 @@ def qadd(p: Sequence[QC], q: Sequence[QC]) -> list[QC]:
             for k in range(n)]
 
 
-def qscale(c, p: Sequence[QC]) -> list[QC]:
-    c = _coerce(c)
-    return [c * x for x in p]
-
-
 def qmul(p: Sequence[QC], q: Sequence[QC]) -> list[QC]:
     if not p or not q:
         return []
@@ -200,14 +195,18 @@ def laurent_add(a: Sequence[QC], b: Sequence[QC]) -> list[QC]:
     return out
 
 
-def pythagorean_residual(b: Sequence[QC], mate_a: Sequence[QC],
+def pythagorean_residual(p: Sequence, q: Sequence, A: Sequence,
                          s2: Fraction) -> list[QC]:
-    """Laurent coefficients of s^2|A|^2 + |b|^2 - 1 (all zero iff exact)."""
-    lhs = laurent_add([QC(s2) * c for c in modulus_sq_coeffs(mate_a)],
-                      modulus_sq_coeffs(b))
-    d = (len(lhs) - 1) // 2
-    lhs[d] = lhs[d] - QONE
-    return qtrim(lhs) if any(not c.is_zero() for c in lhs) else []
+    """Laurent coefficients of s2|A|^2 + |p|^2 - |q|^2 (empty iff exact).
+
+    The identity says that a = s*A/q, s^2 = s2, is the Pythagorean mate
+    of b = p/q: |a|^2 + |b|^2 = 1 on the circle.
+    """
+    p, q, A = qpoly(p), qpoly(q), qpoly(A)
+    lhs = laurent_add([QC(s2) * c for c in modulus_sq_coeffs(A)],
+                      modulus_sq_coeffs(p))
+    resid = laurent_add(lhs, [-c for c in modulus_sq_coeffs(q)])
+    return resid if any(not c.is_zero() for c in resid) else []
 
 
 def analytic_part_of_conj_product(p: Sequence[QC], f: Sequence[QC]) -> list[QC]:

@@ -136,11 +136,19 @@ def mate_of_b(b: UnitCircleFunction,
     Polynomial b delegates to fejer_riesz on 1 - |b|^2; rational b = p/q
     factors |q|^2 - |p|^2 and divides the factor by q.
     """
+    return mate_and_factor(b, grid)[0]
+
+
+def mate_and_factor(b: UnitCircleFunction,
+                    grid: config.GridConfig = config.DEFAULT_GRID):
+    """(a, A): the mate of b and the Fejer-Riesz factor A of |q|^2 - |p|^2.
+
+    a = A/q (cancelled, rotated so a(0) > 0) from a single factorization.
+    """
     if not isinstance(b, UnitCircleFunction):
         b = UnitCircleFunction.polynomial(b)
     if b.degree() < 1:
         raise ValueError("b must be nonconstant")
-    pts = grid.points()
     bvals = np.abs(b.boundary_values(grid.n))
     if bvals.max() > 1 + config.UNIT_BALL_TOL:
         raise ValueError(
@@ -154,7 +162,7 @@ def mate_of_b(b: UnitCircleFunction,
     w = _laurent_center_sub(modulus_sq_laurent(q), modulus_sq_laurent(p))
     a_num = fejer_riesz(w, grid)
     if b.is_polynomial():
-        return UnitCircleFunction.polynomial(a_num / q[0])
+        return UnitCircleFunction.polynomial(a_num / q[0]), a_num
     a = UnitCircleFunction.rational(a_num, q)
     a0 = complex(a(0))
     if a0 == 0:
@@ -162,7 +170,7 @@ def mate_of_b(b: UnitCircleFunction,
     rot = np.conj(a0) / abs(a0)
     if abs(rot - 1) > 1e-15:
         a = UnitCircleFunction.rational(a.num * rot, a.den)
-    return a
+    return a, a_num
 
 
 def is_outer(f) -> bool:
@@ -214,7 +222,6 @@ def inner_outer(f, grid: config.GridConfig = config.DEFAULT_GRID):
         zeros.extend([r] * m)
     theta = UnitCircleFunction.blaschke(zeros, phase=s)
     outer = outer0 * (1 / s)
-    pts = grid.points()
     resid = float(np.max(np.abs(
         fn.boundary_values(grid.n) -
         theta.boundary_values(grid.n) * outer.boundary_values(grid.n))))

@@ -37,10 +37,6 @@ class ExactSpaceData:
     A: tuple
     s2: Fraction
 
-    @property
-    def scale_is_rational(self) -> bool:
-        return self.s2 == 1
-
 
 class HbSpace:
     """A validated non-extreme space: b, its mate a, and working precision."""
@@ -57,6 +53,7 @@ class HbSpace:
         self.A = poly.trim(np.asarray(A, dtype=complex))
         self._one: Optional[HbElement] = None
         self._phi_roots: Optional[tuple] = None
+        self._a_circle_zeros: Optional[tuple] = None
 
     def __repr__(self):
         tag = "exact" if self.exact else "float"
@@ -83,6 +80,16 @@ class HbSpace:
                 else [] for c in (poly.pmul(self.a.num, self.q), self.a.den))
         return self._phi_roots
 
+    def a_circle_zeros(self) -> tuple:
+        """Unimodular zeros of A, hence of a, in root order (cached)."""
+        if self._a_circle_zeros is None:
+            roots = poly.roots_with_multiplicity(self.A) \
+                if poly.degree(self.A) >= 1 else []
+            self._a_circle_zeros = tuple(
+                r / abs(r) for r, _m in roots
+                if abs(abs(r) - 1) <= config.PAIRING_RTOL)
+        return self._a_circle_zeros
+
     def pythagorean_residual(self) -> float:
         """max over the grid of | |a|^2 + |b|^2 - 1 |."""
         n = self.grid.n
@@ -94,14 +101,8 @@ class HbSpace:
         """Exact Laurent residual of s2|A|^2 + |p|^2 - |q|^2 (None if float)."""
         if self.exact is None:
             return None
-        lhs = exact.laurent_add(
-            [exact.QC(self.exact.s2) * c
-             for c in exact.modulus_sq_coeffs(self.exact.A)],
-            exact.modulus_sq_coeffs(self.exact.p))
-        rhs = exact.modulus_sq_coeffs(self.exact.q)
-        neg = [-c for c in rhs]
-        resid = exact.laurent_add(lhs, neg)
-        return [c for c in resid if not c.is_zero()]
+        e = self.exact
+        return exact.pythagorean_residual(e.p, e.q, e.A, e.s2)
 
 
 @dataclass
@@ -159,7 +160,7 @@ def _try_exact(b: UnitCircleFunction, A_float: np.ndarray
     if root is not None:
         A = [exact.QC(root) * c for c in A]
         s2 = Fraction(1)
-    if exact.pythagorean_residual(p, A, s2):
+    if exact.pythagorean_residual(p, q, A, s2):
         return None
     a0 = A[0]
     if a0.im != 0 or a0.re <= 0:
@@ -191,10 +192,7 @@ def make_space(b, grid: config.GridConfig = config.DEFAULT_GRID,
     if b.kind == "blaschke":
         raise ExtremeFunctionError(
             "finite Blaschke products are extreme; H(b) has no mate")
-    a = factor.mate_of_b(b, grid)
-    w = factor._laurent_center_sub(factor.modulus_sq_laurent(b.den),
-                                   factor.modulus_sq_laurent(b.num))
-    A = factor.fejer_riesz(w, grid)
+    a, A = factor.mate_and_factor(b, grid)
     exact_data = None
     if use_exact in ("auto", True):
         exact_data = _try_exact(b, A)

@@ -10,7 +10,7 @@ Clark machinery must reproduce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -105,22 +105,9 @@ def _qsynth_quotient(p, root):
 
 def dirichlet_cyclic(spec: DirichletSpec, f) -> cyclicity.CyclicityReport:
     """Cyclic in D(mu) iff outer and nonvanishing on the support of mu."""
-    f = poly.trim(np.asarray(f, dtype=complex))
-    if poly.degree(f) < 0:
-        return cyclicity.CyclicityReport(cyclicity.NOT_CYCLIC, [
-            cyclicity.Evidence("dirichlet_support_rule",
-                               "the zero function is never cyclic")])
-    outer = factor.is_outer(f)
-    values = {round(float(np.angle(z)) % (2 * np.pi), 12):
-              float(abs(poly.horner(f, z))) for z, _w in spec.atoms}
-    small = [a for a, v in values.items() if v <= config.POINT_ZERO_TOL]
-    verdict = cyclicity.CYCLIC if outer and not small else \
-        cyclicity.NOT_CYCLIC
-    return cyclicity.CyclicityReport(verdict, [cyclicity.Evidence(
-        "dirichlet_support_rule",
-        "cyclic iff outer and nonvanishing at every atom of the measure",
-        numbers={"is_outer": outer, "abs_values": values,
-                 "vanishing": small})])
+    return cyclicity.outer_nonvanishing_rule(
+        f, [z for z, _w in spec.atoms], "dirichlet_support_rule",
+        "cyclic iff outer and nonvanishing at every atom of the measure")
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +177,9 @@ def theta_model(theta, grid: config.GridConfig = config.DEFAULT_GRID
 
 def theta_cyclic(model: ThetaModel, f) -> cyclicity.CyclicityReport:
     """Cyclic iff outer and nonvanishing at every atom of the level measure."""
-    f = poly.trim(np.asarray(f, dtype=complex))
-    if poly.degree(f) < 0:
-        return cyclicity.CyclicityReport(cyclicity.NOT_CYCLIC, [
-            cyclicity.Evidence("inner_level_set_rule",
-                               "the zero function is never cyclic")])
-    outer = factor.is_outer(f)
-    values = {round(float(np.angle(z)) % (2 * np.pi), 12):
-              float(abs(poly.horner(f, z))) for z, _m in model.atoms}
-    small = [a for a, v in values.items() if v <= config.POINT_ZERO_TOL]
-    verdict = cyclicity.CYCLIC if outer and not small else \
-        cyclicity.NOT_CYCLIC
-    return cyclicity.CyclicityReport(verdict, [cyclicity.Evidence(
-        "inner_level_set_rule",
-        "cyclic iff outer and nonzero at every solution of theta = 1",
-        numbers={"is_outer": outer, "abs_values": values,
-                 "vanishing": small})])
+    return cyclicity.outer_nonvanishing_rule(
+        f, [z for z, _m in model.atoms], "inner_level_set_rule",
+        "cyclic iff outer and nonzero at every solution of theta = 1")
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,11 @@ def horner(c, z):
     return acc if acc.shape else complex(acc)
 
 
-def conj_coeffs(c) -> np.ndarray:
-    return np.conj(aspoly(c))
+def monomial(k: int) -> np.ndarray:
+    """Coefficients of z^k."""
+    out = np.zeros(k + 1, dtype=complex)
+    out[k] = 1.0
+    return out
 
 
 def reverse_conj(c) -> np.ndarray:
@@ -98,22 +101,6 @@ def synthetic_div(c, root: complex):
         out[k] = acc
         acc = arr[k] + acc * root
     return out, complex(acc)
-
-
-def polydiv(num, den):
-    """Long division: num = quot*den + rem with deg rem < deg den."""
-    num, den = trim(num), trim(den)
-    if degree(den) < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q, r = np.polydiv(num[::-1], den[::-1])
-    quot = np.atleast_1d(q)[::-1].astype(complex)
-    rem = np.atleast_1d(r)[::-1].astype(complex)
-    return trim(quot, 0.0), rem
-
-
-def series_inv(den, n: int) -> np.ndarray:
-    """Power series coefficients of 1/den to order n-1 (den[0] != 0)."""
-    return series_div(np.array([1.0 + 0j]), den, n)
 
 
 def series_div(num, den, n: int) -> np.ndarray:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import clark, config, factor, poly
 from .boundary import UnitCircleFunction, cancel_common_roots
@@ -153,16 +152,10 @@ def unimodular_symbol(phi: UnitCircleFunction):
     uden = poly.pmul(n, poly.reverse_conj(d))
     k = dd - dn
     if k >= 0:
-        unum = poly.pmul(unum, _mono(k))
+        unum = poly.pmul(unum, poly.monomial(k))
     else:
-        uden = poly.pmul(uden, _mono(-k))
+        uden = poly.pmul(uden, poly.monomial(-k))
     return cancel_common_roots(unum, uden, tol=1e-7)
-
-
-def _mono(k: int) -> np.ndarray:
-    out = np.zeros(k + 1, dtype=complex)
-    out[k] = 1.0
-    return out
 
 
 def toeplitz_kernel_sections(phi: UnitCircleFunction, n_section: int,
@@ -195,9 +188,8 @@ def toeplitz_kernel_sections(phi: UnitCircleFunction, n_section: int,
     sizes = [n_section * (2 ** j) for j in range(doublings + 1)]
 
     def section_svals(m: int):
-        col = coeffs[(-np.arange(m)) % n]
-        row = coeffs[np.arange(m) % n]
-        return np.linalg.svd(scipy.linalg.toeplitz(col, row),
+        ks = np.arange(m)
+        return np.linalg.svd(coeffs[(ks[None, :] - ks[:, None]) % n],
                              compute_uv=False)
 
     svs, counts, smallest = {}, {}, {}

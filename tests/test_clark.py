@@ -227,6 +227,16 @@ class TestPoltoratski:
                                             [0.0, 0.0, 1.0], 1.0)
         assert abs(val - 1.0) < 1e-3
 
+    def test_three_radii_give_one_level(self, space_shifted_half):
+        # with three radii only one Richardson level fits; it still
+        # carries a finite error estimate
+        grid = config.GridConfig(k0=6, k1=8)
+        h = [0.0, 1.0]
+        val, err = clark.poltoratski_limit(space_shifted_half, 1.0, h, 1.0,
+                                           grid=grid)
+        assert np.isfinite(err)
+        assert abs(val - complex(poly.horner(h, 1.0))) < 1e-3
+
     def test_non_atom_rejected(self, space_half_shift):
         with pytest.raises(DomainError):
             clark.poltoratski_limit(space_half_shift, 1.0, [1.0], -1.0)

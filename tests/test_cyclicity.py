@@ -55,6 +55,23 @@ class TestDecay:
         for n, d in table.exact_entries:
             assert d == Fraction(2, 2 * n + 1)
 
+    def test_float_route_matches_exact_route(self, all_test_spaces):
+        # dyadic coefficients are exact in floats, so both routes see the
+        # same f and their distances must agree to rounding
+        rng = np.random.default_rng(61)
+        spaces = dict(all_test_spaces)
+        spaces["z/(2+z)"] = hb.make_space(UCF.rational([0.0, 1.0], [2.0, 1.0]),
+                                          use_exact=True)
+        for name, sp in spaces.items():
+            f = (rng.integers(-4, 5, size=4) +
+                 1j * rng.integers(-4, 5, size=4)) / 4
+            f[0] = 2 + f[0]
+            table = cy.decay_table(sp, f, 16, use_exact=True)
+            assert len(table.exact_entries) == 16, name
+            for (n, d), (ne, de) in zip(table.entries, table.exact_entries):
+                assert n == ne
+                assert abs(d - float(de)) < 1e-10, (name, n)
+
     def test_monotone_bounded(self, space_half_shift):
         rng = np.random.default_rng(89)
         for _ in range(10):

@@ -76,11 +76,11 @@ class TestMateSolve:
     def test_pythagorean_residual(self):
         b = exact.qpoly([Fraction(1, 2), Fraction(1, 2)])
         A = exact.qpoly([Fraction(1, 2), Fraction(-1, 2)])
-        assert exact.pythagorean_residual(b, A, Fraction(1)) == []
-        assert exact.pythagorean_residual(b, A, Fraction(2)) != []
+        assert exact.pythagorean_residual(b, [1], A, Fraction(1)) == []
+        assert exact.pythagorean_residual(b, [1], A, Fraction(2)) != []
 
     def test_scaled_backend(self):
         # b = z/2: A = 1, s^2 = 3/4
         b = exact.qpoly([0, Fraction(1, 2)])
         A = exact.qpoly([1])
-        assert exact.pythagorean_residual(b, A, Fraction(3, 4)) == []
+        assert exact.pythagorean_residual(b, [1], A, Fraction(3, 4)) == []

@@ -52,6 +52,33 @@ class TestMakeSpace:
             hb.make_space_from_phi(UCF.polynomial([1.0, -1.0]))
 
 
+class TestRationalExact:
+    """b = p/q under the exact backend: s2|A|^2 + |p|^2 = |q|^2."""
+
+    @pytest.fixture(scope="class")
+    def space(self):
+        return hb.make_space(UCF.rational([0.0, 1.0], [2.0, 1.0]),
+                             use_exact=True)
+
+    def test_certified(self, space):
+        # z/(2+z) = (z/2)/(1+z/2): |1+z/2|^2 - |z/2|^2 = |1+z|^2/2
+        assert space.exact.s2 == Fraction(1, 2)
+        assert list(space.exact.A) == exact.qpoly([1, 1])
+        assert space.pythagorean_exact_residual() == []
+
+    def test_exact_norms(self, space):
+        for f in ([1.0], [0.0, 1.0], [1.0, -0.5, 0.25j], [0.0, 0.0, 0.0, 2.0]):
+            el = hb.make_element(space, f)
+            assert el.norm2_exact is not None
+            assert abs(float(el.norm2_exact) - el.norm2) < 1e-12
+
+    def test_irrational_factor_refused(self):
+        # |1+z/3|^2 - |(1+z)/3|^2 factors with the irrational ratio 2 - sqrt3
+        with pytest.raises(NormalizationError):
+            hb.make_space(UCF.rational([1.0, 1.0], [3.0, 1.0]),
+                          use_exact=True)
+
+
 class TestMate:
     def test_spec_values(self, space_half_shift, space_small_shift):
         assert np.allclose(hb.mate(space_half_shift, [1.0]), [-1.0])

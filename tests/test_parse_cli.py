@@ -60,6 +60,14 @@ class TestCli:
                                "--f", "1+z")
         assert code == 0 and doc["verdict"] == "cyclic"
 
+    def test_exact_rational_mate(self, capsys):
+        code, doc, _ = run_cli(capsys, "--exact", "on", "mate",
+                               "--b", "z/(2+z)")
+        assert code == 0 and doc["exact_backend"] is True
+        code, doc, _ = run_cli(capsys, "--exact", "on", "mate",
+                               "--b", "(1+z)/(3+z)")
+        assert code == 1 and "error" in doc
+
     def test_decay_constant_column(self, capsys):
         code, doc, _ = run_cli(capsys, "decay", "--b", "(1+z)/2",
                                "--f", "1-z", "--n", "12")

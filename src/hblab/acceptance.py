@@ -62,8 +62,8 @@ def criterion_2_mate_exactness() -> CheckResult:
             list(sp.exact.A) != [exact.QC(half), exact.QC(-half)]:
         bad.append("exact mate is not (1-z)/2")
     e1 = hb.make_element(sp, [1])
-    if e1.exact_mate_scaled != (exact.QC(-1),):
-        bad.append(f"exact mate(1) = {e1.exact_mate_scaled}")
+    if e1.exact is None or e1.exact[1] != (exact.QC(-1),):
+        bad.append(f"exact data of 1: {e1.exact}")
     if e1.norm2_exact != 2:
         bad.append(f"||1||^2 = {e1.norm2_exact}")
     for k in range(9):

@@ -115,7 +115,8 @@ def cmd_mate(args):
     sp = _space(args)
     _emit({"b": _fn_dict(sp.b), "a": _fn_dict(sp.a),
            "pythagorean_residual": sp.pythagorean_residual(),
-           "exact_backend": sp.exact is not None})
+           "exact_backend": sp.exact is not None,
+           "exact_declined": sp.exact_declined})
 
 
 def cmd_validate(args):
@@ -126,6 +127,7 @@ def cmd_validate(args):
     _emit({"valid": True, "nonextreme": True,
            "pythagorean_residual": sp.pythagorean_residual(),
            "exact_backend": sp.exact is not None,
+           "exact_declined": sp.exact_declined,
            "defect_points_angle": [float(np.angle(z)) % (2 * np.pi)
                                    for z in cyclicity.defect_spectrum(sp)]})
 
@@ -136,8 +138,9 @@ def cmd_norm(args):
     el = hb.make_element(sp, f)
     out = {"norm_sq": el.norm2,
            "mate_coeffs": [[c.real, c.imag] for c in el.mate]}
-    if el.norm2_exact is not None:
-        out["norm_sq_exact"] = str(el.norm2_exact)
+    ex = el.norm2_exact
+    if ex is not None:
+        out["norm_sq_exact"] = str(ex)
     _emit(out)
 
 

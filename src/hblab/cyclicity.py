@@ -19,7 +19,8 @@ from . import clark, config, exact, factor, poly, sigma
 from .boundary import Arc, UnitCircleFunction, arc_union_contains, \
     arcs_cover_circle
 from .errors import NormalizationError
-from .hb import HbElement, HbSpace, element_from_rational, make_element
+from .hb import HbElement, HbSpace, element_from_rational, \
+    inner_product_exact, make_element
 
 CYCLIC = "cyclic"
 NOT_CYCLIC = "not_cyclic"
@@ -193,7 +194,7 @@ def decay_table(space: HbSpace, f, n_max: int,
     equations on the raw Gram matrix square the conditioning and were
     observed to stall on kernel-type data, so they are used only in the
     exact rational backend, where conditioning is irrelevant and the two
-    routes cross-validate.
+    routes cross-validate (exact_entries, from one elimination).
     """
     f = _as_poly(f)
     if poly.degree(f) < 0:
@@ -229,7 +230,7 @@ def decay_table(space: HbSpace, f, n_max: int,
     table = DecayTable(f=f, entries=entries, norm1_sq=float(one.norm2),
                        ridge_flags=flags, truncated=False)
     if use_exact in ("auto", True) and space.exact is not None:
-        # fraction elimination cost grows quickly with N; the automatic
+        # O(N^3) Fraction operations on growing entries: the automatic
         # mode stops at 32, an explicit request computes the full table
         cap = n_max if use_exact is True else min(n_max, 32)
         table.exact_entries = _exact_decay(space, els, one, cap)
@@ -240,25 +241,30 @@ def decay_table(space: HbSpace, f, n_max: int,
 
 
 def _exact_decay(space: HbSpace, els, one: HbElement, n_max: int):
-    if one.exact_f is None or any(e.exact_f is None for e in els):
+    """Exact d_n^2, n <= n_max: eliminate [[G, r], [r*, ||1||^2]] once.
+
+    G[j][k] = <z^k f, z^j f> is positive definite (f, zf, ... are
+    independent), so no pivoting is needed, and after k pivots the corner
+    is the Schur complement ||1||^2 - r_k* G_k^-1 r_k = d_k^2.  Only the
+    upper triangle is kept."""
+    vecs = els[:n_max] + [one]
+    if any(v.exact is None for v in vecs):
         return None
-    n_cap = min(n_max, len(els))
-    qs2 = exact.QC(space.exact.s2)
-    def ip(e1, e2):
-        return exact.qinner(e1.exact_f, e2.exact_f) + \
-            exact.qinner(e1.exact_mate_scaled, e2.exact_mate_scaled) / qs2
-    gram = [[ip(els[k], els[j]) for k in range(n_cap)] for j in range(n_cap)]
-    rhs = [ip(one, els[j]) for j in range(n_cap)]
-    norm1 = ip(one, one)
+    n = len(vecs) - 1
+    m = [[inner_product_exact(space, vecs[k], vecs[j]) if k >= j else None
+          for k in range(n + 1)] for j in range(n + 1)]
     out = []
-    for n in range(1, n_cap + 1):
-        coeffs = exact.solve_linear([row[:n] for row in gram[:n]], rhs[:n])
-        acc = norm1
-        for j in range(n):
-            acc = acc - coeffs[j].conj() * rhs[j]
-        if acc.im != 0:
+    for k in range(n):
+        inv = exact.QONE / m[k][k]
+        for i in range(k + 1, n + 1):
+            c = m[k][i].conj() * inv
+            row, pivot_row = m[i], m[k]
+            for j in range(i, n + 1):
+                row[j] = row[j] - c * pivot_row[j]
+        corner = m[n][n]
+        if corner.im != 0:
             raise ArithmeticError("exact distance has nonzero imaginary part")
-        out.append((n, acc.re))
+        out.append((k + 1, corner.re))
     return out
 
 

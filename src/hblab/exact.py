@@ -3,7 +3,7 @@
 Scalars are complex numbers with Fraction real and imaginary parts;
 polynomials are lists of such scalars, lowest degree first.  The backend
 is used to certify identities (Pythagorean mate relation, mate residuals,
-norms, small Gram solves) that the floating pipeline can only check to
+norms, Gram eliminations) that the floating pipeline can only check to
 tolerance.  Mates whose outer factor carries an irrational positive
 constant s are handled in scaled form a = s*A with s^2 rational.
 """
@@ -246,21 +246,3 @@ def mate_residual(p: Sequence[QC], A: Sequence[QC], f: Sequence[QC],
     r = qadd(analytic_part_of_conj_product(p, f),
              analytic_part_of_conj_product(A, g))
     return qtrim(r)
-
-
-def solve_linear(M: list[list[QC]], rhs: list[QC]) -> list[QC]:
-    """Exact Gaussian elimination with partial pivoting by |.|^2."""
-    n = len(M)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: aug[r][col].abs2())
-        if aug[piv][col].is_zero():
-            raise ZeroDivisionError("singular exact system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = QONE / aug[col][col]
-        aug[col] = [inv * x for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -43,11 +44,13 @@ class HbSpace:
 
     def __init__(self, b: UnitCircleFunction, a: UnitCircleFunction,
                  A: np.ndarray, grid: config.GridConfig,
-                 exact_data: Optional[ExactSpaceData]):
+                 exact_data: Optional[ExactSpaceData],
+                 exact_declined: Optional[str]):
         self.b = b
         self.a = a
         self.grid = grid
         self.exact = exact_data
+        self.exact_declined = exact_declined    # why exact is None
         self.p = b.num.copy()
         self.q = b.den.copy()
         self.A = poly.trim(np.asarray(A, dtype=complex))
@@ -112,8 +115,6 @@ class HbElement:
     space: HbSpace
     f: np.ndarray
     mate: np.ndarray
-    exact_f: Optional[tuple] = None
-    exact_mate_scaled: Optional[tuple] = None
     _norm2: float = field(init=False, default=0.0)
 
     def __post_init__(self):
@@ -123,12 +124,30 @@ class HbElement:
     def norm2(self) -> float:
         return self._norm2
 
+    @cached_property
+    def exact(self) -> Optional[tuple]:
+        """(f, s-scaled mate) as exact polynomials, or None, computed on
+        the first exact read; a nonzero exact mate residual raises
+        ArithmeticError then, not at construction."""
+        data = self.space.exact
+        if data is None:
+            return None
+        try:
+            fe = _rationalize(self.f)
+        except ValueError:
+            return None
+        if not _matches(fe, self.f):
+            return None
+        p, A = list(data.p), list(data.A)
+        ge = exact.mate_solve(p, A, fe)
+        if exact.mate_residual(p, A, fe, ge):
+            raise ArithmeticError("exact mate residual is nonzero")
+        return tuple(fe), tuple(ge)
+
     @property
     def norm2_exact(self) -> Optional[Fraction]:
-        if self.exact_f is None or self.space.exact is None:
-            return None
-        return exact.ql2sq(self.exact_f) + \
-            exact.ql2sq(self.exact_mate_scaled) / self.space.exact.s2
+        val = inner_product_exact(self.space, self, self)
+        return None if val is None else val.re
 
     def __call__(self, z):
         return poly.horner(self.f, z)
@@ -137,34 +156,31 @@ class HbElement:
 # ---------------------------------------------------------------------------
 # construction
 
-def _try_exact(b: UnitCircleFunction, A_float: np.ndarray
-               ) -> Optional[ExactSpaceData]:
-    """Rationalize (p, q, A) and certify the Pythagorean identity exactly."""
+def _try_exact(b: UnitCircleFunction, A_float: np.ndarray) -> ExactSpaceData:
+    """Certify rationalized (p, q, A); NormalizationError names the step."""
     try:
         p = _rationalize(b.num)
         q = _rationalize(b.den)
         # normalize A by its largest coefficient before rationalizing so a
         # common irrational scale s drops out; s2 is then solved exactly
         j0 = int(np.argmax(np.abs(A_float)))
-        t = A_float / A_float[j0]
-        A = _rationalize(t)
-    except ValueError:
-        return None
-    denom = exact.ql2sq(A)
-    if denom == 0:
-        return None
-    s2 = (exact.ql2sq(q) - exact.ql2sq(p)) / denom
+        A = _rationalize(A_float / A_float[j0])
+    except ValueError as exc:
+        raise NormalizationError(str(exc)) from None
+    s2 = (exact.ql2sq(q) - exact.ql2sq(p)) / exact.ql2sq(A)
     if s2 <= 0:
-        return None
+        raise NormalizationError(f"s2 = {s2} is not positive")
     root = exact.frac_sqrt(s2)
     if root is not None:
         A = [exact.QC(root) * c for c in A]
         s2 = Fraction(1)
     if exact.pythagorean_residual(p, q, A, s2):
-        return None
+        raise NormalizationError(
+            "the rationalized data fail s2|A|^2 + |p|^2 = |q|^2 "
+            "(irrational factor)")
     a0 = A[0]
     if a0.im != 0 or a0.re <= 0:
-        return None
+        raise NormalizationError("A(0) is not positive")
     return ExactSpaceData(p=tuple(p), q=tuple(q), A=tuple(A), s2=s2)
 
 
@@ -185,7 +201,8 @@ def make_space(b, grid: config.GridConfig = config.DEFAULT_GRID,
     """Validate b and construct H(b) with its Pythagorean mate.
 
     use_exact: "auto" certifies an exact rational backend when the data
-    allows it, True insists on one, False skips the attempt.
+    allows it, True insists on one, False skips the attempt.  A declined
+    certification leaves its reason in HbSpace.exact_declined.
     """
     if not isinstance(b, UnitCircleFunction):
         b = UnitCircleFunction.polynomial(b)
@@ -193,13 +210,17 @@ def make_space(b, grid: config.GridConfig = config.DEFAULT_GRID,
         raise ExtremeFunctionError(
             "finite Blaschke products are extreme; H(b) has no mate")
     a, A = factor.mate_and_factor(b, grid)
-    exact_data = None
+    exact_data, declined = None, "not requested"
     if use_exact in ("auto", True):
-        exact_data = _try_exact(b, A)
-        if exact_data is None and use_exact is True:
-            raise NormalizationError(
-                "exact backend requested but the data could not be certified")
-    space = HbSpace(b, a, A, grid, exact_data)
+        try:
+            exact_data, declined = _try_exact(b, A), None
+        except NormalizationError as exc:
+            if use_exact is True:
+                raise NormalizationError(
+                    "exact backend requested but the data could not be "
+                    f"certified: {exc}") from None
+            declined = str(exc)
+    space = HbSpace(b, a, A, grid, exact_data, declined)
     res = space.pythagorean_residual()
     if res > config.PYTHAGOREAN_TOL:
         raise FactorizationError(
@@ -286,21 +307,7 @@ def make_element(space: HbSpace, f) -> HbElement:
     if isinstance(f, UnitCircleFunction):
         f = f.to_polynomial()
     f = poly.trim(np.asarray(f, dtype=complex))
-    f1 = mate(space, f)
-    el = HbElement(space, f, f1)
-    if space.exact is not None:
-        try:
-            fe = _rationalize(f)
-        except ValueError:
-            fe = None
-        if fe is not None and _matches(fe, f):
-            ge = exact.mate_solve(list(space.exact.p), list(space.exact.A), fe)
-            if exact.mate_residual(list(space.exact.p), list(space.exact.A),
-                                   fe, ge):
-                raise ArithmeticError("exact mate residual is nonzero")
-            el.exact_f = tuple(fe)
-            el.exact_mate_scaled = tuple(ge)
-    return el
+    return HbElement(space, f, mate(space, f))
 
 
 def _matches(fe, f, tol: float = 1e-12) -> bool:
@@ -311,21 +318,25 @@ def _matches(fe, f, tol: float = 1e-12) -> bool:
                 max(1.0, float(np.max(np.abs(f)))))
 
 
-def inner_product(space: HbSpace, F: HbElement, G: HbElement) -> complex:
-    """<f,g>_2 + <f1,g1>_2 through the embedding."""
+def _check_space(space: HbSpace, F: HbElement, G: HbElement):
     if F.space is not space or G.space is not space:
         raise SpaceMismatchError("elements belong to different spaces")
+
+
+def inner_product(space: HbSpace, F: HbElement, G: HbElement) -> complex:
+    """<f,g>_2 + <f1,g1>_2 through the embedding."""
+    _check_space(space, F, G)
     return poly.hardy_inner(F.f, G.f) + poly.hardy_inner(F.mate, G.mate)
 
 
 def inner_product_exact(space: HbSpace, F: HbElement, G: HbElement):
-    """Exact inner product as a QC, or None when unavailable."""
-    if space.exact is None or F.exact_f is None or G.exact_f is None:
+    """Exact <f,g>_2 + <f1,g1>_2 / s2 (s-scaled mates) as a QC, or None."""
+    _check_space(space, F, G)
+    if space.exact is None or F.exact is None or G.exact is None:
         return None
-    val = exact.qinner(F.exact_f, G.exact_f)
-    val = val + exact.qinner(F.exact_mate_scaled, G.exact_mate_scaled) / \
-        exact.QC(space.exact.s2)
-    return val
+    (f, f1), (g, g1) = F.exact, G.exact
+    return exact.qinner(f, g) + \
+        exact.qinner(f1, g1) / exact.QC(space.exact.s2)
 
 
 # ---------------------------------------------------------------------------

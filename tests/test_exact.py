@@ -53,17 +53,6 @@ class TestPolynomials:
         assert c == exact.qpoly([Fraction(1, 2), Fraction(5, 4),
                                  Fraction(1, 2)])
 
-    def test_solve_linear(self):
-        m = [[QC(2), QC(1)], [QC(1), QC(3)]]
-        rhs = [QC(5), QC(10)]
-        x = exact.solve_linear(m, rhs)
-        assert x == [QC(1), QC(3)]
-
-    def test_solve_singular(self):
-        with pytest.raises(ZeroDivisionError):
-            exact.solve_linear([[QC(1), QC(1)], [QC(1), QC(1)]],
-                               [QC(1), QC(2)])
-
 
 class TestMateSolve:
     def test_half_shift_mate_of_one(self):

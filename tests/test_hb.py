@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hblab import clark, config, exact, hb, poly
+from hblab import cyclicity as cy
 from hblab.boundary import UnitCircleFunction as UCF
 from hblab.errors import (DomainError, ExtremeFunctionError,
                           NormalizationError, SpaceMismatchError)
@@ -72,11 +73,17 @@ class TestRationalExact:
             assert el.norm2_exact is not None
             assert abs(float(el.norm2_exact) - el.norm2) < 1e-12
 
-    def test_irrational_factor_refused(self):
+    def test_irrational_factor_refused(self, space):
         # |1+z/3|^2 - |(1+z)/3|^2 factors with the irrational ratio 2 - sqrt3
-        with pytest.raises(NormalizationError):
-            hb.make_space(UCF.rational([1.0, 1.0], [3.0, 1.0]),
-                          use_exact=True)
+        b = UCF.rational([1.0, 1.0], [3.0, 1.0])
+        with pytest.raises(NormalizationError, match="irrational factor"):
+            hb.make_space(b, use_exact=True)
+        sp = hb.make_space(b, use_exact="auto")
+        assert sp.exact is None
+        assert "s2|A|^2 + |p|^2 = |q|^2" in sp.exact_declined
+        assert space.exact_declined is None
+        assert hb.make_space(b, use_exact=False).exact_declined == \
+            "not requested"
 
 
 class TestMate:
@@ -116,11 +123,26 @@ class TestMate:
             el = hb.make_element(space_half_shift, coeffs)
             if poly.degree(el.f) < 0:
                 continue
-            assert el.exact_f is not None
+            assert el.exact is not None
+            fe, ge = el.exact
             resid = exact.mate_residual(
                 list(space_half_shift.exact.p), list(space_half_shift.exact.A),
-                list(el.exact_f), list(el.exact_mate_scaled))
+                list(fe), list(ge))
             assert resid == []
+
+    def test_exact_data_on_first_exact_read(self, space_half_shift,
+                                            monkeypatch):
+        calls = []
+        solve = exact.mate_solve
+        monkeypatch.setattr(exact, "mate_solve",
+                            lambda *args: calls.append(1) or solve(*args))
+        el = hb.make_element(space_half_shift, [1.0, -0.5, 0.25])
+        cy.decay_table(space_half_shift, [1.0, 0.5], 32)
+        assert len(calls) == 0
+        assert el.norm2_exact == Fraction(13, 8)
+        assert len(calls) == 1
+        assert el.norm2_exact == Fraction(13, 8)
+        assert len(calls) == 1
 
     def test_contractive_in_hardy(self, all_test_spaces):
         rng = np.random.default_rng(47)
@@ -171,6 +193,8 @@ class TestInnerProduct:
         e2 = hb.make_element(space_small_shift, [1.0])
         with pytest.raises(SpaceMismatchError):
             hb.inner_product(space_half_shift, e1, e2)
+        with pytest.raises(SpaceMismatchError):
+            hb.inner_product_exact(space_half_shift, e2, e2)
 
     def test_exact_inner(self, space_small_shift):
         ez = hb.make_element(space_small_shift, [0.0, 1.0])

@@ -66,7 +66,15 @@ class TestCli:
         assert code == 0 and doc["exact_backend"] is True
         code, doc, _ = run_cli(capsys, "--exact", "on", "mate",
                                "--b", "(1+z)/(3+z)")
-        assert code == 1 and "error" in doc
+        assert code == 1 and "irrational factor" in doc["error"]
+        code, doc, _ = run_cli(capsys, "mate", "--b", "(1+z)/(3+z)")
+        assert code == 0 and doc["exact_backend"] is False
+        assert "irrational factor" in doc["exact_declined"]
+        code, doc, _ = run_cli(capsys, "mate", "--b", "z/(2+z)")
+        assert code == 0 and doc["exact_declined"] is None
+        code, doc, _ = run_cli(capsys, "--exact", "off", "mate",
+                               "--b", "z/(2+z)")
+        assert doc["exact_declined"] == "not requested"
 
     def test_decay_constant_column(self, capsys):
         code, doc, _ = run_cli(capsys, "decay", "--b", "(1+z)/2",

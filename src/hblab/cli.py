@@ -145,6 +145,10 @@ def cmd_norm(args):
 
 
 def cmd_decay(args):
+    cap = cyclicity.EXACT_TABLE_MAX_N if args.exact == "on" else \
+        cyclicity.TABLE_MAX_N
+    if not 1 <= args.n <= cap:
+        _fail(f"--n {args.n} is outside 1..{cap} (--exact {args.exact})", 2)
     sp = _space(args)
     f = parse_function(args.f)
     table = cyclicity.decay_table(sp, f, args.n,

@@ -20,7 +20,7 @@ from .boundary import Arc, UnitCircleFunction, arc_union_contains, \
     arcs_cover_circle
 from .errors import NormalizationError
 from .hb import HbElement, HbSpace, element_from_rational, \
-    inner_product_exact, make_element
+    inner_product_exact, make_element, shifted_mates
 
 CYCLIC = "cyclic"
 NOT_CYCLIC = "not_cyclic"
@@ -29,6 +29,8 @@ LIKELY_NOT_CYCLIC = "likely_not_cyclic"
 UNDETERMINED = "undetermined"
 
 _THEOREM_GRADE = {CYCLIC, NOT_CYCLIC}
+TABLE_MAX_N = 256           # largest decay table
+EXACT_TABLE_MAX_N = 64      # largest under use_exact=True (N = 64: ~4 s)
 
 
 @dataclass
@@ -186,43 +188,36 @@ def decay_table(space: HbSpace, f, n_max: int,
 
     Through the embedding, d_N^2 = ||w||^2 - sum of |<w, q_i>|^2 over an
     orthonormal basis q_i of the span of the first N embedded multiples.
-    The stacked coefficient matrix M of those multiples gets the
-    embedded constant w appended as one more column, and only the
-    triangular factor of [M | w] = Q R is formed: its last column holds
-    the coordinates <w, q_i> = R[i, N], so no Q is needed.  Columns whose
-    triangular pivot collapses are flagged as near-dependent.  Normal
-    equations on the raw Gram matrix square the conditioning and were
-    observed to stall on kernel-type data, so they are used only in the
-    exact rational backend, where conditioning is irrelevant and the two
-    routes cross-validate (exact_entries, from one elimination).
+    shifted_mates gives the N multiples z^k f and their mates from one
+    back substitution (mate(z h) is z mate(h) plus a constant, one more
+    O(deg p + deg A) step) and one residual check covering every column.
+    Only the triangular factor of [M | w] = Q R is formed, M the stacked
+    multiples and w the embedded constant: R[i, N] = <w, q_i>.  Columns
+    whose pivot collapses are flagged as near-dependent.  The Gram
+    matrix squares the conditioning, so only the exact backend uses it
+    (exact_entries, one O(N^3) elimination over growing Fractions):
+    "auto" computes the first 32, True refuses N > EXACT_TABLE_MAX_N.
     """
     f = _as_poly(f)
     if poly.degree(f) < 0:
         raise ValueError("decay table needs a nonzero f")
-    if n_max > 256:
-        raise ValueError("table size capped at 256")
+    cap = EXACT_TABLE_MAX_N if use_exact is True else TABLE_MAX_N
+    if not 1 <= n_max <= cap:
+        raise ValueError(f"{'exact ' * (use_exact is True)}table size "
+                         f"{n_max} is outside 1..{cap}")
     one = space.one()
-    shift = np.array([0.0, 1.0], dtype=complex)
-    els = []
-    cur = f.copy()
-    for _k in range(n_max):
-        els.append(make_element(space, cur))
-        cur = poly.pmul(cur, shift)
-    deg = max(e.f.size for e in els)
-    degm = max(max(e.mate.size for e in els), one.mate.size)
-    Mw = np.zeros((deg + degm, n_max + 1), dtype=complex)
-    for k, e in enumerate(els):
-        Mw[: e.f.size, k] = e.f
-        Mw[deg: deg + e.mate.size, k] = e.mate
+    F, G = shifted_mates(space, f, n_max)
+    rows = F.shape[0]
+    Mw = np.zeros((2 * rows, n_max + 1), dtype=complex)
+    Mw[:rows, :n_max], Mw[rows:, :n_max] = F, G
     Mw[: one.f.size, n_max] = one.f
-    Mw[deg: deg + one.mate.size, n_max] = one.mate
+    Mw[rows: rows + one.mate.size, n_max] = one.mate
     R = np.linalg.qr(Mw, mode="r")
     col_scale = np.sqrt(np.sum(np.abs(Mw[:, :n_max]) ** 2, axis=0))
     flags = [n + 1 for n in range(n_max)
              if abs(R[n, n]) <= 1e-12 * max(1.0, float(col_scale[n]))]
     u = np.abs(R[:n_max, n_max]) ** 2
-    wn = float(np.sum(np.abs(Mw[:, n_max]) ** 2))
-    running = wn
+    running = float(np.sum(np.abs(Mw[:, n_max]) ** 2))
     entries = []
     for n in range(1, n_max + 1):
         running -= float(u[n - 1])
@@ -230,24 +225,23 @@ def decay_table(space: HbSpace, f, n_max: int,
     table = DecayTable(f=f, entries=entries, norm1_sq=float(one.norm2),
                        ridge_flags=flags, truncated=False)
     if use_exact in ("auto", True) and space.exact is not None:
-        # O(N^3) Fraction operations on growing entries: the automatic
-        # mode stops at 32, an explicit request computes the full table
-        cap = n_max if use_exact is True else min(n_max, 32)
-        table.exact_entries = _exact_decay(space, els, one, cap)
-        if table.exact_entries is None and use_exact is True:
-            raise NormalizationError("exact decay requested but the data "
-                                     "is not exactly representable")
+        els = [HbElement(space, F[:, k], G[:, k])
+               for k in range(n_max if use_exact is True else min(n_max, 32))]
+        table.exact_entries = _exact_decay(space, els, one)
+    if table.exact_entries is None and use_exact is True:
+        raise NormalizationError("exact decay requested but the data is "
+                                 "not exactly representable")
     return table
 
 
-def _exact_decay(space: HbSpace, els, one: HbElement, n_max: int):
-    """Exact d_n^2, n <= n_max: eliminate [[G, r], [r*, ||1||^2]] once.
+def _exact_decay(space: HbSpace, els, one: HbElement):
+    """Exact d_n^2, n <= len(els): eliminate [[G, r], [r*, ||1||^2]] once.
 
     G[j][k] = <z^k f, z^j f> is positive definite (f, zf, ... are
     independent), so no pivoting is needed, and after k pivots the corner
     is the Schur complement ||1||^2 - r_k* G_k^-1 r_k = d_k^2.  Only the
     upper triangle is kept."""
-    vecs = els[:n_max] + [one]
+    vecs = els + [one]
     if any(v.exact is None for v in vecs):
         return None
     n = len(vecs) - 1

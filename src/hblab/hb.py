@@ -9,7 +9,7 @@ polynomial convolutions and keeps exact rational arithmetic available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -115,14 +115,10 @@ class HbElement:
     space: HbSpace
     f: np.ndarray
     mate: np.ndarray
-    _norm2: float = field(init=False, default=0.0)
 
-    def __post_init__(self):
-        self._norm2 = poly.l2sq(self.f) + poly.l2sq(self.mate)
-
-    @property
+    @cached_property
     def norm2(self) -> float:
-        return self._norm2
+        return poly.l2sq(self.f) + poly.l2sq(self.mate)
 
     @cached_property
     def exact(self) -> Optional[tuple]:
@@ -264,42 +260,48 @@ def make_space_from_phi(phi: UnitCircleFunction,
 # mates and inner products
 
 def _pplus_conj_product(p: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Coefficients of P_+(conj(p) f) for polynomials."""
-    out = np.zeros(f.size, dtype=complex)
-    pc = np.conj(p)
-    for m in range(f.size):
-        top = min(p.size, f.size - m)
-        out[m] = np.dot(pc[:top], f[m:m + top])
-    return out
+    """Coefficients of P_+(conj(p) f): sum_j conj(p_j) f[m + j]."""
+    return np.correlate(f, p, "full")[p.size - 1:]
+
+
+def _back_substitute(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The g of rhs's length with P_+(conj(A) g) = rhs, top down."""
+    ac = np.conj(A)
+    g = np.zeros(rhs.size, dtype=complex)
+    for m in range(rhs.size - 1, -1, -1):
+        top = min(ac.size, g.size - m)
+        g[m] = (rhs[m] - np.dot(ac[1:top], g[m + 1:m + top])) / ac[0]
+    return g
+
+
+def shifted_mates(space: HbSpace, f, n: int) -> tuple:
+    """Coefficients and mates of f, zf, ..., z^(n-1) f as columns (F, G).
+
+    The mate g of h solves P_+(conj(p) h + conj(A) g) = 0 with a zero
+    tail (A has no roots inside the disk, so no square-summable
+    homogeneous solution exists).  By shift invariance the mate of zh is
+    z g - gamma/conj(A_0), gamma = sum_j (conj(p_(j+1)) h_j +
+    conj(A_(j+1)) g_j): the back substitution for g continued one index
+    below zero.  So the back substitution for mate(z^(n-1) f) holds every
+    column, column k shifted down by n-1-k, and its residual, of which
+    each column's is a shift, checks the mate relation on all of them.
+    """
+    f = poly.trim(np.asarray(f, dtype=complex))
+    rows, pad = f.size + n - 1, np.zeros(n - 1, dtype=complex)
+    h = np.concatenate([pad, f, pad])       # z^(n-1) f, then n-1 zeros
+    rhs = -_pplus_conj_product(space.p, h[:rows])
+    u = np.concatenate([_back_substitute(space.A, rhs), pad])
+    resid = float(np.max(np.abs(_pplus_conj_product(space.A, u[:rows]) -
+                                rhs)))
+    if resid > config.MATE_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(f)))):
+        raise ArithmeticError(f"mate residual {resid:.3e} too large")
+    idx = np.arange(rows)[:, None] - np.arange(n) + (n - 1)
+    return h[idx], u[idx]
 
 
 def mate(space: HbSpace, f) -> np.ndarray:
-    """The mate f1 of a polynomial f, by banded back substitution.
-
-    Solves P_+(conj(p) f + conj(A) f1) = 0 from the top coefficient down
-    (zero tail; square-summable homogeneous solutions do not exist since
-    A has no roots inside the disk), then verifies the residual.
-    """
-    f = poly.trim(np.asarray(f, dtype=complex))
-    if poly.degree(f) < 0:
-        return np.zeros(1, dtype=complex)
-    rhs = -_pplus_conj_product(space.p, f)
-    A = space.A
-    g = np.zeros(rhs.size, dtype=complex)
-    a0c = np.conj(A[0])
-    for m in range(rhs.size - 1, -1, -1):
-        acc = rhs[m]
-        top = min(A.size, g.size - m)
-        if top > 1:
-            acc -= np.dot(np.conj(A[1:top]), g[m + 1:m + top])
-        g[m] = acc / a0c
-    resid = poly.padd(_pplus_conj_product(space.p, f),
-                      _pplus_conj_product(A, g))
-    scale = max(1.0, float(np.max(np.abs(f))))
-    if float(np.max(np.abs(resid))) > config.MATE_RESIDUAL_TOL * scale:
-        raise ArithmeticError(
-            f"mate residual {float(np.max(np.abs(resid))):.3e} too large")
-    return poly.trim(g, 1e-13)
+    """The mate f1 of a polynomial f (see shifted_mates)."""
+    return poly.trim(shifted_mates(space, f, 1)[1][:, 0], 1e-13)
 
 
 def make_element(space: HbSpace, f) -> HbElement:

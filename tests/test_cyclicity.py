@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hblab import cyclicity as cy, hb, poly
+from hblab import config, cyclicity as cy, hb, poly
 from hblab.boundary import Arc, UnitCircleFunction as UCF
 from hblab.errors import NormalizationError
 
@@ -87,8 +87,65 @@ class TestDecay:
             cy.estimate_from_decay(table)
 
     def test_cap(self, space_half_shift):
-        with pytest.raises(ValueError):
-            cy.decay_table(space_half_shift, [1, 1], 300)
+        for n in (0, -3, 300):
+            with pytest.raises(ValueError, match="outside"):
+                cy.decay_table(space_half_shift, [1, 1], n)
+        with pytest.raises(ValueError, match="exact table size 65"):
+            cy.decay_table(space_half_shift, [1, 1], 65, use_exact=True)
+
+    def test_exact_request_needs_exact_space(self):
+        sp = hb.make_space(UCF.polynomial([0.5, 0.5]), use_exact=False)
+        with pytest.raises(NormalizationError):
+            cy.decay_table(sp, [1, 1], 8, use_exact=True)
+
+    def test_shifted_mates_match_back_substitution(self):
+        rng = np.random.default_rng(101)
+        b8 = rng.normal(size=9) + 1j * rng.normal(size=9)
+        b8 *= 0.9 / np.sum(np.abs(b8))
+        spaces = [UCF.polynomial([0.5, 0.5]), UCF.polynomial([0, 0.5, 0.5]),
+                  UCF.rational([0, 1], [2, 1]), UCF.rational([1, 1], [3, 1]),
+                  UCF.polynomial([0.5, 0, 0, 0, 0.5]), UCF.polynomial(b8)]
+        n = 256
+        for b in spaces:
+            sp = hb.make_space(b, use_exact=False)
+            f = rng.normal(size=3) + 1j * rng.normal(size=3)
+            F, G = hb.shifted_mates(sp, f, n)
+            assert F.shape == G.shape == (f.size + n - 1, n)
+            for k in range(n):
+                zkf = np.concatenate([np.zeros(k), f])
+                g = hb.mate(sp, zkf)
+                assert np.array_equal(F[:zkf.size, k], zkf), (b, k)
+                assert not np.any(F[zkf.size:, k])
+                assert np.max(np.abs(G[:g.size, k] - g)) < 1e-13, (b, k)
+                assert np.max(np.abs(G[g.size:, k]), initial=0) < 1e-13
+
+    def test_one_back_substitution_per_table(self, monkeypatch):
+        calls = []
+        solve = hb._back_substitute
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(hb, "_back_substitute", counted)
+        for b in ([0.5, 0.5], [0.1, 0.2j, -0.3, 0.25, 0.1j]):
+            sp = hb.make_space(UCF.polynomial(b), use_exact=False)
+            sp.one()
+            for n in (1, 20, 256):
+                calls.clear()
+                cy.decay_table(sp, [1, 0.5, 0.25j], n)
+                assert len(calls) == 1, (b, n)
+
+    def test_mate_residual_still_checked(self, monkeypatch):
+        rng = np.random.default_rng(103)
+        b = rng.normal(size=9) + 1j * rng.normal(size=9)
+        b *= 0.5 / np.sum(np.abs(b))
+        sp = hb.make_space(UCF.polynomial(b), use_exact=False)
+        sp.one()
+        f = rng.normal(size=4) + 1j * rng.normal(size=4)
+        monkeypatch.setattr(config, "MATE_RESIDUAL_TOL", 1e-30)
+        with pytest.raises(ArithmeticError, match="mate residual"):
+            cy.decay_table(sp, f, 64)
 
     def test_no_contradictions_random(self, space_half_shift):
         rng = np.random.default_rng(97)

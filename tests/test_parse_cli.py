@@ -82,6 +82,16 @@ class TestCli:
         assert code == 0
         assert all(abs(d - 2.0) < 1e-9 for _n, d in doc["entries"])
 
+    def test_decay_size_exit_two(self, capsys):
+        for mode, n in (("auto", "0"), ("auto", "-3"), ("off", "300"),
+                        ("on", "65")):
+            code, doc, _ = run_cli(capsys, "--exact", mode, "decay",
+                                   "--b", "(1+z)/2", "--f", "1-z", "--n", n)
+            assert code == 2 and "--n" in doc["error"], (mode, n)
+        code, doc, _ = run_cli(capsys, "decay", "--b", "(1+z)/2",
+                               "--f", "1-z", "--n", "65")
+        assert code == 0 and len(doc["entries_exact"]) == 32
+
     def test_clark_atom(self, capsys):
         code, doc, _ = run_cli(capsys, "clark", "--b", "z(1+z)/2",
                                "--alpha", "0")

@@ -3,8 +3,9 @@
 For each unimodular alpha, the positive-real-part function
 (1 + conj(alpha) b)/(1 - conj(alpha) b) is the Herglotz integral of a
 measure mu_alpha: a density (1-|b|^2)/|alpha-b|^2 plus point masses at
-the circle points where b = alpha.  Masses are extracted by radial
-extrapolation and cross-checked against the transform's value at 0.
+the circle points where b = alpha.  Atom masses are 1/|b'(zeta)| and the
+density integrates in closed form; the total is cross-checked against the
+transform's value at 0.
 Boundary values of transforms recover integrands at the atoms.
 """
 
@@ -19,7 +20,7 @@ space = make_space(UCF.polynomial([0.0, 0.5, 0.5]))   # b = z(1+z)/2
 cm = clark_measure(space, 1.0)
 print("alpha = 1")
 print("  atoms:", [(np.round(z, 10), round(m, 10)) for z, m in cm.atoms])
-print("  extrapolation error estimates:", cm.atom_errors)
+print("  rounding bounds of the masses:", cm.atom_errors)
 print("  absolutely continuous mass:", cm.ac_mass)
 print("  total:", cm.total_mass, " (transform value", cm.herglotz_mass, ")")
 # densities: |phi_alpha|^2 with phi_alpha = a/(1 - conj(alpha) b)

@@ -98,26 +98,27 @@ def criterion_3_kernel_identity() -> CheckResult:
 
 
 def criterion_4_clark_triangulation() -> CheckResult:
-    """Atom masses and totals for the two worked measures."""
+    """Masses and totals of two worked measures; atom masses to 1e-10 and,
+    as radial limits of the Herglotz transform, to 1e-4."""
     t0 = time.perf_counter()
     bad = []
     sp = hb.make_space(UCF.polynomial([0.0, 0.5, 0.5]))
     cm = clark.clark_measure(sp, 1.0)
-    if len(cm.atoms) != 1 or abs(cm.atoms[0][0] - 1) > 1e-8:
-        bad.append(f"z(1+z)/2 atoms: {cm.atoms}")
-    else:
-        if abs(cm.atoms[0][1] - 2 / 3) > 1e-4:
-            bad.append(f"atom mass {cm.atoms[0][1]:.8f} != 2/3")
     if abs(cm.ac_mass - 1 / 3) > 1e-6:
         bad.append(f"ac mass {cm.ac_mass:.8f} != 1/3")
-    if abs(cm.total_mass - 1.0) > 1e-6:
-        bad.append(f"total {cm.total_mass:.8f} != 1")
     sp2 = hb.make_space(UCF.polynomial([0.5, 0.5]))
     cm2 = clark.clark_measure(sp2, 1.0)
-    if len(cm2.atoms) != 1 or abs(cm2.atoms[0][1] - 2.0) > 1e-4:
-        bad.append(f"(1+z)/2 atom: {cm2.atoms}")
-    if abs(cm2.total_mass - 3.0) > 1e-6:
-        bad.append(f"(1+z)/2 total {cm2.total_mass:.8f} != 3")
+    for space, m, mass, total in ((sp, cm, 2 / 3, 1.0), (sp2, cm2, 2.0, 3.0)):
+        radial = [clark.radial_atom_mass(
+            lambda z: clark.herglotz_value(space, 1.0, z), zeta)[0]
+            for zeta, _m in m.atoms]
+        if len(m.atoms) != 1 or abs(m.atoms[0][0] - 1) > 1e-8 or \
+                abs(m.atoms[0][1] - mass) > 1e-10 or \
+                abs(radial[0] - mass) > 1e-4:
+            bad.append(f"atoms {m.atoms} (radial masses {radial}) != "
+                       f"mass {mass:.6g} at 1")
+        if abs(m.total_mass - total) > 1e-6:
+            bad.append(f"total {m.total_mass:.8f} != {total:g}")
     return CheckResult("clark_triangulation", not bad,
                        "; ".join(bad) or "masses 2/3, 1/3, 2 and totals 1, 3",
                        time.perf_counter() - t0)

@@ -424,11 +424,6 @@ class CircleMeasure:
             return np.zeros(len(pts))
         return np.asarray(self.density(pts), dtype=float)
 
-    def total_mass(self, grid: config.GridConfig = config.DEFAULT_GRID) -> float:
-        pts = grid.points()
-        ac = float(np.mean(self.density_values(pts))) if self.density else 0.0
-        return ac + sum(m for _z, m in self.atoms)
-
 
 def _as_measure(measure) -> CircleMeasure:
     if isinstance(measure, CircleMeasure):
@@ -599,11 +594,7 @@ def analytic_projection(num, den) -> UnitCircleFunction:
     # principal part u/den_in
     u = np.zeros(1, dtype=complex)
     for r, m in inner:
-        e = den.copy()
-        for _ in range(m):
-            e, _rem = poly.synthetic_div(e, r)
-        gamma = poly.series_div(poly.taylor_shift(num, r),
-                                poly.taylor_shift(e, r), m)
+        gamma = poly.principal_part(num, den, r, m)
         rest = poly.from_roots([(q, mm) for q, mm in inner if q != r])
         shifted = np.zeros(1, dtype=complex)
         base = np.array([1.0 + 0j])

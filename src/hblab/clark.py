@@ -2,20 +2,21 @@
 
 Each measure splits into the density |phi_alpha|^2 = (1-|b|^2)/|alpha-b|^2
 against normalized Lebesgue measure plus finitely many atoms at the
-unimodular solutions of b = alpha.  A measure costs one root solve, of
-q - conj(alpha) p: its circle roots are the atoms, and together with the
-alpha-free roots of a.num*q and a.den (cached on the space) its roots
-give the cancelled density root phi_alpha = a.num*q / (a.den*(q -
-conj(alpha) p)), whose remaining denominator roots set the singular flag
-and the pole checks.  Atom masses come from the radial limit of the
-Herglotz transform, accelerated by Richardson extrapolation; no closed
-form is assumed, and the total mass is checked against the transform's
-value at the origin.
+unimodular solutions of b = alpha; for rational b both have closed forms
+from one root solve, of qa = q - conj(alpha) p.  Its circle roots zeta are
+the atoms, of mass 1/|b'(zeta)| (Julia-Caratheodory; Sarason 1994).  With
+the roots of A (cached on the space; a = A/q up to a unimodular constant)
+its roots give the cancelled density root phi_alpha = a*q / qa, whose
+remaining denominator roots give the ac mass ||phi_alpha||^2 in H^2 by
+partial fractions, the singular flag and the pole checks.  The total mass
+is checked against the Herglotz transform at the origin; its radial limits
+(radial_atom_mass) serve inner functions and cross-checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ from .boundary import (CircleMeasure, UnitCircleFunction, cancel_common_roots,
 from .errors import DomainError, MembershipError
 from .hb import HbSpace
 
-_ALPHA_SWEEP = 64
+_ALPHA_SWEEP = 8
 
 
 def phi_alpha(space: HbSpace, alpha: complex) -> UnitCircleFunction:
@@ -41,18 +42,18 @@ def phi_alpha(space: HbSpace, alpha: complex) -> UnitCircleFunction:
 
 
 def _density_root(space: HbSpace, alpha: complex):
-    """(phi_alpha, roots of q - conj(alpha) p) from one root solve."""
+    """(phi_alpha, qa, roots of qa, roots left in phi_alpha's denominator);
+    phi_alpha = a*q/qa is a multiple of A/qa, free of the poles of b."""
     qa = poly.psub(space.q, np.conj(alpha) * space.p)
     qa_roots = poly.roots_with_multiplicity(qa) if poly.degree(qa) >= 1 \
         else []
-    num_roots, den_roots = space.phi_roots()
-    num, den, left = cancel_with_roots(
-        poly.pmul(space.a.num, space.q), poly.pmul(space.a.den, qa),
-        num_roots, list(den_roots) + qa_roots, tol=1e-7)
+    aq = space.A * (complex(space.a(0.0)) * space.q[0] / space.A[0])
+    num, den, left = cancel_with_roots(aq, qa, space.a_roots(), qa_roots,
+                                       tol=1e-7)
     singular = any(abs(abs(r) - 1) <= config.PAIRING_RTOL for r, _m in left)
     root = UnitCircleFunction.rational(num, den, boundary_singular=singular,
                                        den_roots=left)
-    return root, qa_roots
+    return root, qa, qa_roots, left
 
 
 def _unimodular(alpha: complex) -> complex:
@@ -108,7 +109,6 @@ class ClarkMeasure:
     atom_errors: list
     ac_mass: float
     herglotz_mass: float
-    grid: config.GridConfig = field(default=config.DEFAULT_GRID)
 
     @property
     def total_mass(self) -> float:
@@ -119,11 +119,10 @@ class ClarkMeasure:
         return not self.atoms
 
     def density_values(self, pts: np.ndarray) -> np.ndarray:
-        return _modulus_sq(self.density_root, pts)
+        return self.as_measure().density_values(pts)
 
     def as_measure(self) -> CircleMeasure:
-        return CircleMeasure(density=lambda pts: self.density_values(pts),
-                             atoms=list(self.atoms))
+        return CircleMeasure.from_modulus_sq(self.density_root, self.atoms)
 
     def csv_rows(self, density_samples: int = 512):
         """(alpha_angle, type, theta, value) rows for density and atoms."""
@@ -137,35 +136,31 @@ class ClarkMeasure:
         return rows
 
 
-def clark_measure(space: HbSpace, alpha: complex,
-                  grid: Optional[config.GridConfig] = None) -> ClarkMeasure:
+def clark_measure(space: HbSpace, alpha: complex) -> ClarkMeasure:
     """Construct the Clark measure of the space at a unimodular alpha.
 
-    Atom locations are the unimodular roots of the numerator of b - alpha;
-    masses come from radial_atom_mass.  The absolutely continuous mass is
-    quadrature of |phi_alpha|^2 with grid doubling until stable, and the
-    total is validated against the Herglotz transform at the origin.
+    Atoms sit at the unimodular roots of qa = q - conj(alpha) p, with the
+    masses of _atom_mass; the ac mass is ||phi_alpha||^2 (_h2_norm_sq).
+    The total is validated against the Herglotz transform at the origin.
     """
-    grid = grid or space.grid
     alpha = _unimodular(alpha)
-    root, qa_roots = _density_root(space, alpha)
-    atoms = []
-    errors = []
-    for r, _m in qa_roots:
+    root, qa, qa_roots, left = _density_root(space, alpha)
+    if root.boundary_singular:
+        raise ArithmeticError("phi_alpha keeps a circle pole; its density "
+                              "is not integrable")
+    atoms, errors = [], []
+    for r, m in qa_roots:
         if abs(abs(r) - 1) <= config.ATOM_LOCATION_TOL:
             zeta = r / abs(r)
-            mass, err = radial_atom_mass(
-                lambda z: herglotz_value(space, alpha, z), zeta, grid)
-            if mass <= 0:
-                raise ArithmeticError(
-                    f"nonpositive atom mass {mass:.3e} at {zeta:.6g}")
+            mass, err = _atom_mass(space.q, poly.derivative(qa), zeta)
+            if m > 1:
+                raise ArithmeticError(f"b'({zeta:.6g}) = 0 at an atom")
             atoms.append((zeta, mass))
             errors.append(err)
     hmass = float(np.real(herglotz_value(space, alpha, 0.0)))
-    ac = _stable_ac_mass(root, grid, hmass)
     cm = ClarkMeasure(alpha=alpha, density_root=root, atoms=atoms,
-                      atom_errors=errors, ac_mass=ac, herglotz_mass=hmass,
-                      grid=grid)
+                      atom_errors=errors, herglotz_mass=hmass,
+                      ac_mass=_h2_norm_sq(root.num, root.den, left))
     mismatch = abs(cm.total_mass - hmass)
     if mismatch > 10 * config.MASS_RTOL * max(1.0, abs(hmass)):
         raise ArithmeticError(
@@ -181,40 +176,52 @@ def clark_sweep(space: HbSpace, alphas=None) -> list:
     return [(a, clark_measure(space, a)) for a in alphas]
 
 
-def _modulus_sq(root: UnitCircleFunction, pts: np.ndarray) -> np.ndarray:
-    nv = poly.horner(root.num, pts)
-    dv = poly.horner(root.den, pts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.abs(nv) ** 2 / np.abs(dv) ** 2
+def _atom_mass(q, dqa, zeta: complex):
+    """(1/|b'(zeta)|, Horner rounding bound) at a circle root of qa: there
+    p = alpha q, so |b'| = |p'q - pq'|/|q|^2 = |qa'|/|q| (Higham 2002, 5.1
+    bounds the two evaluations)."""
+    vals = [(c, poly.horner(c, zeta)) for c in (poly.aspoly(q), dqa)]
+    mass = abs(vals[0][1]) / abs(vals[1][1])
+    rel = sum(4 * c.size * np.finfo(float).eps * np.sum(np.abs(c)) / abs(v)
+              for c, v in vals)
+    return mass, float(mass * rel)
 
 
-def _stable_ac_mass(root: UnitCircleFunction, grid: config.GridConfig,
-                    scale: float) -> float:
-    """Trapezoid mean of |root|^2 over finite samples, doubling the grid
-    until two levels agree.  Each doubling evaluates only the new (odd)
-    nodes and adds them to the running sum of the coarser levels."""
-    n = grid.n
-    pts = config.unit_circle_points(n)
-    total, count = 0.0, 0
-    prev = None
-    for _ in range(6):
-        vals = _modulus_sq(root, pts)
-        vals = vals[np.isfinite(vals)]
-        total += float(np.sum(vals))
-        count += vals.size
-        cur = total / count
-        if prev is not None and abs(cur - prev) <= 1e-7 * max(1.0, scale):
-            return cur
-        prev = cur
-        if n >= (1 << 17):
-            break
-        n *= 2
-        pts = config.unit_circle_points(n)[1::2]
-    return prev
+def _h2_norm_sq(num, den, den_roots) -> float:
+    """||num/den||^2 in H^2 from the roots of den (all outside the disk).
+
+    num/den = Q + sum c (z - r)^-k: Q pairs with the pole terms through
+    its first deg Q + 1 Taylor coefficients, the pole terms by _pole_gram.
+    """
+    rs, ks, cs = [], [], []
+    for r, m in den_roots:
+        rs, ks = rs + [r] * m, ks + list(range(m, 0, -1))
+        cs += list(poly.principal_part(num, den, r, m))
+    nq = max(num.size - den.size + 1, 0)   # reversed, Q heads the series
+    quo = np.append(poly.series_div(num[::-1], den[::-1], nq)[::-1], 0j)
+    head = poly.series_div(num, den, quo.size) - quo
+    total = poly.l2sq(quo) + 2 * float(np.real(np.vdot(head, quo)))
+    if cs:
+        gram = _pole_gram(np.array(rs), np.array(ks))
+        total += float(np.real(np.array(cs) @ gram @ np.conj(cs)))
+    return total
+
+
+def _pole_gram(r: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """H^2 Gram matrix of the (z - r_i)^-k_i, all |r_i| > 1: summing the
+    Taylor coefficients (-1)^k C(n+k-1, k-1) r^-(n+k) gives <(z-r)^-k,
+    (z-s)^-l> = (-1)^(k+l) sum_t C(k-1, t) C(l-1, t) r^(l-1-t) conj(s)^(k-1-t)
+    / (r conj(s) - 1)^(k+l-1), or 1/(r conj(s) - 1) for simple roots."""
+    ri, sj, ki, lj = r[:, None], np.conj(r)[None, :], k[:, None], k[None, :]
+    acc = 0
+    for t in range(int(k.max())):
+        ct = np.array([math.comb(int(kk) - 1, t) for kk in k], dtype=float)
+        acc = acc + np.outer(ct, ct) * ri ** (lj - 1 - t) * sj ** (ki - 1 - t)
+    return (-1.0) ** (ki + lj) * acc / (ri * sj - 1) ** (ki + lj - 1)
 
 
 def alpha_sweep_values(space: HbSpace, count: int = _ALPHA_SWEEP) -> np.ndarray:
-    """Equispaced unimodular targets plus b at each circle zero of a."""
+    """Equispaced cross-check alphas plus b at each circle zero of a."""
     alphas = list(np.exp(2j * np.pi * np.arange(count) / count))
     for zeta in space.a_circle_zeros():
         val = complex(space.b(zeta))
@@ -304,7 +311,7 @@ def normalized_cauchy(space: HbSpace, alpha: complex, h,
                       ) -> NormalizedCauchyTransform:
     """V_alpha h = (1 - conj(alpha) b) * Cauchy integral of h d(mu_alpha)."""
     if measure is None:
-        measure = clark_measure(space, alpha, grid)
+        measure = clark_measure(space, alpha)
     return NormalizedCauchyTransform(space, measure, h, grid)
 
 
@@ -326,7 +333,7 @@ def normalized_cauchy_rational(space: HbSpace, alpha: complex, g,
         g = g.to_polynomial()
     g = poly.aspoly(g)
     if measure is None:
-        measure = clark_measure(space, alpha, grid)
+        measure = clark_measure(space, alpha)
     dens_num, dens_den = modulus_sq_rational(measure.density_root)
     c_g = analytic_projection(poly.pmul(g, dens_num), dens_den)
     c_1 = analytic_projection(dens_num, dens_den)
@@ -370,7 +377,7 @@ def poltoratski_limit(space: HbSpace, alpha: complex, h, zeta: complex,
     the configured radii.
     """
     if measure is None:
-        measure = clark_measure(space, alpha, grid)
+        measure = clark_measure(space, alpha)
     zeta = complex(zeta)
     if not any(abs(zeta - za) <= 1e-8 for za, _ in measure.atoms):
         raise DomainError(f"{zeta:.6g} is not an atom of the measure")

@@ -273,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--exact", choices=("auto", "on", "off"), default="auto",
                     help="exact rational backend mode")
     ap.add_argument("--tol", type=float, default=None,
-                    help="override the point-vanishing tolerance")
+                    help="point-vanishing tolerance for this command "
+                         "(finite, >= 0)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **arguments):
@@ -315,16 +316,20 @@ def main(argv=None) -> int:
         if exc.code not in (0, None):
             raise SystemExit(2)
         raise
-    if args.tol is not None:
-        config.POINT_ZERO_TOL = float(args.tol)
+    saved, tol = config.POINT_ZERO_TOL, args.tol
+    if tol is not None and not 0 <= tol < float("inf"):
+        _fail(f"--tol: {tol} is not a finite nonnegative number", 2)
     _grid(args)     # an invalid --grid is a usage error for every command
     try:
+        config.POINT_ZERO_TOL = saved if tol is None else tol
         args.handler(args)
     except SystemExit:
         raise
     except (HBLabError, ParseError, ValueError, ZeroDivisionError,
             ArithmeticError) as exc:
         _fail(f"{type(exc).__name__}: {exc}")
+    finally:
+        config.POINT_ZERO_TOL = saved
     return 0
 
 

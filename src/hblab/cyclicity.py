@@ -59,10 +59,6 @@ class CyclicityReport:
         if self.verdict not in allowed:
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
-    @property
-    def theorem_grade(self) -> bool:
-        return self.verdict in _THEOREM_GRADE
-
     def to_dict(self):
         out = {"verdict": self.verdict,
                "evidence": [e.to_dict() for e in self.evidence]}

@@ -55,43 +55,28 @@ class HbSpace:
         self.q = b.den.copy()
         self.A = poly.trim(np.asarray(A, dtype=complex))
         self._one: Optional[HbElement] = None
-        self._phi_roots: Optional[tuple] = None
-        self._a_circle_zeros: Optional[tuple] = None
+        self._a_roots: Optional[list] = None
 
     def __repr__(self):
         tag = "exact" if self.exact else "float"
         return f"HbSpace(b={self.b!r}, backend={tag})"
-
-    @property
-    def is_polynomial_b(self) -> bool:
-        return self.b.is_polynomial()
 
     def one(self) -> "HbElement":
         if self._one is None:
             self._one = make_element(self, [1.0])
         return self._one
 
-    def phi_roots(self) -> tuple:
-        """Roots with multiplicity of a.num*q and of a.den (cached).
-
-        These are the alpha-free factors of every Clark density root
-        a.num*q / (a.den*(q - conj(alpha) p)).
-        """
-        if self._phi_roots is None:
-            self._phi_roots = tuple(
-                poly.roots_with_multiplicity(c) if poly.degree(c) >= 1
-                else [] for c in (poly.pmul(self.a.num, self.q), self.a.den))
-        return self._phi_roots
+    def a_roots(self) -> list:
+        """Roots with multiplicity of A, the zeros of a (cached)."""
+        if self._a_roots is None:
+            self._a_roots = poly.roots_with_multiplicity(self.A) \
+                if poly.degree(self.A) >= 1 else []
+        return self._a_roots
 
     def a_circle_zeros(self) -> tuple:
-        """Unimodular zeros of A, hence of a, in root order (cached)."""
-        if self._a_circle_zeros is None:
-            roots = poly.roots_with_multiplicity(self.A) \
-                if poly.degree(self.A) >= 1 else []
-            self._a_circle_zeros = tuple(
-                r / abs(r) for r, _m in roots
-                if abs(abs(r) - 1) <= config.PAIRING_RTOL)
-        return self._a_circle_zeros
+        """Unimodular zeros of A, hence of a, in root order."""
+        return tuple(r / abs(r) for r, _m in self.a_roots()
+                     if abs(abs(r) - 1) <= config.PAIRING_RTOL)
 
     def pythagorean_residual(self) -> float:
         """max over the grid of | |a|^2 + |b|^2 - 1 |."""

@@ -57,13 +57,17 @@ def pmul(p, q) -> np.ndarray:
 
 
 def horner(c, z):
-    """Evaluate at a scalar or array of points."""
-    arr = aspoly(c)
-    z = np.asarray(z, dtype=complex)
-    acc = np.full(z.shape, arr[-1], dtype=complex)
-    for k in range(arr.size - 2, -1, -1):
-        acc = acc * z + arr[k]
-    return acc if acc.shape else complex(acc)
+    """Evaluate at an array of points, or at a scalar in complex arithmetic."""
+    arr = aspoly(c)[::-1]
+    if np.ndim(z) == 0:
+        z, arr = complex(z), arr.tolist()
+        acc = arr[0]
+    else:
+        z = np.asarray(z, dtype=complex)
+        acc = np.full(z.shape, arr[0], dtype=complex)
+    for a in arr[1:]:
+        acc = acc * z + a
+    return acc
 
 
 def monomial(k: int) -> np.ndarray:
@@ -117,16 +121,27 @@ def series_div(num, den, n: int) -> np.ndarray:
     return out
 
 
-def taylor_shift(c, center: complex) -> np.ndarray:
-    """Coefficients of p(center + t) as a polynomial in t."""
+def taylor_shift(c, center: complex, n: int | None = None) -> np.ndarray:
+    """Coefficients of p(center + t) as a polynomial in t (the first n)."""
     arr = aspoly(c).copy()
-    n = arr.size
+    n = arr.size if n is None else n
     out = np.empty(n, dtype=complex)
     for k in range(n):
         arr, rem = synthetic_div(arr, center) if arr.size > 1 else (
             np.zeros(1, dtype=complex), complex(arr[0]))
         out[k] = rem
     return out
+
+
+def principal_part(num, den, root: complex, mult: int) -> np.ndarray:
+    """g with num/den = sum_k g[k] (z - root)^(k - mult) + (analytic at
+    root), mult the multiplicity: the Taylor head of num/(den/(z-root)^mult).
+    """
+    e = aspoly(den)
+    for _ in range(mult):
+        e, _rem = synthetic_div(e, root)
+    return series_div(taylor_shift(num, root, mult),
+                      taylor_shift(e, root, mult), mult)
 
 
 def derivative(c) -> np.ndarray:

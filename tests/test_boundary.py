@@ -35,6 +35,20 @@ class TestEvaluate:
         zs = np.array([0.0, 0.5j])
         assert np.allclose(fn(zs), [1.0, 1.0 + 1j])
 
+    def test_scalar_horner_matches_array(self):
+        # the scalar path runs in Python complex arithmetic; relative to
+        # sum |c_k| |z|^k, the scale of Horner's rounding error
+        rng = np.random.default_rng(97)
+        for _ in range(500):
+            n = rng.integers(1, 21)
+            c = rng.normal(size=n) + 1j * rng.normal(size=n)
+            z = complex(*rng.uniform(-1.5, 1.5, size=2))
+            got = poly.horner(c, z)
+            want = poly.horner(c, np.array([z]))[0]
+            scale = float(np.sum(np.abs(c) * abs(z) ** np.arange(c.size)))
+            assert type(got) is complex
+            assert abs(got - want) <= 1e-15 * scale, (c, z)
+
 
 class TestConstruction:
     def test_rational_interior_pole_rejected(self):

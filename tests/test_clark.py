@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from hblab import clark, config, hb, poly
+from hblab import clark, config, cyclicity, hb, poly, sigma
 from hblab.boundary import UnitCircleFunction as UCF
 from hblab.errors import DomainError
+
+EQUISPACED_64 = np.exp(2j * np.pi * np.arange(64) / 64)
 
 
 class TestClarkMeasure:
@@ -99,7 +104,8 @@ class TestSweep:
             p, q = sp.b.num, sp.b.den
             b0 = complex(sp.b(0.0))
             bvals = sp.b(pts)
-            for alpha, cm in clark.clark_sweep(sp):
+            sweep = clark.clark_sweep(sp, clark.alpha_sweep_values(sp, 64))
+            for alpha, cm in sweep:
                 what = (name, complex(alpha))
                 for (zeta, mass), err in zip(cm.atoms, cm.atom_errors):
                     # Julia-Caratheodory: the atom mass is 1/|b'(zeta)|
@@ -143,6 +149,103 @@ class TestSweep:
             calls.clear()
             sweep = clark.clark_sweep(sp)
             assert len(calls) <= len(sweep) + 4, (coeffs, len(calls))
+
+    def test_default_sweep_matches_64(self, all_test_spaces,
+                                      space_from_one_minus_z):
+        # the default sweep (atom alphas plus 8 equispaced measures) finds
+        # every lower point, provenance and witness of the 64-measure sweep
+        rng = np.random.default_rng(89)
+        spaces = dict(_sweep_spaces(all_test_spaces),
+                      **{"(1+z^2)/2": hb.make_space(UCF.polynomial(
+                          [0.5, 0, 0.5])), "phi=1-z": space_from_one_minus_z})
+        for name, sp in spaces.items():
+            wide = clark.alpha_sweep_values(sp, 64)
+            assert len(clark.alpha_sweep_values(sp)) < len(wide), name
+            got, want = sigma.sigma_bounds(sp), sigma.sigma_bounds(sp, wide)
+            assert np.allclose(got.lower, want.lower, atol=1e-12), name
+            assert got.provenance.keys() == want.provenance.keys(), name
+            for key, prov in got.provenance.items():
+                assert prov == pytest.approx(want.provenance[key],
+                                             rel=1e-12), (name, key)
+            cands = [poly.from_roots([(z, 1)]) for z in got.lower[:1]]
+            cands += [[1.0, 0.5], rng.normal(size=3) + 3]
+            for f in cands:
+                nd = cyclicity.necessity_check(sp, f)
+                nw = cyclicity.necessity_check(sp, f, wide)
+                assert nd.passed == nw.passed, (name, f)
+                assert nd.witness == pytest.approx(nw.witness) \
+                    if nw.witness else nd.witness is None, (name, f)
+
+
+class TestClosedForm:
+    """Closed-form atom and ac masses against independent references."""
+
+    def test_power_shifts_conserve_mass(self):
+        # z^k(1+z)/2: q - conj(alpha) p has a root just outside the circle
+        # near 1, which defeated grid quadrature of the density
+        for k in range(2, 7):
+            sp = hb.make_space(UCF.polynomial([0.0] * k + [0.5, 0.5]))
+            for alpha, cm in clark.clark_sweep(sp, EQUISPACED_64):
+                rel = abs(cm.total_mass - cm.herglotz_mass) / \
+                    max(1.0, cm.herglotz_mass)
+                assert rel < 1e-10, (k, alpha)
+            (zeta, mass), = clark.clark_measure(sp, 1.0).atoms
+            assert abs(zeta - 1) < 1e-12
+            assert abs(mass - 2 / (2 * k + 1)) < 1e-12   # 1/|b'(1)|
+
+    def test_atom_mass_cross_checked_radially(self, space_shifted_half):
+        cm = clark.clark_measure(space_shifted_half, 1.0)
+        (zeta, mass), = cm.atoms
+        assert abs(mass - 2 / 3) < 1e-14 and cm.atom_errors[0] < 1e-13
+        radial, err = clark.radial_atom_mass(
+            lambda z: clark.herglotz_value(space_shifted_half, 1.0, z), zeta)
+        assert abs(radial - mass) < 1e-6 and err < 1e-6
+
+    def test_confluent_pole_gram(self):
+        r = np.array([1.3 + 0.2j, -1.1 + 0.5j, 0.2 - 1.4j, 1.05j])
+        k = np.array([1, 2, 3, 1])
+        n = np.arange(3000)
+        series = [(-1) ** kk * np.array([math.comb(int(j) + kk - 1, kk - 1)
+                                         for j in n], dtype=float)
+                  * rr ** (-(n + kk)) for rr, kk in zip(r, k)]
+        want = np.array([[np.vdot(sj, si) for sj in series]
+                         for si in series])
+        got = clark._pole_gram(r, k)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_repeated_poles_match_trapezoid(self):
+        roots = [(1.5, 2), (-2.0 + 1j, 1), (0.3 - 1.2j, 3)]
+        den = poly.from_roots(roots, lead=0.7)
+        pts = config.unit_circle_points(1 << 16)
+        for num in ([1.0, -0.5j, 0.25], [0.2, 1, 0, 0, 0, 0, 0, 0, 0.3j]):
+            got = clark._h2_norm_sq(poly.aspoly(num), den, roots)
+            want = float(np.mean(np.abs(poly.horner(num, pts) /
+                                        poly.horner(den, pts)) ** 2))
+            assert abs(got - want) < 1e-10 * want, num
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(num=st.lists(st.complex_numbers(max_magnitude=1), min_size=2,
+                        max_size=6),
+           poles=st.lists(st.tuples(st.floats(1.25, 3.0),
+                                    st.floats(0, 2 * np.pi)), max_size=3),
+           angle=st.floats(0, 2 * np.pi))
+    def test_ac_mass_matches_trapezoid(self, num, poles, angle):
+        num = np.array(num)
+        assume(np.max(np.abs(num[1:])) > 1e-2)
+        den = poly.from_roots([(r * np.exp(1j * t), 1) for r, t in poles])
+        pts = config.unit_circle_points(1 << 16)
+        bvals = poly.horner(num, pts) / poly.horner(den, pts)
+        scale = 0.9 / float(np.max(np.abs(bvals)))
+        b = UCF.rational(scale * num, den) if poles else \
+            UCF.polynomial(scale * num)
+        alpha = np.exp(1j * angle)
+        cm = clark.clark_measure(hb.make_space(b, use_exact=False), alpha)
+        assert cm.atoms == []
+        bvals = scale * bvals
+        want = float(np.mean((1 - np.abs(bvals) ** 2) /
+                             np.abs(alpha - bvals) ** 2))
+        assert abs(cm.ac_mass - want) <= 1e-10 * want
 
 
 class TestNormalizedCauchy:

@@ -137,6 +137,25 @@ class TestCli:
             code, doc, _ = run_cli(capsys, "--grid", "100", *argv)
             assert code == 2 and "grid" in doc["error"], argv
 
+    def test_invalid_tol_exit_two(self, capsys):
+        argv = ["classify", "--b", "(1+z)/2", "--f", "1-z"]
+        code, doc, _ = run_cli(capsys, *argv)
+        assert code == 0 and doc["verdict"] == "not_cyclic"
+        for tol in ("nan", "-1", "inf", "-inf"):
+            code, doc, _ = run_cli(capsys, f"--tol={tol}", *argv)
+            assert code == 2 and "--tol" in doc["error"], tol
+        code, doc, _ = run_cli(capsys, "--tol", "0", *argv)
+        assert code == 0
+
+    def test_tol_scoped_to_one_call(self, capsys):
+        before = config.POINT_ZERO_TOL
+        code, doc, _ = run_cli(capsys, "--tol", "0.5", "classify",
+                               "--b", "(1+z)/2", "--f", "1-z")
+        assert code == 0 and config.POINT_ZERO_TOL == before
+        code, doc, _ = run_cli(capsys, "--tol", "0.5", "classify",
+                               "--b", "(1+z)/2", "--f", "(")
+        assert code == 1 and config.POINT_ZERO_TOL == before
+
     def test_certify_rules(self, capsys):
         code, doc, _ = run_cli(capsys, "certify", "--rule", "A",
                                "--b", "(1+z)/2", "--f", "1+z",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hblab import config, hb, poly, sigma
+from hblab import config, cyclicity, hb, poly, sigma
 from hblab.boundary import UnitCircleFunction as UCF
 from hblab.errors import DomainError, MembershipError
 
@@ -64,6 +64,20 @@ class TestSigmaBounds:
     def test_degenerate_constant_phi(self):
         # phi = 1 corresponds to sigma upper empty
         assert sigma.sigma_upper(UCF.polynomial([1.0])) == []
+
+    def test_power_shifts(self):
+        # z^k(1+z)/2: the one atom, at 1, has mass 1/|b'(1)| = 2/(2k+1)
+        for k in range(2, 7):
+            sp = hb.make_space(UCF.polynomial([0.0] * k + [0.5, 0.5]))
+            bounds = sigma.sigma_bounds(sp)
+            assert len(bounds.lower) == 1, k
+            assert abs(bounds.lower[0] - 1) < 1e-12, k
+            (prov,) = bounds.provenance.values()
+            assert abs(prov["mass"] - 2 / (2 * k + 1)) < 1e-12, k
+            assert cyclicity.assess(sp, [1.0, -1.0]).verdict == \
+                cyclicity.NOT_CYCLIC, k
+            assert cyclicity.assess(sp, [3.0, 1.0]).verdict == \
+                cyclicity.CYCLIC, k
 
     def test_unnormalized_space_flagged(self, space_shifted_half):
         bounds = sigma.sigma_lower(space_shifted_half)

@@ -279,8 +279,7 @@ def criterion_10_models() -> CheckResult:
         if got != want:
             bad.append(f"D(delta_1) {f}: {got} != {want}")
     m2 = models.theta_model(UCF.blaschke([0, 0]))
-    locs = sorted(round(float(np.angle(z)) % (2 * np.pi), 6)
-                  for z, _ in m2.atoms)
+    locs = sorted(round(config.circle_angle(z), 6) for z, _ in m2.atoms)
     if locs != [0.0, round(np.pi, 6)]:
         bad.append(f"theta=z^2 atoms at {locs}")
     for _z, mass in m2.atoms:

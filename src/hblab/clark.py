@@ -126,12 +126,12 @@ class ClarkMeasure:
 
     def csv_rows(self, density_samples: int = 512):
         """(alpha_angle, type, theta, value) rows for density and atoms."""
-        a_ang = float(np.angle(self.alpha)) % (2 * np.pi)
+        a_ang = config.circle_angle(self.alpha)
         pts = config.unit_circle_points(density_samples)
         vals = self.density_values(pts)
         rows = [(a_ang, "ac", 2 * np.pi * j / density_samples, float(v))
                 for j, v in enumerate(vals)]
-        rows += [(a_ang, "atom", float(np.angle(z)) % (2 * np.pi), float(m))
+        rows += [(a_ang, "atom", config.circle_angle(z), float(m))
                  for z, m in self.atoms]
         return rows
 

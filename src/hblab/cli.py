@@ -128,7 +128,7 @@ def cmd_validate(args):
            "pythagorean_residual": sp.pythagorean_residual(),
            "exact_backend": sp.exact is not None,
            "exact_declined": sp.exact_declined,
-           "defect_points_angle": [float(np.angle(z)) % (2 * np.pi)
+           "defect_points_angle": [config.circle_angle(z)
                                    for z in cyclicity.defect_spectrum(sp)]})
 
 
@@ -154,13 +154,17 @@ def cmd_decay(args):
     table = cyclicity.decay_table(sp, f, args.n,
                                   use_exact=_exact_mode(args))
     out = {"entries": table.csv_rows(), "norm1_sq": table.norm1_sq,
-           "near_dependent_columns": table.ridge_flags}
+           "near_dependent_columns": table.ridge_flags,
+           "exact_backend": sp.exact is not None,
+           "exact_declined": sp.exact_declined}
     if len(table.entries) >= 20:
         out["verdict"] = cyclicity.estimate_from_decay(table).verdict
     else:
         out["verdict"] = "table too short for the estimator"
     if table.exact_entries is not None:
         out["entries_exact"] = [[n, str(d)] for n, d in table.exact_entries]
+    elif sp.exact is not None:
+        out["exact_declined"] = "f is not exactly representable"
     if args.csv:
         _write_csv(args.csv, ["N", "d2"], table.csv_rows())
     _emit(out)
@@ -178,8 +182,7 @@ def cmd_clark(args):
     alpha = complex(np.exp(1j * float(args.alpha)))
     cm = clark.clark_measure(sp, alpha)
     out = {"alpha_angle": float(args.alpha) % (2 * np.pi),
-           "atoms": [[float(np.angle(z)) % (2 * np.pi), m]
-                     for z, m in cm.atoms],
+           "atoms": [[config.circle_angle(z), m] for z, m in cm.atoms],
            "atom_mass_errors": cm.atom_errors,
            "ac_mass": cm.ac_mass, "total_mass": cm.total_mass,
            "herglotz_mass": cm.herglotz_mass,
@@ -193,10 +196,8 @@ def cmd_clark(args):
 def cmd_sigma(args):
     sp = _space(args)
     bounds = sigma.sigma_bounds(sp)
-    _emit({"lower_angles": [float(np.angle(z)) % (2 * np.pi)
-                            for z in bounds.lower],
-           "upper_angles": [float(np.angle(z)) % (2 * np.pi)
-                            for z in bounds.upper],
+    _emit({"lower_angles": [config.circle_angle(z) for z in bounds.lower],
+           "upper_angles": [config.circle_angle(z) for z in bounds.upper],
            "provenance": bounds.provenance,
            "upper_source": bounds.upper_source,
            "base_measure_absolutely_continuous":
@@ -245,8 +246,7 @@ def cmd_dirichlet(args):
 def cmd_theta(args):
     model = models.theta_model(parse_function(args.theta))
     f = parse_function(args.f).to_polynomial()
-    _emit({"atoms": [[float(np.angle(z)) % (2 * np.pi), m]
-                     for z, m in model.atoms],
+    _emit({"atoms": [[config.circle_angle(z), m] for z, m in model.atoms],
            "model_dimension": model.model_dimension,
            "mass_total": model.herglotz_mass,
            "verdict": models.theta_cyclic(model, f).verdict})

@@ -20,6 +20,7 @@ PYTHAGOREAN_TOL = 1e-10       # | |a|^2 + |b|^2 - 1 | on the grid
 # Boundary point tests
 ATOM_LOCATION_TOL = 1e-8      # | |zeta| - 1 | for Clark atom candidates
 POINT_ZERO_TOL = 1e-9         # |f(lambda)| below this counts as a zero
+ANGLE_WRAP_TOL = 1e-9         # angles this close to 0 or 2*pi read as 0
 
 # Quadrature / transform checks
 MASS_RTOL = 1e-6              # Clark total-mass conservation
@@ -69,3 +70,8 @@ def unit_circle_points(n: int) -> np.ndarray:
     pts.flags.writeable = False
     return pts
 
+
+def circle_angle(z) -> float:
+    """Angle of z in [0, 2*pi), 0 within ANGLE_WRAP_TOL of 0 or 2*pi."""
+    a = float(np.angle(z)) % (2 * np.pi)
+    return 0.0 if min(a, 2 * np.pi - a) <= ANGLE_WRAP_TOL else a

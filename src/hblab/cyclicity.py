@@ -19,8 +19,8 @@ from . import clark, config, exact, factor, poly, sigma
 from .boundary import Arc, UnitCircleFunction, arc_union_contains, \
     arcs_cover_circle
 from .errors import NormalizationError
-from .hb import HbElement, HbSpace, element_from_rational, \
-    inner_product_exact, make_element, shifted_mates
+from .hb import HbElement, HbSpace, element_from_rational, exact_mate, \
+    make_element, shifted_mates
 
 CYCLIC = "cyclic"
 NOT_CYCLIC = "not_cyclic"
@@ -30,7 +30,7 @@ UNDETERMINED = "undetermined"
 
 _THEOREM_GRADE = {CYCLIC, NOT_CYCLIC}
 TABLE_MAX_N = 256           # largest decay table
-EXACT_TABLE_MAX_N = 64      # largest under use_exact=True (N = 64: ~4 s)
+EXACT_TABLE_MAX_N = 128     # largest under use_exact=True (N = 128: <2 s)
 
 
 @dataclass
@@ -82,7 +82,7 @@ def defect_spectrum(space: HbSpace) -> list:
     classifier evaluates candidates.
     """
     return sorted(space.a_circle_zeros(),
-                  key=lambda z: float(np.angle(z)) % (2 * np.pi))
+                  key=config.circle_angle)
 
 
 def classify_finite_defect(space: HbSpace, f) -> CyclicityReport:
@@ -128,10 +128,7 @@ def _as_poly(f) -> np.ndarray:
 
 
 def _ang(z) -> float:
-    a = float(np.angle(z)) % (2 * np.pi)
-    if a > 2 * np.pi - 1e-9:
-        a = 0.0
-    return round(a, 12)
+    return round(config.circle_angle(z), 12)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +188,8 @@ def decay_table(space: HbSpace, f, n_max: int,
     multiples and w the embedded constant: R[i, N] = <w, q_i>.  Columns
     whose pivot collapses are flagged as near-dependent.  The Gram
     matrix squares the conditioning, so only the exact backend uses it
-    (exact_entries, one O(N^3) elimination over growing Fractions):
+    (exact_entries: one exact mate, the Gram matrix by the same shift
+    recurrence, one fraction-free elimination over Gaussian integers):
     "auto" computes the first 32, True refuses N > EXACT_TABLE_MAX_N.
     """
     f = _as_poly(f)
@@ -220,42 +218,43 @@ def decay_table(space: HbSpace, f, n_max: int,
         entries.append((n, max(running, 0.0)))
     table = DecayTable(f=f, entries=entries, norm1_sq=float(one.norm2),
                        ridge_flags=flags, truncated=False)
-    if use_exact in ("auto", True) and space.exact is not None:
-        els = [HbElement(space, F[:, k], G[:, k])
-               for k in range(n_max if use_exact is True else min(n_max, 32))]
-        table.exact_entries = _exact_decay(space, els, one)
+    if use_exact in ("auto", True):
+        table.exact_entries = _exact_decay(
+            space, f, n_max if use_exact is True else min(n_max, 32))
     if table.exact_entries is None and use_exact is True:
         raise NormalizationError("exact decay requested but the data is "
                                  "not exactly representable")
     return table
 
 
-def _exact_decay(space: HbSpace, els, one: HbElement):
-    """Exact d_n^2, n <= len(els): eliminate [[G, r], [r*, ||1||^2]] once.
+def _exact_decay(space: HbSpace, f, n: int):
+    """Exact d_k^2, k <= n, from one exact mate and one elimination.
 
-    G[j][k] = <z^k f, z^j f> is positive definite (f, zf, ... are
-    independent), so no pivoting is needed, and after k pivots the corner
-    is the Schur complement ||1||^2 - r_k* G_k^-1 r_k = d_k^2.  Only the
-    upper triangle is kept."""
-    vecs = els + [one]
-    if any(v.exact is None for v in vecs):
+    As in shifted_mates, the exact mate u of z^(n-1) f holds every
+    column: mate(z^k f) = u[n-1-k:], with constant term u[n-1-k].  As z g
+    has no constant term, G[j][k] = <z^k f, z^j f> follows from its first
+    row: G[j][k] = G[j-1][k-1] + u[n-1-k] conj(u[n-1-j]) / s2.  G is
+    positive definite (f, zf, ... are independent), and the corners of
+    [[G, r], [r*, ||1||^2]] are the d_k^2 (exact.bordered_schur)."""
+    pair = exact_mate(space, f, n - 1)
+    if pair is None:
         return None
-    n = len(vecs) - 1
-    m = [[inner_product_exact(space, vecs[k], vecs[j]) if k >= j else None
-          for k in range(n + 1)] for j in range(n + 1)]
-    out = []
-    for k in range(n):
-        inv = exact.QONE / m[k][k]
-        for i in range(k + 1, n + 1):
-            c = m[k][i].conj() * inv
-            row, pivot_row = m[i], m[k]
-            for j in range(i, n + 1):
-                row[j] = row[j] - c * pivot_row[j]
-        corner = m[n][n]
-        if corner.im != 0:
-            raise ArithmeticError("exact distance has nonzero imaginary part")
-        out.append((k + 1, corner.re))
-    return out
+    h, u = pair
+    u += (exact.QZERO,) * (len(h) - len(u))
+    inv_s2 = exact.QC(1 / space.exact.s2)
+    cols = [(h[k:], u[k:]) for k in range(n - 1, -1, -1)]  # z^k f, mate
+    cols.append(space.one().exact)
+
+    def ip(x, y):
+        return exact.qinner(x[0], y[0]) + exact.qinner(x[1], y[1]) * inv_s2
+
+    m = [[ip(x, cols[0]) for x in cols]]
+    for j in range(1, n):
+        c = u[n - 1 - j].conj() * inv_s2
+        m.append([None] * j + [m[j - 1][k - 1] + u[n - 1 - k] * c
+                               for k in range(j, n)] + [ip(cols[n], cols[j])])
+    m.append([None] * n + [ip(cols[n], cols[n])])
+    return list(enumerate(exact.bordered_schur(m), 1))
 
 
 def estimate_from_decay(table: DecayTable,

@@ -98,7 +98,6 @@ def _coerce(x) -> QC:
 
 
 QZERO = QC(0)
-QONE = QC(1)
 
 
 def frac_sqrt(x: Fraction):
@@ -246,3 +245,37 @@ def mate_residual(p: Sequence[QC], A: Sequence[QC], f: Sequence[QC],
     r = qadd(analytic_part_of_conj_product(p, f),
              analytic_part_of_conj_product(A, g))
     return qtrim(r)
+
+
+def bordered_schur(m) -> list[Fraction]:
+    """Schur complements c - r_k* G_k^-1 r_k, k = 1..n, of a Hermitian
+    [[G, r], [r*, c]] given on and above its diagonal, G positive definite
+    and G_k its leading k x k block.  Fraction-free (Bareiss 1968): scaled
+    by the lcm D of its denominators, the matrix is eliminated over the
+    Gaussian integers, each update divided exactly by the previous pivot;
+    pivot k is the leading minor P_k, and the corner then is P_k D times
+    complement k.  A remainder or a non-positive pivot raises
+    ArithmeticError."""
+    n = len(m)
+    scale = math.lcm(*(x.denominator for j in range(n) for c in m[j][j:]
+                       for x in (c.re, c.im)))
+    re = [[0] * j + [int(c.re * scale) for c in m[j][j:]] for j in range(n)]
+    im = [[0] * j + [int(c.im * scale) for c in m[j][j:]] for j in range(n)]
+    out, prev = [], 1
+    for k in range(n - 1):
+        piv, rk, ik = re[k][k], re[k], im[k]
+        if im[k][k] != 0 or piv <= 0:
+            raise ArithmeticError("Gram pivot is not positive")
+        for i in range(k + 1, n):
+            ar, ai, ri, ii = rk[i], ik[i], re[i], im[i]
+            for j in range(i, n):
+                xr, rr = divmod(piv * ri[j] - ar * rk[j] - ai * ik[j], prev)
+                xi, r2 = divmod(piv * ii[j] - ar * ik[j] + ai * rk[j], prev)
+                if rr or r2:
+                    raise ArithmeticError("inexact Bareiss division")
+                ri[j], ii[j] = xr, xi
+        prev = piv
+        if im[n - 1][n - 1] != 0:
+            raise ArithmeticError("exact distance has nonzero imaginary part")
+        out.append(Fraction(re[n - 1][n - 1], piv * scale))
+    return out

@@ -110,20 +110,7 @@ class HbElement:
         """(f, s-scaled mate) as exact polynomials, or None, computed on
         the first exact read; a nonzero exact mate residual raises
         ArithmeticError then, not at construction."""
-        data = self.space.exact
-        if data is None:
-            return None
-        try:
-            fe = _rationalize(self.f)
-        except ValueError:
-            return None
-        if not _matches(fe, self.f):
-            return None
-        p, A = list(data.p), list(data.A)
-        ge = exact.mate_solve(p, A, fe)
-        if exact.mate_residual(p, A, fe, ge):
-            raise ArithmeticError("exact mate residual is nonzero")
-        return tuple(fe), tuple(ge)
+        return exact_mate(self.space, self.f)
 
     @property
     def norm2_exact(self) -> Optional[Fraction]:
@@ -295,6 +282,25 @@ def make_element(space: HbSpace, f) -> HbElement:
         f = f.to_polynomial()
     f = poly.trim(np.asarray(f, dtype=complex))
     return HbElement(space, f, mate(space, f))
+
+
+def exact_mate(space: HbSpace, f, shift: int = 0) -> Optional[tuple]:
+    """(h, s-scaled mate of h) as exact polynomials, h = z^shift f, or
+    None when the space or f is not exactly representable.  A nonzero
+    exact mate residual raises ArithmeticError."""
+    if space.exact is None:
+        return None
+    try:
+        fe = _rationalize(f)
+    except ValueError:
+        return None
+    if not _matches(fe, f):
+        return None
+    e, h = space.exact, [exact.QZERO] * shift + fe
+    g = exact.mate_solve(e.p, e.A, h)
+    if exact.mate_residual(e.p, e.A, h, g):
+        raise ArithmeticError("exact mate residual is nonzero")
+    return tuple(h), tuple(g)
 
 
 def _matches(fe, f, tol: float = 1e-12) -> bool:

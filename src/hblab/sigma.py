@@ -82,8 +82,8 @@ def sigma_lower(space: HbSpace, alphas=None) -> SigmaBounds:
             key = _find(points, zeta)
             if key is None:
                 points.append(zeta)
-                prov[_angle_key(zeta)] = {
-                    "alpha_angle": float(np.angle(a)) % (2 * np.pi),
+                prov[round(config.circle_angle(zeta), 10)] = {
+                    "alpha_angle": config.circle_angle(a),
                     "mass": mass}
     return SigmaBounds(lower=_dedupe(points), upper=[], provenance=prov,
                        base_measure_absolutely_continuous=base_ac)
@@ -100,7 +100,7 @@ def sigma_bounds(space: HbSpace, alphas=None) -> SigmaBounds:
 
 def _dedupe(points, tol: float = 1e-8):
     out = []
-    for p in sorted(points, key=lambda t: float(np.angle(t)) % (2 * np.pi)):
+    for p in sorted(points, key=config.circle_angle):
         if not any(abs(p - q) <= tol for q in out):
             out.append(complex(p))
     return out
@@ -111,10 +111,6 @@ def _find(points, z, tol: float = 1e-8):
         if abs(p - z) <= tol:
             return p
     return None
-
-
-def _angle_key(z) -> float:
-    return round(float(np.angle(z)) % (2 * np.pi), 10)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hblab import config, cyclicity as cy, hb, poly
+from hblab import config, cyclicity as cy, exact, hb, poly
 from hblab.boundary import Arc, UnitCircleFunction as UCF
 from hblab.errors import NormalizationError
 
@@ -90,8 +93,11 @@ class TestDecay:
         for n in (0, -3, 300):
             with pytest.raises(ValueError, match="outside"):
                 cy.decay_table(space_half_shift, [1, 1], n)
-        with pytest.raises(ValueError, match="exact table size 65"):
-            cy.decay_table(space_half_shift, [1, 1], 65, use_exact=True)
+        with pytest.raises(ValueError, match="exact table size 129"):
+            cy.decay_table(space_half_shift, [1, 1], 129, use_exact=True)
+        table = cy.decay_table(space_half_shift, [1, 1], 128, use_exact=True)
+        assert table.exact_entries == [(n, Fraction(2, 2 * n + 1))
+                                       for n in range(1, 129)]
 
     def test_exact_request_needs_exact_space(self):
         sp = hb.make_space(UCF.polynomial([0.5, 0.5]), use_exact=False)
@@ -159,6 +165,126 @@ class TestDecay:
                 assert est != cy.LIKELY_NOT_CYCLIC
             else:
                 assert est != cy.LIKELY_CYCLIC
+
+
+def reference_exact_decay(space, f, n):
+    """The per-column exact route: an HbElement and an exact mate for each
+    z^k f, pairwise exact inner products, and one bordered elimination
+    over Fractions."""
+    F, G = hb.shifted_mates(space, f, n)
+    vecs = [hb.HbElement(space, F[:, k], G[:, k]) for k in range(n)]
+    vecs.append(space.one())
+    if any(v.exact is None for v in vecs):
+        return None
+    m = [[hb.inner_product_exact(space, vecs[k], vecs[j]) if k >= j else None
+          for k in range(n + 1)] for j in range(n + 1)]
+    out = []
+    for k in range(n):
+        inv = 1 / m[k][k]
+        for i in range(k + 1, n + 1):
+            c = m[k][i].conj() * inv
+            for j in range(i, n + 1):
+                m[i][j] = m[i][j] - c * m[k][j]
+        assert m[n][n].im == 0
+        out.append((k + 1, m[n][n].re))
+    return out
+
+
+EXACT_SPACES = {"(1+z)/2": UCF.polynomial([0.5, 0.5]),
+                "z(1+z)/2": UCF.polynomial([0, 0.5, 0.5]),
+                "z/2": UCF.polynomial([0, 0.5]),
+                "(1+z^2)/2": UCF.polynomial([0.5, 0, 0.5]),
+                "(1+z^4)/2": UCF.polynomial([0.5, 0, 0, 0, 0.5]),
+                "z/(2+z)": UCF.rational([0, 1], [2, 1])}
+
+
+@pytest.fixture(scope="module")
+def exact_spaces():
+    return {name: hb.make_space(b, use_exact=True)
+            for name, b in EXACT_SPACES.items()}
+
+
+class TestExactDecay:
+    def test_matches_reference(self, exact_spaces):
+        f = np.array([2, 0.75 - 0.5j, 0, -0.25j])
+        for name, sp in exact_spaces.items():
+            for n in (1, 2, 16, 32):
+                want = reference_exact_decay(sp, f, n)
+                assert cy.decay_table(sp, f, n, use_exact=True)\
+                    .exact_entries == want, (name, n)
+        sp = exact_spaces["z(1+z)/2"]
+        assert cy.decay_table(sp, [1, -0.5j], 64, use_exact=True)\
+            .exact_entries == reference_exact_decay(sp, [1, -0.5j], 64)
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(name=st.sampled_from(sorted(EXACT_SPACES)),
+           coeffs=st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8),
+                                     st.sampled_from([1, 2, 3, 4, 8])),
+                           min_size=1, max_size=4),
+           n=st.integers(1, 12))
+    def test_matches_reference_random(self, exact_spaces, name, coeffs, n):
+        f = np.array([complex(re, im) / den for re, im, den in coeffs])
+        if not np.any(f):
+            f[0] = 1
+        sp = exact_spaces[name]
+        assert cy.decay_table(sp, f, n, use_exact="auto").exact_entries == \
+            reference_exact_decay(sp, poly.trim(f), n)
+
+    def test_one_exact_mate_per_table(self, monkeypatch):
+        calls = []
+        solve = exact.mate_solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "mate_solve", counted)
+        for name in ("(1+z)/2", "z/(2+z)"):
+            sp = hb.make_space(EXACT_SPACES[name], use_exact=True)
+            for n, mode, want in ((20, "auto", 2), (1, True, 1),
+                                  (64, True, 1), (100, "auto", 1)):
+                calls.clear()
+                table = cy.decay_table(sp, [1, 0.5, 0.25j], n, use_exact=mode)
+                assert len(table.exact_entries) == \
+                    (min(n, 32) if mode == "auto" else n)
+                assert len(calls) == want, (name, n)    # + space.one() once
+
+    def test_exact_mate_residual_checked(self, monkeypatch):
+        solve = exact.mate_solve
+
+        def perturbed(p, A, f):
+            g = solve(p, A, f)
+            return [g[0] + exact.QC(1, 2 ** -40)] + g[1:]
+
+        monkeypatch.setattr(exact, "mate_solve", perturbed)
+        sp = hb.make_space(EXACT_SPACES["z(1+z)/2"], use_exact=True)
+        for mode in ("auto", True):
+            with pytest.raises(ArithmeticError, match="exact mate residual"):
+                cy.decay_table(sp, [1, 1], 8, use_exact=mode)
+
+    def test_unrepresentable_f(self, exact_spaces):
+        sp, f = exact_spaces["(1+z)/2"], [1, 1.5e-11]
+        table = cy.decay_table(sp, f, 20, use_exact="auto")
+        assert table.exact_entries is None and len(table.entries) == 20
+        with pytest.raises(NormalizationError):
+            cy.decay_table(sp, f, 8, use_exact=True)
+
+    def test_bordered_schur_guards(self):
+        q = exact.QC
+        assert exact.bordered_schur([[q(2), q(1)], [None, q(1)]]) == \
+            [Fraction(1, 2)]
+        # G = [[4, 2i], [-2i, 2]], r = (1, 1), c = 2: G^-1 = [[1/2, -i/2],
+        # [i/2, 1]], so the corners are 2 - 1/4 and 2 - 3/2
+        m = [[q(4), q(0, 2), q(1)], [None, q(2), q(1)], [None, None, q(2)]]
+        assert exact.bordered_schur(m) == [Fraction(7, 4), Fraction(1, 2)]
+        for bad in ([[q(0), q(1)], [None, q(1)]],
+                    [[q(-1), q(1)], [None, q(1)]],
+                    [[q(1, 1), q(1)], [None, q(1)]]):
+            with pytest.raises(ArithmeticError, match="pivot"):
+                exact.bordered_schur(bad)
+        with pytest.raises(ArithmeticError, match="imaginary"):
+            exact.bordered_schur([[q(1), q(0)], [None, q(1, 1)]])
 
 
 class TestCertificates:

@@ -84,12 +84,12 @@ class TestCli:
 
     def test_decay_size_exit_two(self, capsys):
         for mode, n in (("auto", "0"), ("auto", "-3"), ("off", "300"),
-                        ("on", "65")):
+                        ("on", "129")):
             code, doc, _ = run_cli(capsys, "--exact", mode, "decay",
                                    "--b", "(1+z)/2", "--f", "1-z", "--n", n)
             assert code == 2 and "--n" in doc["error"], (mode, n)
         code, doc, _ = run_cli(capsys, "decay", "--b", "(1+z)/2",
-                               "--f", "1-z", "--n", "65")
+                               "--f", "1-z", "--n", "129")
         assert code == 0 and len(doc["entries_exact"]) == 32
 
     def test_clark_atom(self, capsys):
@@ -130,6 +130,36 @@ class TestCli:
         assert abs(doc["lower_angles"][0]) < 1e-9
         assert doc["provenance"]["0.0"]["mass"] == pytest.approx(2.0)
         assert doc["upper_source"] == "unimodular numerator zeros"
+
+    def test_sigma_power_shift_angles(self, capsys):
+        for k in range(2, 7):
+            code, doc, _ = run_cli(capsys, "sigma", "--b", f"z^{k}(1+z)/2")
+            assert code == 0, k
+            assert doc["lower_angles"] == [0.0], k
+            assert list(doc["provenance"]) == ["0.0"], k
+
+    def test_decay_states_backend(self, capsys):
+        code, doc, _ = run_cli(capsys, "decay", "--b", "(1+z)/2", "--f",
+                               "1+z", "--n", "4")
+        assert code == 0 and doc["exact_backend"] is True
+        assert doc["exact_declined"] is None
+        assert doc["entries_exact"] == [[n, f"2/{2 * n + 1}"]
+                                        for n in range(1, 5)]
+        code, doc, _ = run_cli(capsys, "decay", "--b", "(1+z)/(3+z)", "--f",
+                               "1+z", "--n", "4")
+        assert code == 0 and doc["exact_backend"] is False
+        assert "irrational" in doc["exact_declined"]
+        assert "entries_exact" not in doc
+        tiny = '{"type": "poly", "coeffs": [[1, 0], [1.5e-11, 0]]}'
+        code, doc, _ = run_cli(capsys, "decay", "--b", "(1+z)/2", "--f",
+                               tiny, "--n", "4")
+        assert code == 0 and doc["exact_backend"] is True
+        assert doc["exact_declined"] == "f is not exactly representable"
+        assert "entries_exact" not in doc
+        code, doc, _ = run_cli(capsys, "--exact", "off", "decay", "--b",
+                               "(1+z)/2", "--f", "1+z", "--n", "4")
+        assert doc["exact_backend"] is False
+        assert doc["exact_declined"] == "not requested"
 
     def test_invalid_grid_exit_two(self, capsys):
         for argv in (["mate", "--b", "z/2"], ["theta", "--theta", "z^2",

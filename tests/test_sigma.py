@@ -79,6 +79,24 @@ class TestSigmaBounds:
             assert cyclicity.assess(sp, [3.0, 1.0]).verdict == \
                 cyclicity.CYCLIC, k
 
+    def test_power_shift_atom_reads_angle_zero(self):
+        # the atom at 1 of z^k(1+z)/2 comes out of the root solve with an
+        # imaginary part of either sign; it reads angle 0 for every k
+        for k in range(2, 7):
+            b = UCF.polynomial([0.0] * k + [0.5, 0.5])
+            bounds = sigma.sigma_bounds(hb.make_space(b))
+            assert [config.circle_angle(z) for z in bounds.lower] == [0.0]
+            assert list(bounds.provenance) == [0.0], k
+
+    def test_circle_angle(self):
+        assert config.circle_angle(1 - 1e-32j) == 0.0
+        assert config.circle_angle(1 + 1.2e-31j) == 0.0
+        assert config.circle_angle(np.exp(-1e-10j)) == 0.0
+        assert config.circle_angle(-1) == np.pi
+        assert config.circle_angle(-1j) == 1.5 * np.pi
+        assert config.circle_angle(np.exp(-1e-6j)) == \
+            pytest.approx(2 * np.pi - 1e-6, abs=1e-15)
+
     def test_unnormalized_space_flagged(self, space_shifted_half):
         bounds = sigma.sigma_lower(space_shifted_half)
         assert not bounds.base_measure_absolutely_continuous

@@ -10,7 +10,9 @@ its roots give the cancelled density root phi_alpha = a*q / qa, whose
 remaining denominator roots give the ac mass ||phi_alpha||^2 in H^2 by
 partial fractions, the singular flag and the pole checks.  The total mass
 is checked against the Herglotz transform at the origin; its radial limits
-(radial_atom_mass) serve inner functions and cross-checks.
+(radial_atom_mass) serve inner functions and cross-checks.  The measures
+depend on the space alone, so its default sweep is built once, on first
+use, and reused; sweeps over explicit alphas are built anew and never kept.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def _richardson(samples: np.ndarray):
     return t2[-1], float(abs(t2[-1] - t2[-2]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClarkMeasure:
     """One Aleksandrov-Clark measure: density data plus an atom table."""
 
@@ -170,10 +172,14 @@ def clark_measure(space: HbSpace, alpha: complex) -> ClarkMeasure:
 
 
 def clark_sweep(space: HbSpace, alphas=None) -> list:
-    """[(alpha, ClarkMeasure)] over alphas (default alpha_sweep_values)."""
-    if alphas is None:
-        alphas = alpha_sweep_values(space)
-    return [(a, clark_measure(space, a)) for a in alphas]
+    """[(alpha, ClarkMeasure)]: explicit alphas built anew on each call, the
+    default sweep once per space and kept only if every measure passed."""
+    if alphas is not None:
+        return [(a, clark_measure(space, a)) for a in alphas]
+    if space._sweep is None:
+        space._sweep = tuple((a, clark_measure(space, a))
+                             for a in alpha_sweep_values(space))
+    return list(space._sweep)
 
 
 def _atom_mass(q, dqa, zeta: complex):
@@ -221,7 +227,7 @@ def _pole_gram(r: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def alpha_sweep_values(space: HbSpace, count: int = _ALPHA_SWEEP) -> np.ndarray:
-    """Equispaced cross-check alphas plus b at each circle zero of a."""
+    """Equispaced alphas (1 first), then b at each circle zero of a."""
     alphas = list(np.exp(2j * np.pi * np.arange(count) / count))
     for zeta in space.a_circle_zeros():
         val = complex(space.b(zeta))

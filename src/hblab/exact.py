@@ -224,10 +224,12 @@ def mate_solve(p: Sequence[QC], A: Sequence[QC], f: Sequence[QC]) -> list[QC]:
     """Solve P_+(conj(p) f + conj(A) g) = 0 for the polynomial g.
 
     Back substitution from the top coefficient down; requires A[0] != 0.
+    p = None takes f as the projection P_+(conj(p) f), already built.
     """
     if not A or A[0].is_zero():
         raise ZeroDivisionError("outer factor must not vanish at 0")
-    q = [-c for c in analytic_part_of_conj_product(p, f)]
+    q = [-c for c in (f if p is None else
+                      analytic_part_of_conj_product(p, f))]
     g = [QZERO] * len(q)
     a0c = A[0].conj()
     for m in range(len(q) - 1, -1, -1):
@@ -241,8 +243,8 @@ def mate_solve(p: Sequence[QC], A: Sequence[QC], f: Sequence[QC]) -> list[QC]:
 
 def mate_residual(p: Sequence[QC], A: Sequence[QC], f: Sequence[QC],
                   g: Sequence[QC]) -> list[QC]:
-    """Coefficients of P_+(conj(p) f + conj(A) g); empty iff exact."""
-    r = qadd(analytic_part_of_conj_product(p, f),
+    """P_+(conj(p) f + conj(A) g) (p as in mate_solve); empty iff exact."""
+    r = qadd(f if p is None else analytic_part_of_conj_product(p, f),
              analytic_part_of_conj_product(A, g))
     return qtrim(r)
 

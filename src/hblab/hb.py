@@ -56,6 +56,7 @@ class HbSpace:
         self.A = poly.trim(np.asarray(A, dtype=complex))
         self._one: Optional[HbElement] = None
         self._a_roots: Optional[list] = None
+        self._sweep: Optional[tuple] = None    # clark.clark_sweep's default
 
     def __repr__(self):
         tag = "exact" if self.exact else "float"
@@ -287,7 +288,7 @@ def make_element(space: HbSpace, f) -> HbElement:
 def exact_mate(space: HbSpace, f, shift: int = 0) -> Optional[tuple]:
     """(h, s-scaled mate of h) as exact polynomials, h = z^shift f, or
     None when the space or f is not exactly representable.  A nonzero
-    exact mate residual raises ArithmeticError."""
+    exact mate residual raises ArithmeticError (P_+(conj(p) h) built once)."""
     if space.exact is None:
         return None
     try:
@@ -297,8 +298,9 @@ def exact_mate(space: HbSpace, f, shift: int = 0) -> Optional[tuple]:
     if not _matches(fe, f):
         return None
     e, h = space.exact, [exact.QZERO] * shift + fe
-    g = exact.mate_solve(e.p, e.A, h)
-    if exact.mate_residual(e.p, e.A, h, g):
+    rhs = exact.analytic_part_of_conj_product(e.p, h)
+    g = exact.mate_solve(None, e.A, rhs)
+    if exact.mate_residual(None, e.A, rhs, g):
         raise ArithmeticError("exact mate residual is nonzero")
     return tuple(h), tuple(g)
 

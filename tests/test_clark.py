@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -95,6 +96,28 @@ def _sweep_spaces(all_test_spaces):
                                                     use_exact=False)})
 
 
+# the b strategy of TestClosedForm.test_ac_mass_matches_trapezoid, whose
+# source is left as is: derandomized examples are seeded by a test's source
+RANDOM_B = dict(
+    num=st.lists(st.complex_numbers(max_magnitude=1), min_size=2,
+                 max_size=6),
+    poles=st.lists(st.tuples(st.floats(1.25, 3.0), st.floats(0, 2 * np.pi)),
+                   max_size=3))
+
+
+def _random_b(num, poles):
+    """num over the drawn poles, scaled to sup |b| = 0.9 on 2^16 circle
+    points."""
+    num = np.array(num)
+    assume(np.max(np.abs(num[1:])) > 1e-2)
+    den = poly.from_roots([(r * np.exp(1j * t), 1) for r, t in poles])
+    pts = config.unit_circle_points(1 << 16)
+    scale = 0.9 / float(np.max(np.abs(poly.horner(num, pts) /
+                                      poly.horner(den, pts))))
+    return UCF.rational(scale * num, den) if poles else \
+        UCF.polynomial(scale * num)
+
+
 class TestSweep:
     """Every swept measure against values computed from b alone."""
 
@@ -175,6 +198,93 @@ class TestSweep:
                 assert nd.passed == nw.passed, (name, f)
                 assert nd.witness == pytest.approx(nw.witness) \
                     if nw.witness else nd.witness is None, (name, f)
+
+
+def _count_builds(monkeypatch):
+    calls = []
+    build = clark.clark_measure
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(clark, "clark_measure", counted)
+    return calls
+
+
+class TestStoredSweep:
+    """The default sweep is built once per space; explicit ones never kept."""
+
+    def test_one_build_per_default_measure(self, monkeypatch):
+        sp = hb.make_space(UCF.polynomial([0.0, 0.5, 0.5]))
+        calls = _count_builds(monkeypatch)
+        sigma.sigma_bounds(sp)
+        for f in ([1.0, 1.0], [1.0, -1.0], [2.0, 0.5j, 0.25], [0.0, 1.0]):
+            cyclicity.assess(sp, f)
+        cyclicity.necessity_check(sp, [3.0, 1.0])
+        assert len(calls) == len(clark.alpha_sweep_values(sp))
+
+    def test_explicit_alphas_built_in_full(self, monkeypatch):
+        sp = hb.make_space(UCF.polynomial([0.0, 0.5, 0.5]))
+        wide = clark.alpha_sweep_values(sp, 64)
+        assert len(wide) == 64
+        n_default = len(clark.alpha_sweep_values(sp))
+        calls = _count_builds(monkeypatch)
+        sweeps = []
+        for alphas, builds in ((wide, 64), (None, n_default), (wide, 64),
+                               (None, 0)):
+            calls.clear()
+            sweeps.append(clark.clark_sweep(sp, alphas))
+            assert len(calls) == builds, len(sweeps)
+        assert [a for a, _cm in sweeps[1]] == \
+            list(clark.alpha_sweep_values(sp))
+        assert all(x is y for x, y in zip(sweeps[1], sweeps[3]))
+        assert len(sweeps[1]) == len(sweeps[3])
+        assert sweeps[0][5][1] is not sweeps[2][5][1]
+
+    def test_failed_build_not_stored(self, monkeypatch):
+        sp = hb.make_space(UCF.polynomial([0.0, 0.5, 0.5]))
+        monkeypatch.setattr(config, "MASS_RTOL", 1e-30)
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="mass conservation"):
+                sigma.sigma_bounds(sp)
+        monkeypatch.undo()
+        assert sigma.sigma_bounds(sp) == sigma.sigma_bounds(
+            hb.make_space(UCF.polynomial([0.0, 0.5, 0.5])))
+
+    def test_caller_cannot_change_store(self):
+        sp = hb.make_space(UCF.polynomial([0.5, 0.5]))
+        first = clark.clark_sweep(sp)
+        want = list(first)
+        first.reverse()
+        first.append(first[0])
+        first[1] = None
+        again = clark.clark_sweep(sp)
+        assert len(again) == len(want)
+        assert all(x is y for x, y in zip(again, want))
+
+    def test_measures_frozen(self, space_half_shift):
+        (_a, cm), *_rest = clark.clark_sweep(space_half_shift)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cm.ac_mass = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cm.atoms = []
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(**RANDOM_B)
+    def test_reused_space_matches_fresh(self, num, poles):
+        b = _random_b(num, poles)
+        reused = hb.make_space(b, use_exact=False)
+        sigma.sigma_bounds(reused)
+        cyclicity.necessity_check(reused, [1.0, 0.5])
+        for f in ([1.0, 0.5], [1.0, -1.0j], [0.0, 1.0, 2.0]):
+            fresh = hb.make_space(b, use_exact=False)
+            assert sigma.sigma_bounds(reused) == sigma.sigma_bounds(fresh)
+            got = cyclicity.necessity_check(reused, f)
+            want = cyclicity.necessity_check(fresh, f)
+            assert (got.passed, got.witness) == (want.passed, want.witness)
+            assert got.report.to_dict() == want.report.to_dict()
 
 
 class TestClosedForm:

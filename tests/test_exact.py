@@ -62,6 +62,17 @@ class TestMateSolve:
         assert g == exact.qpoly([-1])
         assert exact.mate_residual(p, A, exact.qpoly([1]), g) == []
 
+    def test_prebuilt_projection(self):
+        # p = None: f is P_+(conj(p) f), built once by the caller
+        p = exact.qpoly([Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)])
+        A = exact.qpoly([Fraction(3, 4), Fraction(-1, 4)])
+        f = exact.qpoly([1, Fraction(-2, 3), 0, Fraction(1, 5)])
+        rhs = exact.analytic_part_of_conj_product(p, f)
+        g = exact.mate_solve(None, A, rhs)
+        assert g == exact.mate_solve(p, A, f)
+        assert exact.mate_residual(None, A, rhs, g) == []
+        assert exact.mate_residual(None, A, rhs, g[1:]) != []
+
     def test_pythagorean_residual(self):
         b = exact.qpoly([Fraction(1, 2), Fraction(1, 2)])
         A = exact.qpoly([Fraction(1, 2), Fraction(-1, 2)])

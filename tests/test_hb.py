@@ -130,6 +130,16 @@ class TestMate:
                 list(fe), list(ge))
             assert resid == []
 
+    def test_exact_projection_built_once(self, monkeypatch):
+        sp = hb.make_space(UCF.polynomial([0.0, 0.5, 0.5]), use_exact=True)
+        calls = []
+        product = exact.analytic_part_of_conj_product
+        monkeypatch.setattr(exact, "analytic_part_of_conj_product",
+                            lambda p, f: calls.append(p is sp.exact.p) or
+                            product(p, f))
+        el = hb.make_element(sp, [1.0, -0.5, 0.25])
+        assert el.exact is not None and calls.count(True) == 1
+
     def test_exact_data_on_first_exact_read(self, space_half_shift,
                                             monkeypatch):
         calls = []

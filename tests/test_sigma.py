@@ -135,6 +135,14 @@ class TestToeplitzSections:
         with pytest.raises(ValueError):
             sigma.toeplitz_kernel_sections(phi_one_minus_z, 63)
 
+    def test_section_cap(self, phi_one_minus_z):
+        # refusals come before any section is allocated
+        for n, doublings in ((4096, 0), (1024, 2), (4, 10), (1, 10 ** 18),
+                             (64, -1)):
+            with pytest.raises(ValueError, match=r"2\*\*doublings <= 2048"):
+                sigma.toeplitz_kernel_sections(phi_one_minus_z, n,
+                                               doublings=doublings)
+
     def test_csv_rows(self, phi_one_minus_z):
         rep = sigma.toeplitz_kernel_sections(phi_one_minus_z, 64,
                                              doublings=1)

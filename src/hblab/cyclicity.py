@@ -158,7 +158,6 @@ class DecayTable:
     norm1_sq: float
     ridge_flags: list = field(default_factory=list)
     exact_entries: Optional[list] = None
-    truncated: bool = False
 
     def d2(self) -> np.ndarray:
         return np.array([d for _n, d in self.entries])
@@ -171,8 +170,7 @@ class DecayTable:
 
     def to_dict(self):
         return {"entries": self.csv_rows(), "norm1_sq": self.norm1_sq,
-                "ridge_flags": list(self.ridge_flags),
-                "truncated": self.truncated}
+                "ridge_flags": list(self.ridge_flags)}
 
 
 def decay_table(space: HbSpace, f, n_max: int,
@@ -217,7 +215,7 @@ def decay_table(space: HbSpace, f, n_max: int,
         running -= float(u[n - 1])
         entries.append((n, max(running, 0.0)))
     table = DecayTable(f=f, entries=entries, norm1_sq=float(one.norm2),
-                       ridge_flags=flags, truncated=False)
+                       ridge_flags=flags)
     if use_exact in ("auto", True):
         table.exact_entries = _exact_decay(
             space, f, n_max if use_exact is True else min(n_max, 32))
@@ -239,14 +237,17 @@ def _exact_decay(space: HbSpace, f, n: int):
     pair = exact_mate(space, f, n - 1)
     if pair is None:
         return None
+    # object arrays, converted once, so the inner products only slice them
     h, u = pair
-    u += (exact.QZERO,) * (len(h) - len(u))
+    h = np.array(h, dtype=object)
+    u = np.array(u + (exact.QZERO,) * (h.size - len(u)), dtype=object)
     inv_s2 = exact.QC(1 / space.exact.s2)
     cols = [(h[k:], u[k:]) for k in range(n - 1, -1, -1)]  # z^k f, mate
-    cols.append(space.one().exact)
+    cols.append(tuple(np.array(x, dtype=object) for x in space.one().exact))
 
     def ip(x, y):
-        return exact.qinner(x[0], y[0]) + exact.qinner(x[1], y[1]) * inv_s2
+        return poly.hardy_inner(x[0], y[0]) + \
+            poly.hardy_inner(x[1], y[1]) * inv_s2
 
     m = [[ip(x, cols[0]) for x in cols]]
     for j in range(1, n):

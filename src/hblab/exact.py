@@ -1,11 +1,14 @@
-"""Exact complex-rational arithmetic backend.
+"""Exact complex-rational scalars, the Pythagorean certificate and the
+Bareiss elimination.
 
-Scalars are complex numbers with Fraction real and imaginary parts;
-polynomials are lists of such scalars, lowest degree first.  The backend
-is used to certify identities (Pythagorean mate relation, mate residuals,
-norms, Gram eliminations) that the floating pipeline can only check to
-tolerance.  Mates whose outer factor carries an irrational positive
-constant s are handled in scaled form a = s*A with s^2 rational.
+Scalars (QC) are complex numbers with Fraction real and imaginary parts.
+Exact polynomials are numpy object arrays of them, which the float code
+of poly, factor and hb runs on unchanged: exact mates, inner products
+and Laurent weights go through hb and factor, not through copies here.
+The backend certifies identities (Pythagorean mate relation, mate
+residuals, norms, Gram eliminations) that the floating pipeline can only
+check to tolerance.  Mates whose outer factor carries an irrational
+positive constant s are handled in scaled form a = s*A with s^2 rational.
 """
 
 from __future__ import annotations
@@ -13,6 +16,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
+
+from . import factor
 
 
 class QC:
@@ -35,6 +42,8 @@ class QC:
 
     def conj(self) -> "QC":
         return QC(self.re, -self.im)
+
+    conjugate = conj    # what numpy's conj calls on object arrays
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -112,7 +121,8 @@ def frac_sqrt(x: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (lists of QC, lowest degree first)
+# polynomials: lists of QC, lowest degree first; as numpy object arrays
+# they run through the float kernels of poly, factor and hb unchanged
 
 def qpoly(coeffs: Iterable) -> list[QC]:
     return [_coerce(c) for c in coeffs]
@@ -125,128 +135,19 @@ def qtrim(p: Sequence[QC]) -> list[QC]:
     return out
 
 
-def qadd(p: Sequence[QC], q: Sequence[QC]) -> list[QC]:
-    n = max(len(p), len(q))
-    return [(p[k] if k < len(p) else QZERO) + (q[k] if k < len(q) else QZERO)
-            for k in range(n)]
-
-
-def qmul(p: Sequence[QC], q: Sequence[QC]) -> list[QC]:
-    if not p or not q:
-        return []
-    out = [QZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def qeval(p: Sequence[QC], z) -> QC:
-    z = _coerce(z)
-    acc = QZERO
-    for c in reversed(list(p)):
-        acc = acc * z + c
-    return acc
-
-
-def qinner(p: Sequence[QC], q: Sequence[QC]) -> QC:
-    """Hardy-space inner product sum_k p_k conj(q_k)."""
-    acc = QZERO
-    for k in range(min(len(p), len(q))):
-        acc = acc + p[k] * q[k].conj()
-    return acc
-
-
-def ql2sq(p: Sequence[QC]) -> Fraction:
-    return sum((c.abs2() for c in p), Fraction(0))
-
-
-def modulus_sq_coeffs(p: Sequence[QC]) -> list[QC]:
-    """Laurent coefficients of |p|^2 on the circle, indices -D..D.
-
-    Returned as a list of length 2*D+1 with index k stored at k+D.
-    """
-    d = len(p) - 1
-    out = [QZERO] * (2 * d + 1)
-    for k in range(-d, d + 1):
-        acc = QZERO
-        for j in range(len(p)):
-            if 0 <= j + k < len(p):
-                acc = acc + p[j + k] * p[j].conj()
-        out[k + d] = acc
-    return out
-
-
-def laurent_add(a: Sequence[QC], b: Sequence[QC]) -> list[QC]:
-    """Add two centered Laurent coefficient lists (odd lengths)."""
-    da, db = (len(a) - 1) // 2, (len(b) - 1) // 2
-    d = max(da, db)
-    out = [QZERO] * (2 * d + 1)
-    for k in range(-d, d + 1):
-        acc = QZERO
-        if -da <= k <= da:
-            acc = acc + a[k + da]
-        if -db <= k <= db:
-            acc = acc + b[k + db]
-        out[k + d] = acc
-    return out
-
-
 def pythagorean_residual(p: Sequence, q: Sequence, A: Sequence,
                          s2: Fraction) -> list[QC]:
-    """Laurent coefficients of s2|A|^2 + |p|^2 - |q|^2 (empty iff exact).
+    """Laurent coefficients of s2|A|^2 minus the weight |q|^2 - |p|^2
+    (empty iff exact).
 
     The identity says that a = s*A/q, s^2 = s2, is the Pythagorean mate
-    of b = p/q: |a|^2 + |b|^2 = 1 on the circle.
+    of b = p/q: |a|^2 + |b|^2 = 1 on the circle.  The weight is the one
+    factor.mate_and_factor factors.
     """
-    p, q, A = qpoly(p), qpoly(q), qpoly(A)
-    lhs = laurent_add([QC(s2) * c for c in modulus_sq_coeffs(A)],
-                      modulus_sq_coeffs(p))
-    resid = laurent_add(lhs, [-c for c in modulus_sq_coeffs(q)])
-    return resid if any(not c.is_zero() for c in resid) else []
-
-
-def analytic_part_of_conj_product(p: Sequence[QC], f: Sequence[QC]) -> list[QC]:
-    """Coefficients of P_+(conj(p) f) for polynomials p, f."""
-    out = []
-    for m in range(len(f)):
-        acc = QZERO
-        for j in range(len(p)):
-            if m + j < len(f):
-                acc = acc + p[j].conj() * f[m + j]
-        out.append(acc)
-    return qtrim(out)
-
-
-def mate_solve(p: Sequence[QC], A: Sequence[QC], f: Sequence[QC]) -> list[QC]:
-    """Solve P_+(conj(p) f + conj(A) g) = 0 for the polynomial g.
-
-    Back substitution from the top coefficient down; requires A[0] != 0.
-    p = None takes f as the projection P_+(conj(p) f), already built.
-    """
-    if not A or A[0].is_zero():
-        raise ZeroDivisionError("outer factor must not vanish at 0")
-    q = [-c for c in (f if p is None else
-                      analytic_part_of_conj_product(p, f))]
-    g = [QZERO] * len(q)
-    a0c = A[0].conj()
-    for m in range(len(q) - 1, -1, -1):
-        acc = q[m]
-        for j in range(1, len(A)):
-            if m + j < len(g):
-                acc = acc - A[j].conj() * g[m + j]
-        g[m] = acc / a0c
-    return qtrim(g)
-
-
-def mate_residual(p: Sequence[QC], A: Sequence[QC], f: Sequence[QC],
-                  g: Sequence[QC]) -> list[QC]:
-    """P_+(conj(p) f + conj(A) g) (p as in mate_solve); empty iff exact."""
-    r = qadd(f if p is None else analytic_part_of_conj_product(p, f),
-             analytic_part_of_conj_product(A, g))
-    return qtrim(r)
+    p, q, A = (np.array(qpoly(c), dtype=object) for c in (p, q, A))
+    resid = factor._laurent_center_sub(factor.modulus_sq_laurent(A) * s2,
+                                       factor.mate_weight(p, q))
+    return [] if all(c.is_zero() for c in resid) else list(resid)
 
 
 def bordered_schur(m) -> list[Fraction]:

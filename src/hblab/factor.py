@@ -57,11 +57,9 @@ def fejer_riesz(w_coeffs, grid: config.GridConfig = config.DEFAULT_GRID
     if vals.min() < -_NEG_TOL * max(1.0, vals.max()):
         raise FactorizationError(
             f"weight is negative on the grid (min {vals.min():.3e})")
-    # trim symmetric zero tails so the lift has no spurious roots at 0
-    k_top = d
-    scale = float(np.max(np.abs(w))) or 1.0
-    while k_top > 0 and abs(w[d + k_top]) <= 1e-14 * scale:
-        k_top -= 1
+    # trim negligible tails by poly.trim's rule, the one root finding
+    # applies to the lift, so the lift has no spurious roots at 0 or infinity
+    k_top = poly.trim(w[d:]).size - 1
     if k_top == 0:
         w0 = w[d].real
         if w0 < 0:
@@ -119,13 +117,19 @@ def modulus_sq_laurent(p) -> np.ndarray:
 
 
 def _laurent_center_sub(x, y) -> np.ndarray:
-    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    x, y = poly.aspoly(x), poly.aspoly(y)
     dx, dy = (x.size - 1) // 2, (y.size - 1) // 2
     d = max(dx, dy)
-    out = np.zeros(2 * d + 1, dtype=complex)
+    out = np.zeros(2 * d + 1, dtype=np.result_type(x, y))
     out[d - dx: d + dx + 1] += x
     out[d - dy: d + dy + 1] -= y
     return out
+
+
+def mate_weight(p, q) -> np.ndarray:
+    """Centered Laurent coefficients of |q|^2 - |p|^2 on the circle, the
+    weight whose Fejer-Riesz factor A gives the mate A/q of b = p/q."""
+    return _laurent_center_sub(modulus_sq_laurent(q), modulus_sq_laurent(p))
 
 
 def mate_of_b(b: UnitCircleFunction,
@@ -159,8 +163,7 @@ def mate_and_factor(b: UnitCircleFunction,
             "b has unimodular boundary values; no outer mate exists and "
             "polynomials are not dense in H(b)")
     p, q = b.as_num_den()
-    w = _laurent_center_sub(modulus_sq_laurent(q), modulus_sq_laurent(p))
-    a_num = fejer_riesz(w, grid)
+    a_num = fejer_riesz(mate_weight(p, q), grid)
     if b.is_polynomial():
         return UnitCircleFunction.polynomial(a_num / q[0]), a_num
     a = UnitCircleFunction.rational(a_num, q)

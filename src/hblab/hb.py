@@ -136,7 +136,13 @@ def _try_exact(b: UnitCircleFunction, A_float: np.ndarray) -> ExactSpaceData:
         A = _rationalize(A_float / A_float[j0])
     except ValueError as exc:
         raise NormalizationError(str(exc)) from None
-    s2 = (exact.ql2sq(q) - exact.ql2sq(p)) / exact.ql2sq(A)
+    if not (_matches(p, b.num) and _matches(q, b.den)):
+        raise NormalizationError(
+            f"rationalizing p/q to denominators <= {_RATIONALIZE_DEN} "
+            "moves a coefficient by more than 1e-12")
+    # s2 = (||q||^2 - ||p||^2) / ||A||^2 from the constant Laurent terms
+    w, a2 = factor.mate_weight(p, q), factor.modulus_sq_laurent(A)
+    s2 = (w[w.size // 2] / a2[a2.size // 2]).re
     if s2 <= 0:
         raise NormalizationError(f"s2 = {s2} is not positive")
     root = exact.frac_sqrt(s2)
@@ -160,9 +166,7 @@ def _rationalize(coeffs, max_den: int = _RATIONALIZE_DEN):
         if not np.isfinite(c.real) or not np.isfinite(c.imag):
             raise ValueError("non-finite coefficient")
         out.append(exact.QC.from_complex(c, max_den))
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
+    return exact.qtrim(out) or [exact.QZERO]    # zero is [0], as in poly.trim
 
 
 def make_space(b, grid: config.GridConfig = config.DEFAULT_GRID,
@@ -233,18 +237,26 @@ def make_space_from_phi(phi: UnitCircleFunction,
 # mates and inner products
 
 def _pplus_conj_product(p: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Coefficients of P_+(conj(p) f): sum_j conj(p_j) f[m + j]."""
+    """Coefficients of P_+(conj(p) f): sum_j conj(p_j) f[m + j].
+    np.correlate conjugates a complex p itself, but not an object one."""
+    if p.dtype == object:
+        p = np.conj(p)
     return np.correlate(f, p, "full")[p.size - 1:]
 
 
 def _back_substitute(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The g of rhs's length with P_+(conj(A) g) = rhs, top down."""
-    ac = np.conj(A)
-    g = np.zeros(rhs.size, dtype=complex)
-    for m in range(rhs.size - 1, -1, -1):
-        top = min(ac.size, g.size - m)
-        g[m] = (rhs[m] - np.dot(ac[1:top], g[m + 1:m + top])) / ac[0]
-    return g
+    """The g of rhs's length with P_+(conj(A) g) = rhs.  Reversed, this
+    triangular Toeplitz system is the series division rhs[::-1]/conj(A)."""
+    return poly.series_div(rhs[::-1], np.conj(A), rhs.size)[::-1]
+
+
+def _solve_mate(p: np.ndarray, A: np.ndarray, h: np.ndarray) -> tuple:
+    """The g of h's length with P_+(conj(p) h + conj(A) g) = 0, and the
+    residual P_+(conj(A) g) - rhs of the relation, rhs = -P_+(conj(p) h).
+    Complex arrays and object arrays of exact scalars alike."""
+    rhs = -_pplus_conj_product(p, h)
+    g = _back_substitute(A, rhs)
+    return g, _pplus_conj_product(A, g) - rhs
 
 
 def shifted_mates(space: HbSpace, f, n: int) -> tuple:
@@ -262,10 +274,9 @@ def shifted_mates(space: HbSpace, f, n: int) -> tuple:
     f = poly.trim(np.asarray(f, dtype=complex))
     rows, pad = f.size + n - 1, np.zeros(n - 1, dtype=complex)
     h = np.concatenate([pad, f, pad])       # z^(n-1) f, then n-1 zeros
-    rhs = -_pplus_conj_product(space.p, h[:rows])
-    u = np.concatenate([_back_substitute(space.A, rhs), pad])
-    resid = float(np.max(np.abs(_pplus_conj_product(space.A, u[:rows]) -
-                                rhs)))
+    g, resid = _solve_mate(space.p, space.A, h[:rows])
+    u = np.concatenate([g, pad])
+    resid = float(np.max(np.abs(resid)))
     if resid > config.MATE_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(f)))):
         raise ArithmeticError(f"mate residual {resid:.3e} too large")
     idx = np.arange(rows)[:, None] - np.arange(n) + (n - 1)
@@ -287,8 +298,9 @@ def make_element(space: HbSpace, f) -> HbElement:
 
 def exact_mate(space: HbSpace, f, shift: int = 0) -> Optional[tuple]:
     """(h, s-scaled mate of h) as exact polynomials, h = z^shift f, or
-    None when the space or f is not exactly representable.  A nonzero
-    exact mate residual raises ArithmeticError (P_+(conj(p) h) built once)."""
+    None when the space or f is not exactly representable.  The float
+    solve of shifted_mates runs on exact scalars; a nonzero exact mate
+    residual raises ArithmeticError."""
     if space.exact is None:
         return None
     try:
@@ -297,12 +309,13 @@ def exact_mate(space: HbSpace, f, shift: int = 0) -> Optional[tuple]:
         return None
     if not _matches(fe, f):
         return None
-    e, h = space.exact, [exact.QZERO] * shift + fe
-    rhs = exact.analytic_part_of_conj_product(e.p, h)
-    g = exact.mate_solve(None, e.A, rhs)
-    if exact.mate_residual(None, e.A, rhs, g):
+    e = space.exact
+    h = np.array([exact.QZERO] * shift + fe, dtype=object)
+    g, resid = _solve_mate(np.array(e.p, dtype=object),
+                           np.array(e.A, dtype=object), h)
+    if not all(c.is_zero() for c in resid):
         raise ArithmeticError("exact mate residual is nonzero")
-    return tuple(h), tuple(g)
+    return tuple(h), tuple(exact.qtrim(g))
 
 
 def _matches(fe, f, tol: float = 1e-12) -> bool:
@@ -330,8 +343,8 @@ def inner_product_exact(space: HbSpace, F: HbElement, G: HbElement):
     if space.exact is None or F.exact is None or G.exact is None:
         return None
     (f, f1), (g, g1) = F.exact, G.exact
-    return exact.qinner(f, g) + \
-        exact.qinner(f1, g1) / exact.QC(space.exact.s2)
+    return poly.hardy_inner(f, g) + \
+        poly.hardy_inner(f1, g1) / exact.QC(space.exact.s2)
 
 
 # ---------------------------------------------------------------------------

@@ -50,16 +50,14 @@ class DirichletSpec:
 def dirichlet_integral(spec: DirichletSpec, f) -> float:
     """Sum over atoms of w * ||(f - f(zeta))/(z - zeta)||_2^2, exactly.
 
-    The difference quotient of a polynomial is a polynomial; its
-    coefficient l^2 norm is the local Dirichlet integral at the atom.
+    The difference quotient of a polynomial is a polynomial, the quotient
+    of f by z - zeta; its coefficient l^2 norm is the local Dirichlet
+    integral at the atom.
     """
     f = poly.trim(np.asarray(f, dtype=complex))
     total = 0.0
     for zeta, w in spec.atoms:
-        shifted = f.copy()
-        shifted[0] -= poly.horner(f, zeta)
-        quot, rem = poly.synthetic_div(shifted, zeta)
-        total += w * poly.l2sq(quot)
+        total += w * poly.l2sq(poly.synthetic_div(f, zeta)[0])
     return float(total)
 
 
@@ -72,8 +70,9 @@ def dirichlet_norm(spec: DirichletSpec, f) -> float:
 def dirichlet_norm_exact(spec: DirichletSpec, f) -> Optional[Fraction]:
     """Exact rational norm when atoms and coefficients allow it."""
     try:
-        fe = [exact.QC.from_complex(complex(c), 10**12)
-              for c in np.atleast_1d(np.asarray(f, dtype=complex))]
+        fe = np.array([exact.QC.from_complex(complex(c), 10**12)
+                       for c in np.atleast_1d(np.asarray(f, dtype=complex))],
+                      dtype=object)
         atoms = [(exact.QC.from_complex(z, 10**12), Fraction(w))
                  for z, w in spec.atoms]
     except (ValueError, TypeError):
@@ -82,25 +81,11 @@ def dirichlet_norm_exact(spec: DirichletSpec, f) -> Optional[Fraction]:
                            for (a, _), (z, _) in zip(atoms, spec.atoms)]))
     if check > 1e-12:
         return None
-    total = exact.ql2sq(fe)
+    total = poly.hardy_inner(fe, fe)
     for zeta, w in atoms:
-        fz = exact.qeval(fe, zeta)
-        shifted = list(fe)
-        shifted[0] = shifted[0] - fz
-        quot = _qsynth_quotient(shifted, zeta)
-        total = total + w * exact.ql2sq(quot)
-    return total
-
-
-def _qsynth_quotient(p, root):
-    if len(p) <= 1:
-        return []
-    out = [exact.QZERO] * (len(p) - 1)
-    acc = p[-1]
-    for k in range(len(p) - 2, -1, -1):
-        out[k] = acc
-        acc = p[k] + acc * root
-    return out
+        quot = poly.synthetic_div(fe, zeta)[0]
+        total = total + w * poly.hardy_inner(quot, quot)
+    return total.re
 
 
 def dirichlet_cyclic(spec: DirichletSpec, f) -> cyclicity.CyclicityReport:
@@ -119,7 +104,8 @@ class ThetaModel:
 
     The measure sits at the unimodular solutions of theta = 1; the model
     subspace has dimension equal to the degree of theta, and masses are
-    extracted by the same radial-limit method the Clark module uses.
+    extracted from radial limits of the Herglotz transform
+    (clark.radial_atom_mass), apart from the closed-form Clark masses.
     """
 
     theta: UnitCircleFunction

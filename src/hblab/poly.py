@@ -1,8 +1,11 @@
 """Dense complex polynomial helpers.
 
 Coefficients are 1-D complex arrays, lowest degree first, so [1, 2, 3]
-is 1 + 2z + 3z^2.  Root finding is companion-matrix eigenvalues followed
-by multiplicity clustering and modified Newton polishing.
+is 1 + 2z + 3z^2.  Object arrays of exact scalars (exact.QC) keep their
+dtype through aspoly, hardy_inner, synthetic_div and series_div, so the
+exact backend runs the same code.  Root finding is companion-matrix
+eigenvalues followed by multiplicity clustering and modified Newton
+polishing.
 """
 
 from __future__ import annotations
@@ -13,7 +16,12 @@ from . import config
 
 
 def aspoly(c) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(c, dtype=complex))
+    if getattr(c, "dtype", None) != object:
+        try:
+            c = np.asarray(c, dtype=complex)
+        except TypeError:       # exact scalars have no complex(): keep them
+            c = np.asarray(c, dtype=object)
+    arr = np.atleast_1d(c)
     if arr.ndim != 1:
         raise ValueError("polynomial coefficients must be one-dimensional")
     return arr
@@ -87,38 +95,44 @@ def l2sq(c) -> float:
     return float(np.sum(np.abs(arr) ** 2))
 
 
-def hardy_inner(p, q) -> complex:
+def hardy_inner(p, q):
     """sum_k p_k conj(q_k)."""
     p, q = aspoly(p), aspoly(q)
     n = min(p.size, q.size)
+    if p.dtype == object:       # exact: np.dot builds no product array
+        return np.dot(p[:n], np.conj(q[:n]))
     return complex(np.sum(p[:n] * np.conj(q[:n])))
 
 
-def synthetic_div(c, root: complex):
+def synthetic_div(c, root):
     """Divide by (z - root); returns (quotient, remainder)."""
     arr = aspoly(c)
-    if arr.size == 1:
-        return np.zeros(1, dtype=complex), complex(arr[0])
-    out = np.empty(arr.size - 1, dtype=complex)
+    out = np.zeros(max(arr.size - 1, 1), dtype=arr.dtype)
     acc = arr[-1]
     for k in range(arr.size - 2, -1, -1):
         out[k] = acc
         acc = arr[k] + acc * root
-    return out, complex(acc)
+    return out, acc if arr.dtype == object else complex(acc)
 
 
 def series_div(num, den, n: int) -> np.ndarray:
-    """Power series coefficients of num/den to order n-1 (den[0] != 0)."""
+    """Power series coefficients of num/den to order n-1 (den[0] != 0).
+
+    The coefficients are built in reverse storage, rev[n-1-m] = out[m],
+    so each step's sum over earlier coefficients is a dot product with a
+    forward slice, which numpy hands to BLAS.
+    """
     num, den = aspoly(num), aspoly(den)
     if den[0] == 0:
         raise ZeroDivisionError("series division needs den(0) != 0")
-    out = np.zeros(n, dtype=complex)
-    for m in range(n):
-        acc = num[m] if m < num.size else 0.0
-        for k in range(1, min(m, den.size - 1) + 1):
-            acc -= den[k] * out[m - k]
-        out[m] = acc / den[0]
-    return out
+    rev = np.zeros(n, dtype=np.result_type(num, den))
+    m = min(n, num.size)
+    rev[n - m:] = num[:m][::-1]
+    tail, d, d0 = den[1:], den.size - 1, den[0]
+    for i in range(n - 1, -1, -1):
+        k = min(n - 1 - i, d)
+        rev[i] = (rev[i] - np.dot(tail[:k], rev[i + 1:i + 1 + k])) / d0
+    return rev[::-1]
 
 
 def taylor_shift(c, center: complex, n: int | None = None) -> np.ndarray:

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hblab import exact
+from hblab import exact, factor, hb, poly
 from hblab.exact import QC
 
 
@@ -35,43 +36,90 @@ class TestQC:
 
 
 class TestPolynomials:
+    """Exact polynomials are object arrays through the float helpers."""
+
     def test_mul_eval(self):
         p = exact.qpoly([1, 1])
-        q = exact.qmul(p, p)
-        assert q == exact.qpoly([1, 2, 1])
-        assert exact.qeval(q, QC(2)) == QC(9)
+        q = poly.pmul(p, p)
+        assert list(q) == exact.qpoly([1, 2, 1])
+        assert poly.synthetic_div(q, QC(2))[1] == QC(9)
 
     def test_inner_and_norm(self):
         p = exact.qpoly([1, QC(0, 1)])
-        assert exact.ql2sq(p) == 2
-        assert exact.qinner(p, p) == QC(2)
+        assert poly.hardy_inner(p, p).re == 2
+        assert poly.hardy_inner(p, p) == QC(2)
 
     def test_modulus_sq_coeffs(self):
         # |1 + z/2|^2 has Laurent coefficients (1/2, 5/4, 1/2)
         p = exact.qpoly([1, Fraction(1, 2)])
-        c = exact.modulus_sq_coeffs(p)
-        assert c == exact.qpoly([Fraction(1, 2), Fraction(5, 4),
-                                 Fraction(1, 2)])
+        c = factor.modulus_sq_laurent(p)
+        assert list(c) == exact.qpoly([Fraction(1, 2), Fraction(5, 4),
+                                       Fraction(1, 2)])
+
+
+def _obj(coeffs):
+    return np.array(exact.qpoly(coeffs), dtype=object)
+
+
+def _is_zero(arr):
+    return all(c.is_zero() for c in arr)
+
+
+def reference_back_substitution(A, rhs):
+    """g with P_+(conj(A) g) = rhs, from the top coefficient down."""
+    g = [0] * len(rhs)
+    for m in range(len(rhs) - 1, -1, -1):
+        acc = rhs[m]
+        for j in range(1, len(A)):
+            if m + j < len(g):
+                acc = acc - A[j].conjugate() * g[m + j]
+        g[m] = acc / A[0].conjugate()
+    return g
 
 
 class TestMateSolve:
+    """The float mate solve of hb, run on exact scalars."""
+
     def test_half_shift_mate_of_one(self):
-        p = exact.qpoly([Fraction(1, 2), Fraction(1, 2)])
-        A = exact.qpoly([Fraction(1, 2), Fraction(-1, 2)])
-        g = exact.mate_solve(p, A, exact.qpoly([1]))
-        assert g == exact.qpoly([-1])
-        assert exact.mate_residual(p, A, exact.qpoly([1]), g) == []
+        p = _obj([Fraction(1, 2), Fraction(1, 2)])
+        A = _obj([Fraction(1, 2), Fraction(-1, 2)])
+        g, resid = hb._solve_mate(p, A, _obj([1]))
+        assert list(g) == exact.qpoly([-1])
+        assert _is_zero(resid)
 
     def test_prebuilt_projection(self):
-        # p = None: f is P_+(conj(p) f), built once by the caller
-        p = exact.qpoly([Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)])
-        A = exact.qpoly([Fraction(3, 4), Fraction(-1, 4)])
-        f = exact.qpoly([1, Fraction(-2, 3), 0, Fraction(1, 5)])
-        rhs = exact.analytic_part_of_conj_product(p, f)
-        g = exact.mate_solve(None, A, rhs)
-        assert g == exact.mate_solve(p, A, f)
-        assert exact.mate_residual(None, A, rhs, g) == []
-        assert exact.mate_residual(None, A, rhs, g[1:]) != []
+        # the projection P_+(conj(p) f) is the right-hand side of the
+        # back substitution, built once by _solve_mate
+        p = _obj([Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)])
+        A = _obj([Fraction(3, 4), Fraction(-1, 4)])
+        f = _obj([1, Fraction(-2, 3), 0, Fraction(1, 5)])
+        rhs = -hb._pplus_conj_product(p, f)
+        g = hb._back_substitute(A, rhs)
+        assert list(g) == list(hb._solve_mate(p, A, f)[0])
+        assert _is_zero(hb._pplus_conj_product(A, g) - rhs)
+        shifted = np.append(g[1:], exact.QZERO)
+        assert not _is_zero(hb._pplus_conj_product(A, shifted) - rhs)
+
+    def test_back_substitute_matches_reference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            roots = [(r, 1) for r in (1.2 + 2 * rng.uniform(size=3)) *
+                     np.exp(2j * np.pi * rng.uniform(size=3))]
+            A = poly.from_roots(roots[:int(rng.integers(0, 4))],
+                                lead=rng.normal() + 1j * rng.normal())
+            size = int(rng.integers(1, 40))
+            rhs = rng.normal(size=size) + 1j * rng.normal(size=size)
+            g = hb._back_substitute(A, rhs)
+            want = np.array(reference_back_substitution(A, rhs))
+            # relative to the size of the terms each step sums
+            scale = np.max(np.abs(want)) * np.sum(np.abs(A)) / abs(A[0])
+            assert np.max(np.abs(g - want)) <= 1e-15 * scale
+        for A, rhs in (([Fraction(1, 2), Fraction(-1, 2)], [1, 0, -3]),
+                       ([QC(3, 1), QC(0, -1), Fraction(1, 7)],
+                        [QC(1, 1), Fraction(2, 5), 0, QC(0, -4), 1])):
+            A, rhs = _obj(A), _obj(rhs)
+            assert list(hb._back_substitute(A, rhs)) == \
+                reference_back_substitution(A, rhs)
 
     def test_pythagorean_residual(self):
         b = exact.qpoly([Fraction(1, 2), Fraction(1, 2)])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hblab import clark, config, exact, hb, poly
+from hblab import clark, config, exact, factor, hb, poly
 from hblab import cyclicity as cy
 from hblab.boundary import UnitCircleFunction as UCF
 from hblab.errors import (DomainError, ExtremeFunctionError,
@@ -51,6 +51,49 @@ class TestMakeSpace:
     def test_from_phi_requires_unit_norm(self):
         with pytest.raises(NormalizationError):
             hb.make_space_from_phi(UCF.polynomial([1.0, -1.0]))
+
+
+class TestNegligibleCoefficients:
+    """One rule for a negligible coefficient, poly.trim's 1e-12 times
+    max(1, max |c|): fejer_riesz trims the weight's Laurent tails by it,
+    root finding trims the lift by it, and the exact backend's rationalized
+    p and q must reproduce b within it."""
+
+    def test_rationalization_reproduces_b(self):
+        # the constant 9e-11 rationalizes to 0 with denominators <= 10^9
+        b = UCF.polynomial([9e-11, 0.9])
+        sp = hb.make_space(b)
+        assert sp.exact is None
+        assert sp.exact_declined.startswith("rationalizing p/q")
+        with pytest.raises(NormalizationError, match="rationalizing p/q"):
+            hb.make_space(b, use_exact=True)
+
+    def test_tiny_constant_term(self):
+        for c in (1e-10, 1e-11, 1e-12):
+            sp = hb.make_space(UCF.polynomial([0.9 * c, 0.9]))
+            assert sp.pythagorean_residual() < config.PYTHAGOREAN_TOL, c
+            # 9e-12 is above the rule, 9e-13 below it: that term is
+            # negligible to the factorization and to the rationalization
+            if c > 1e-12:
+                assert sp.exact is None, c
+            else:
+                assert sp.exact.p == (exact.QC(0), exact.QC(Fraction(9, 10)))
+                assert sp.A.size == 1
+
+    def test_numerator_rationalized_to_zero(self):
+        # b = 5e-14 z/(1 + z/2) is within the rule of b = 0: p is [0]
+        sp = hb.make_space(UCF.rational([0.0, 1e-13], [2.0, 1.0]),
+                           use_exact=True)
+        assert sp.exact.p == (exact.QC(0),)
+        assert sp.pythagorean_exact_residual() == []
+        assert hb.make_element(sp, [1.0, 2.0]).norm2_exact == 5
+        assert hb.make_element(sp, [0.0]).exact == ((exact.QC(0),), ())
+
+    def test_weight_tails_trimmed_by_trim_rule(self):
+        a = factor.fejer_riesz([-8.1e-13, 0.19, -8.1e-13])
+        assert a.size == 1 and abs(a[0] - np.sqrt(0.19)) < 1e-15
+        a = factor.fejer_riesz([-8.1e-12, 0.19, -8.1e-12])
+        assert a.size == 2
 
 
 class TestRationalExact:
@@ -125,34 +168,53 @@ class TestMate:
                 continue
             assert el.exact is not None
             fe, ge = el.exact
-            resid = exact.mate_residual(
-                list(space_half_shift.exact.p), list(space_half_shift.exact.A),
-                list(fe), list(ge))
-            assert resid == []
+            p, A, fe, ge = (np.array(c, dtype=object) for c in (
+                space_half_shift.exact.p, space_half_shift.exact.A, fe,
+                ge + (exact.QZERO,) * (len(fe) - len(ge))))
+            resid = hb._pplus_conj_product(p, fe) + \
+                hb._pplus_conj_product(A, ge)
+            assert all(c.is_zero() for c in resid)
+
+    def test_exact_mate_matches_float_complex_data(self):
+        # b = (1 + iz)/2, A = (1 - iz)/2: both conjugations in the mate
+        # relation act on non-real coefficients
+        sp = hb.make_space(UCF.polynomial([0.5, 0.5j]), use_exact=True)
+        assert list(sp.exact.A) == [exact.QC(Fraction(1, 2)),
+                                    exact.QC(0, Fraction(-1, 2))]
+        for f in ([1.0], [0.0, 1.0], [1.0, -0.5j, 0.25], [0.5j, 0, 0, 2.0]):
+            el = hb.make_element(sp, f)
+            ge = np.array([c.to_complex() for c in el.exact[1]])
+            g = np.concatenate([el.mate, np.zeros(max(0, ge.size -
+                                                       el.mate.size))])
+            assert np.max(np.abs(g[:ge.size] - ge), initial=0) < 1e-14, f
+            assert np.max(np.abs(g[ge.size:]), initial=0) < 1e-14, f
+            assert abs(float(el.norm2_exact) - el.norm2) < 1e-14, f
 
     def test_exact_projection_built_once(self, monkeypatch):
         sp = hb.make_space(UCF.polynomial([0.0, 0.5, 0.5]), use_exact=True)
         calls = []
-        product = exact.analytic_part_of_conj_product
-        monkeypatch.setattr(exact, "analytic_part_of_conj_product",
-                            lambda p, f: calls.append(p is sp.exact.p) or
-                            product(p, f))
+        product = hb._pplus_conj_product
+        monkeypatch.setattr(hb, "_pplus_conj_product",
+                            lambda p, f: calls.append(
+                                p.dtype == object and tuple(p) == sp.exact.p)
+                            or product(p, f))
         el = hb.make_element(sp, [1.0, -0.5, 0.25])
         assert el.exact is not None and calls.count(True) == 1
 
     def test_exact_data_on_first_exact_read(self, space_half_shift,
                                             monkeypatch):
         calls = []
-        solve = exact.mate_solve
-        monkeypatch.setattr(exact, "mate_solve",
-                            lambda *args: calls.append(1) or solve(*args))
+        solve = hb._back_substitute
+        monkeypatch.setattr(hb, "_back_substitute",
+                            lambda A, rhs: calls.append(rhs.dtype == object)
+                            or solve(A, rhs))
         el = hb.make_element(space_half_shift, [1.0, -0.5, 0.25])
         cy.decay_table(space_half_shift, [1.0, 0.5], 32)
-        assert len(calls) == 0
+        assert calls.count(True) == 0
         assert el.norm2_exact == Fraction(13, 8)
-        assert len(calls) == 1
+        assert calls.count(True) == 1
         assert el.norm2_exact == Fraction(13, 8)
-        assert len(calls) == 1
+        assert calls.count(True) == 1
 
     def test_contractive_in_hardy(self, all_test_spaces):
         rng = np.random.default_rng(47)

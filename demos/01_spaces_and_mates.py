@@ -22,7 +22,7 @@ from hblab import UnitCircleFunction as UCF, make_element, make_space
 space = make_space(UCF.polynomial([0.5, 0.5]))
 print("b = (1+z)/2")
 print("  a =", np.round(space.a.to_polynomial(), 12))
-print("  grid residual of |a|^2+|b|^2-1:", space.pythagorean_residual())
+print("  l1 residual of |A|^2 - (|q|^2-|p|^2):", space.pythagorean_residual())
 print("  exact backend:", space.exact is not None,
       " exact residual:", space.pythagorean_exact_residual())
 

@@ -18,7 +18,7 @@ from .cyclicity import (CyclicityReport, DecayTable, DecayThresholds,
                         theorem_a_check, theorem_b_check, theorem_c_check)
 from .errors import (DomainError, ExtremeFunctionError, FactorizationError,
                      HBLabError, MembershipError, NormalizationError,
-                     PoleError, SpaceMismatchError)
+                     PoleError, SpaceMismatchError, UnitBallError)
 from .factor import fejer_riesz, inner_outer, is_outer, mate_of_b
 from .hb import (HbElement, HbSpace, boundary_kernel, divide_inner,
                  element_from_rational, inner_product, inner_product_exact,
@@ -41,7 +41,8 @@ __all__ = [
     "ExtremeFunctionError", "FactorizationError", "GridConfig", "HBLabError",
     "HbElement", "HbSpace", "MembershipError", "NormalizationError",
     "PoleError", "SigmaBounds", "SpaceMismatchError", "ThetaModel",
-    "ToeplitzSectionReport", "UnitCircleFunction", "analytic_projection",
+    "ToeplitzSectionReport", "UnitBallError", "UnitCircleFunction",
+    "analytic_projection",
     "assess", "boundary_kernel", "cauchy", "clark_measure",
     "classify_finite_defect", "decay_table", "dirichlet_cyclic",
     "dirichlet_integral", "dirichlet_norm", "divide_inner",

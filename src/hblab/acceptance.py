@@ -36,7 +36,7 @@ def _spaces():
 
 
 def criterion_1_pythagorean() -> CheckResult:
-    """Float residual < 1e-10 on the grid; exact backend residual zero."""
+    """Float relative l1 Laurent residual < 1e-10; exact residual zero."""
     t0 = time.perf_counter()
     bad = []
     for name, sp in _spaces().items():

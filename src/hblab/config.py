@@ -13,9 +13,8 @@ PAIRING_RTOL = 1e-6           # (r, 1/conj(r)) pair matching, circle classificat
 INTERIOR_TOL = 1e-10          # |root| < 1 - INTERIOR_TOL counts as interior
 
 # Space / element validation
-UNIT_BALL_TOL = 1e-12         # sup|b| <= 1 + this
 MATE_RESIDUAL_TOL = 1e-10     # float-backend residual of the mate relation
-PYTHAGOREAN_TOL = 1e-10       # | |a|^2 + |b|^2 - 1 | on the grid
+PYTHAGOREAN_TOL = 1e-10       # factor.weight_residual_l1 of the mate
 
 # Boundary point tests
 ATOM_LOCATION_TOL = 1e-8      # | |zeta| - 1 | for Clark atom candidates

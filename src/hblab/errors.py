@@ -21,6 +21,10 @@ class FactorizationError(HBLabError, ValueError):
     """Spectral factorization failed (negative weight, unpaired roots)."""
 
 
+class UnitBallError(FactorizationError):
+    """sup |b| > 1: the weight |q|^2 - |p|^2 is negative on some arc."""
+
+
 class NormalizationError(HBLabError, ValueError):
     """Space does not satisfy the normalization a caller required."""
 

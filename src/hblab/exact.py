@@ -22,6 +22,17 @@ import numpy as np
 from . import factor
 
 
+def _binary(op):
+    """op, or NotImplemented for non-numbers so numpy can broadcast."""
+    def wrapped(self, other):
+        try:
+            other = _coerce(other)
+        except TypeError:
+            return NotImplemented
+        return op(self, other)
+    return wrapped
+
+
 class QC:
     """Complex number with exact rational parts."""
 
@@ -51,28 +62,28 @@ class QC:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
+    @_binary
     def __add__(self, other):
-        other = _coerce(other)
         return QC(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
+    @_binary
     def __sub__(self, other):
-        other = _coerce(other)
         return QC(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return _coerce(other).__sub__(self)
 
+    @_binary
     def __mul__(self, other):
-        other = _coerce(other)
         return QC(self.re * other.re - self.im * other.im,
                   self.re * other.im + self.im * other.re)
 
     __rmul__ = __mul__
 
+    @_binary
     def __truediv__(self, other):
-        other = _coerce(other)
         d = other.abs2()
         if d == 0:
             raise ZeroDivisionError("exact division by zero")
@@ -141,12 +152,11 @@ def pythagorean_residual(p: Sequence, q: Sequence, A: Sequence,
     (empty iff exact).
 
     The identity says that a = s*A/q, s^2 = s2, is the Pythagorean mate
-    of b = p/q: |a|^2 + |b|^2 = 1 on the circle.  The weight is the one
-    factor.mate_and_factor factors.
+    of b = p/q: |a|^2 + |b|^2 = 1 on the circle.  The residual is
+    factor.weight_residual, the one the float backend checks in l1 norm.
     """
     p, q, A = (np.array(qpoly(c), dtype=object) for c in (p, q, A))
-    resid = factor._laurent_center_sub(factor.modulus_sq_laurent(A) * s2,
-                                       factor.mate_weight(p, q))
+    resid = factor.weight_residual(A, factor.mate_weight(p, q), s2)
     return [] if all(c.is_zero() for c in resid) else list(resid)
 
 

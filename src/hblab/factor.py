@@ -2,7 +2,7 @@
 
 The central primitive factors a nonnegative trigonometric polynomial w as
 |a|^2 with a zero-free in the open disk and a(0) > 0; the Pythagorean
-mate of b is obtained by factoring 1 - |b|^2.
+mate of b = p/q is A/q, A the factor of |q|^2 - |p|^2, checked on coefficients.
 """
 
 from __future__ import annotations
@@ -11,23 +11,10 @@ import numpy as np
 
 from . import config, poly
 from .boundary import UnitCircleFunction
-from .errors import ExtremeFunctionError, FactorizationError
-
-_NEG_TOL = 1e-12
+from .errors import ExtremeFunctionError, FactorizationError, UnitBallError
 
 
-def trig_poly_values(w_coeffs, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a centered Laurent coefficient list on circle points."""
-    w = np.asarray(w_coeffs, dtype=complex)
-    d = (w.size - 1) // 2
-    vals = np.zeros(len(pts), dtype=complex)
-    for k in range(-d, d + 1):
-        vals += w[k + d] * pts ** k
-    return vals
-
-
-def fejer_riesz(w_coeffs, grid: config.GridConfig = config.DEFAULT_GRID
-                ) -> np.ndarray:
+def fejer_riesz(w_coeffs) -> np.ndarray:
     """Factor a nonnegative trigonometric polynomial as |a(z)|^2 on the circle.
 
     Parameters
@@ -39,11 +26,13 @@ def fejer_riesz(w_coeffs, grid: config.GridConfig = config.DEFAULT_GRID
     -------
     numpy.ndarray
         Coefficients of the polynomial a with no roots in the open disk
-        and a(0) > 0.
+        and a(0) > 0, trimmed by poly.trim's rule.
 
     The Laurent lift z^D w(z) is factored through its roots: (r, 1/conj(r))
     pairs contribute their closed-disk-exterior representative, circle
     roots must occur with even multiplicity and contribute half of it.
+    w < 0 somewhere (an odd circle root, a mean <= 0) raises UnitBallError;
+    the factor must meet weight_residual_l1 <= PYTHAGOREAN_TOL.
     """
     w = np.asarray(w_coeffs, dtype=complex)
     if w.size % 2 == 0:
@@ -52,21 +41,11 @@ def fejer_riesz(w_coeffs, grid: config.GridConfig = config.DEFAULT_GRID
     for k in range(1, d + 1):
         if abs(w[d - k] - np.conj(w[d + k])) > 1e-9 * max(1.0, abs(w[d + k])):
             raise FactorizationError("coefficients are not Hermitian")
-    pts = grid.points()
-    vals = trig_poly_values(w, pts).real
-    if vals.min() < -_NEG_TOL * max(1.0, vals.max()):
-        raise FactorizationError(
-            f"weight is negative on the grid (min {vals.min():.3e})")
     # trim negligible tails by poly.trim's rule, the one root finding
     # applies to the lift, so the lift has no spurious roots at 0 or infinity
     k_top = poly.trim(w[d:]).size - 1
-    if k_top == 0:
-        w0 = w[d].real
-        if w0 < 0:
-            raise FactorizationError("negative constant weight")
-        return np.array([np.sqrt(w0) + 0j])
-    lift = np.array([w[d + k] for k in range(-k_top, k_top + 1)])
-    root_list = poly.roots_with_multiplicity(lift)
+    root_list = poly.roots_with_multiplicity(w[d - k_top: d + k_top + 1]) \
+        if k_top else []
     circle, interior, exterior = [], [], []
     for r, m in root_list:
         if abs(abs(r) - 1) <= config.PAIRING_RTOL:
@@ -78,8 +57,8 @@ def fejer_riesz(w_coeffs, grid: config.GridConfig = config.DEFAULT_GRID
     reps = []
     for r, m in circle:
         if m % 2:
-            raise FactorizationError(
-                f"circle root {r:.6g} has odd multiplicity {m}")
+            raise UnitBallError(f"weight changes sign at circle root {r:.6g}"
+                                ": b leaves the unit ball")
         reps.append((r, m // 2))
     for r, m in interior:
         target = 1 / np.conj(r)
@@ -99,14 +78,15 @@ def fejer_riesz(w_coeffs, grid: config.GridConfig = config.DEFAULT_GRID
         raise FactorizationError("unpaired exterior roots remain")
     u = poly.from_roots(reps)
     c2 = w[d].real / poly.l2sq(u)
-    if c2 <= 0:
-        raise FactorizationError("vanishing mean leaves no factor")
+    if c2 < 0 or (c2 == 0 and k_top):
+        raise UnitBallError(f"weight mean {w[d].real:.3e} is not positive"
+                            ": b leaves the unit ball")
     u0 = u[0]
-    a = np.sqrt(c2) * (np.conj(u0) / abs(u0)) * u
-    resid = float(np.max(np.abs(np.abs(poly.horner(a, pts)) ** 2 - vals)))
-    if resid > 1e-7 * max(1.0, float(vals.max())):
+    a = poly.trim(np.sqrt(c2) * (np.conj(u0) / abs(u0)) * u)
+    resid = weight_residual_l1(a, w)
+    if resid > config.PYTHAGOREAN_TOL:
         raise FactorizationError(
-            f"factor verification failed (residual {resid:.3e})")
+            f"factor verification failed (relative l1 residual {resid:.3e})")
     return a
 
 
@@ -132,19 +112,25 @@ def mate_weight(p, q) -> np.ndarray:
     return _laurent_center_sub(modulus_sq_laurent(q), modulus_sq_laurent(p))
 
 
-def mate_of_b(b: UnitCircleFunction,
-              grid: config.GridConfig = config.DEFAULT_GRID
-              ) -> UnitCircleFunction:
-    """The outer function a with |a|^2 + |b|^2 = 1 on the circle, a(0) > 0.
-
-    Polynomial b delegates to fejer_riesz on 1 - |b|^2; rational b = p/q
-    factors |q|^2 - |p|^2 and divides the factor by q.
-    """
-    return mate_and_factor(b, grid)[0]
+def weight_residual(A, w, s2=1) -> np.ndarray:
+    """Centered Laurent coefficients of s2|A|^2 - w, complex or exact.  For
+    w = mate_weight(p, q) it is (|a|^2 + |b|^2 - 1)|q|^2, a = s*A/q."""
+    return _laurent_center_sub(s2 * modulus_sq_laurent(A), w)
 
 
-def mate_and_factor(b: UnitCircleFunction,
-                    grid: config.GridConfig = config.DEFAULT_GRID):
+def weight_residual_l1(A, w) -> float:
+    """||weight_residual(A, w)||_1 / max(1, ||w||_1); the l1 norm bounds
+    the residual everywhere on the circle."""
+    scale = max(1.0, float(np.sum(np.abs(w))))
+    return float(np.sum(np.abs(weight_residual(A, w)))) / scale
+
+
+def mate_of_b(b: UnitCircleFunction) -> UnitCircleFunction:
+    """The outer function a with |a|^2 + |b|^2 = 1 on the circle, a(0) > 0."""
+    return mate_and_factor(b)[0]
+
+
+def mate_and_factor(b: UnitCircleFunction):
     """(a, A): the mate of b and the Fejer-Riesz factor A of |q|^2 - |p|^2.
 
     a = A/q (cancelled, rotated so a(0) > 0) from a single factorization.
@@ -153,17 +139,14 @@ def mate_and_factor(b: UnitCircleFunction,
         b = UnitCircleFunction.polynomial(b)
     if b.degree() < 1:
         raise ValueError("b must be nonconstant")
-    bvals = np.abs(b.boundary_values(grid.n))
-    if bvals.max() > 1 + config.UNIT_BALL_TOL:
-        raise ValueError(
-            f"sup |b| = {bvals.max():.12g} exceeds 1 on the circle")
-    w_vals = 1.0 - bvals ** 2
-    if w_vals.max() < 1e-10:
+    p, q = b.as_num_den()
+    w = mate_weight(p, q)
+    if np.sum(np.abs(w)) <= config.PYTHAGOREAN_TOL * \
+            np.sum(np.abs(modulus_sq_laurent(q))):
         raise ExtremeFunctionError(
             "b has unimodular boundary values; no outer mate exists and "
             "polynomials are not dense in H(b)")
-    p, q = b.as_num_den()
-    a_num = fejer_riesz(mate_weight(p, q), grid)
+    a_num = fejer_riesz(w)
     if b.is_polynomial():
         return UnitCircleFunction.polynomial(a_num / q[0]), a_num
     a = UnitCircleFunction.rational(a_num, q)

@@ -19,7 +19,7 @@ import numpy as np
 from . import config, exact, factor, poly
 from .boundary import (UnitCircleFunction, analytic_projection,
                        modulus_sq_rational)
-from .errors import (DomainError, ExtremeFunctionError, FactorizationError,
+from .errors import (DomainError, ExtremeFunctionError,
                      NormalizationError, SpaceMismatchError)
 
 _RATIONALIZE_DEN = 10**9
@@ -80,11 +80,9 @@ class HbSpace:
                      if abs(abs(r) - 1) <= config.PAIRING_RTOL)
 
     def pythagorean_residual(self) -> float:
-        """max over the grid of | |a|^2 + |b|^2 - 1 |."""
-        n = self.grid.n
-        av = np.abs(self.a.boundary_values(n)) ** 2
-        bv = np.abs(self.b.boundary_values(n)) ** 2
-        return float(np.max(np.abs(av + bv - 1.0)))
+        """factor.weight_residual_l1 of A, the check fejer_riesz made."""
+        return factor.weight_residual_l1(
+            self.A, factor.mate_weight(self.p, self.q))
 
     def pythagorean_exact_residual(self):
         """Exact Laurent residual of s2|A|^2 + |p|^2 - |q|^2 (None if float)."""
@@ -182,7 +180,7 @@ def make_space(b, grid: config.GridConfig = config.DEFAULT_GRID,
     if b.kind == "blaschke":
         raise ExtremeFunctionError(
             "finite Blaschke products are extreme; H(b) has no mate")
-    a, A = factor.mate_and_factor(b, grid)
+    a, A = factor.mate_and_factor(b)
     exact_data, declined = None, "not requested"
     if use_exact in ("auto", True):
         try:
@@ -193,12 +191,7 @@ def make_space(b, grid: config.GridConfig = config.DEFAULT_GRID,
                     "exact backend requested but the data could not be "
                     f"certified: {exc}") from None
             declined = str(exc)
-    space = HbSpace(b, a, A, grid, exact_data, declined)
-    res = space.pythagorean_residual()
-    if res > config.PYTHAGOREAN_TOL:
-        raise FactorizationError(
-            f"Pythagorean identity residual {res:.3e} exceeds tolerance")
-    return space
+    return HbSpace(b, a, A, grid, exact_data, declined)
 
 
 def make_space_from_phi(phi: UnitCircleFunction,

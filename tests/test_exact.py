@@ -34,6 +34,17 @@ class TestQC:
         assert exact.frac_sqrt(Fraction(3, 4)) is None
         assert exact.frac_sqrt(Fraction(-1)) is None
 
+    def test_scalar_broadcasts_over_object_array(self):
+        # QC's operators defer to numpy for operands that are not numbers,
+        # so a QC works on either side of an object array
+        arr = _obj([QC(1, 2), Fraction(1, 3)])
+        for got, want in ((QC(2) * arr, arr * QC(2)),
+                          (QC(2) + arr, arr + QC(2)),
+                          (QC(2) - arr, -(arr - QC(2))),
+                          (QC(2) / arr, 1 / (arr / QC(2)))):
+            assert got.dtype == object and list(got) == list(want)
+        assert list(Fraction(1, 2) * arr) == list(arr * QC(Fraction(1, 2)))
+
 
 class TestPolynomials:
     """Exact polynomials are object arrays through the float helpers."""

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_clark import RANDOM_B, _random_b
 
-from hblab import config, poly
+from hblab import boundary, config, factor, hb, poly
 from hblab.boundary import UnitCircleFunction as UCF
-from hblab.errors import ExtremeFunctionError, FactorizationError
+from hblab.errors import (ExtremeFunctionError, FactorizationError,
+                          UnitBallError)
 from hblab.factor import fejer_riesz, inner_outer, is_outer, mate_of_b
 
 
@@ -81,6 +84,89 @@ class TestMate:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             mate_of_b(UCF.polynomial([0.5]))
+
+
+def _near_pole(k):
+    """k*1e-4/(1 - 0.9999 e^{-i pi/4096} z): sup |b| = k, attained between
+    the points of the 4096-point grid, where |q|^2 falls to 1e-8."""
+    theta = np.pi / 4096
+    return UCF.rational([k * 1e-4], [1.0, -0.9999 * np.exp(-1j * theta)])
+
+
+def _scaled_degree_12(sup):
+    """A degree-12 polynomial scaled to sup |b| = sup on 2^16 points."""
+    rng = np.random.default_rng(12)
+    c = rng.normal(size=13) + 1j * rng.normal(size=13)
+    pts = config.unit_circle_points(1 << 16)
+    return UCF.polynomial(c * sup / np.max(np.abs(poly.horner(c, pts))))
+
+
+class TestUnitBall:
+    """Refusals decided from the weight |q|^2 - |p|^2, with no grid."""
+
+    @pytest.mark.parametrize("k", [0.5, 0.9])
+    def test_near_pole_spaces_build(self, k):
+        sp = hb.make_space(_near_pole(k))
+        assert sp.pythagorean_residual() < config.PYTHAGOREAN_TOL
+
+    @pytest.mark.parametrize("b", [_near_pole(1.5), UCF.polynomial([0, 1.1]),
+                                   _scaled_degree_12(1.001)],
+                             ids=["near pole k=1.5", "1.1z", "degree 12"])
+    def test_leaving_the_ball_is_named(self, b):
+        with pytest.raises(UnitBallError, match="leaves the unit ball"):
+            hb.make_space(b)
+
+    @pytest.mark.parametrize("b", [UCF.polynomial([0, 1]),
+                                   UCF.rational([-0.5, 1], [1, -0.5])],
+                             ids=["z", "(z-0.5)/(1-0.5z)"])
+    def test_extreme_b_refused(self, b):
+        with pytest.raises(ExtremeFunctionError):
+            hb.make_space(b)
+
+    def test_degree_12_inside_builds(self):
+        sp = hb.make_space(_scaled_degree_12(0.999), use_exact=False)
+        assert sp.pythagorean_residual() < config.PYTHAGOREAN_TOL
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(**RANDOM_B)
+    def test_l1_residual_bounds_the_circle(self, num, poles):
+        sp = hb.make_space(_random_b(num, poles), use_exact=False)
+        w = factor.mate_weight(sp.p, sp.q)
+        l1 = float(np.sum(np.abs(factor.weight_residual(sp.A, w))))
+        assert l1 <= config.PYTHAGOREAN_TOL * max(1.0, np.sum(np.abs(w)))
+        pts = config.unit_circle_points(4096)
+        A2, q2, p2 = (np.abs(poly.horner(c, pts)) ** 2
+                      for c in (sp.A, sp.q, sp.p))
+        # the bound holds up to the rounding of the evaluation itself
+        slack = 8 * np.finfo(float).eps * float(np.max(A2 + q2 + p2))
+        assert float(np.max(np.abs(A2 - (q2 - p2)))) <= l1 + slack
+
+
+class TestNoGrid:
+    """Space construction evaluates nothing on the circle."""
+
+    @pytest.fixture
+    def no_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("space construction used the grid")
+        monkeypatch.setattr(config, "unit_circle_points", refuse)
+        monkeypatch.setattr(boundary.UnitCircleFunction, "boundary_values",
+                            refuse)
+
+    @pytest.mark.parametrize("use_exact", [False, "auto"])
+    def test_make_space_builds(self, no_grid, use_exact):
+        with pytest.raises(AssertionError):
+            config.DEFAULT_GRID.points()
+        rng = np.random.default_rng(8)
+        c = rng.normal(size=9) + 1j * rng.normal(size=9)
+        degree_8 = UCF.polynomial(0.5 * c / np.sum(np.abs(c)))
+        for b in (UCF.polynomial([0.5, 0.5]), UCF.rational([0, 1], [2, 1]),
+                  degree_8):
+            sp = hb.make_space(b, use_exact=use_exact)
+            assert sp.pythagorean_residual() < config.PYTHAGOREAN_TOL
+            assert (sp.exact is not None) == (use_exact == "auto" and
+                                               b is not degree_8)
 
 
 class TestIsOuter:

@@ -76,6 +76,14 @@ class TestCli:
                                "--b", "z/(2+z)")
         assert doc["exact_declined"] == "not requested"
 
+    @pytest.mark.parametrize("cmd", ["mate", "validate"])
+    @pytest.mark.parametrize("b", ["z(1+z)/2", "z/(2+z)"])
+    def test_space_output_ignores_grid(self, capsys, cmd, b):
+        # space construction uses no grid: --grid changes no byte
+        runs = [run_cli(capsys, "--grid", n, cmd, "--b", b)
+                for n in ("256", "65536")]
+        assert runs[0][0] == 0 and runs[0][2] == runs[1][2]
+
     def test_decay_constant_column(self, capsys):
         code, doc, _ = run_cli(capsys, "decay", "--b", "(1+z)/2",
                                "--f", "1-z", "--n", "12")

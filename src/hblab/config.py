@@ -14,7 +14,7 @@ INTERIOR_TOL = 1e-10          # |root| < 1 - INTERIOR_TOL counts as interior
 
 # Space / element validation
 MATE_RESIDUAL_TOL = 1e-10     # float-backend residual of the mate relation
-PYTHAGOREAN_TOL = 1e-10       # factor.weight_residual_l1 of the mate
+PYTHAGOREAN_TOL = 1e-10       # mate's l1 residual; |1-|b|^2| of an extreme b
 
 # Boundary point tests
 ATOM_LOCATION_TOL = 1e-8      # | |zeta| - 1 | for Clark atom candidates

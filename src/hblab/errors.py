@@ -22,7 +22,8 @@ class FactorizationError(HBLabError, ValueError):
 
 
 class UnitBallError(FactorizationError):
-    """sup |b| > 1: the weight |q|^2 - |p|^2 is negative on some arc."""
+    """sup |b| > 1: the weight |q|^2 - |p|^2 is negative on some arc,
+    beyond the rounding of its coefficients."""
 
 
 class NormalizationError(HBLabError, ValueError):

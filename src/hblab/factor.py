@@ -31,8 +31,9 @@ def fejer_riesz(w_coeffs) -> np.ndarray:
     The Laurent lift z^D w(z) is factored through its roots: (r, 1/conj(r))
     pairs contribute their closed-disk-exterior representative, circle
     roots must occur with even multiplicity and contribute half of it.
-    w < 0 somewhere (an odd circle root, a mean <= 0) raises UnitBallError;
-    the factor must meet weight_residual_l1 <= PYTHAGOREAN_TOL.
+    w < 0 somewhere (a circle root of odd multiplicity whose reflection
+    is not another one, a mean <= 0) raises UnitBallError; the factor
+    must meet weight_residual_l1 <= PYTHAGOREAN_TOL.
     """
     w = np.asarray(w_coeffs, dtype=complex)
     if w.size % 2 == 0:
@@ -49,17 +50,25 @@ def fejer_riesz(w_coeffs) -> np.ndarray:
     circle, interior, exterior = [], [], []
     for r, m in root_list:
         if abs(abs(r) - 1) <= config.PAIRING_RTOL:
-            circle.append((r / abs(r), m))
+            circle.append((r, m))
         elif abs(r) < 1:
             interior.append((r, m))
         else:
             exterior.append([r, m])
-    reps = []
-    for r, m in circle:
-        if m % 2:
-            raise UnitBallError(f"weight changes sign at circle root {r:.6g}"
-                                ": b leaves the unit ball")
-        reps.append((r, m // 2))
+    # the sign first: a circle root of odd multiplicity changes it, unless
+    # its reflection is another such root, a pair within PAIRING_RTOL of
+    # the circle that clustering did not merge
+    odd = [r for r, m in circle if m % 2]
+    for i, r in enumerate(odd):
+        if all(abs(s - 1 / np.conj(r)) > config.PAIRING_RTOL
+               for s in odd[:i] + odd[i + 1:]):
+            raise UnitBallError(f"weight changes sign at circle root "
+                                f"{r / abs(r):.6g}: b leaves the unit ball")
+    if odd:
+        raise FactorizationError(f"root {odd[0]:.9g} and its reflection "
+                                 "are too near the circle to tell from a "
+                                 "double circle root")
+    reps = [(r / abs(r), m // 2) for r, m in circle]
     for r, m in interior:
         target = 1 / np.conj(r)
         for ext in exterior:
@@ -125,6 +134,30 @@ def weight_residual_l1(A, w) -> float:
     return float(np.sum(np.abs(weight_residual(A, w)))) / scale
 
 
+def _nonnegative(v) -> bool:
+    """True when the Hermitian Laurent polynomial v is >= 0 on the circle:
+    its mean is positive and fejer_riesz finds no sign change."""
+    if v[v.size // 2].real <= 0:
+        return False
+    try:
+        fejer_riesz(v)
+    except UnitBallError:
+        return False
+    except FactorizationError:
+        pass                            # raised after the sign passed
+    return True
+
+
+def _is_extreme(q, w, slack) -> bool:
+    """True when |w| <= TOL|q|^2 + slack on the whole circle, so that
+    |1 - |b|^2| = |w|/|q|^2 <= PYTHAGOREAN_TOL up to slack/|q|^2."""
+    tol = config.PYTHAGOREAN_TOL
+    bound = modulus_sq_laurent(q)
+    bound[bound.size // 2] += slack / tol
+    return all(_nonnegative(_laurent_center_sub(bound, sign * w / tol))
+               for sign in (1, -1))
+
+
 def mate_of_b(b: UnitCircleFunction) -> UnitCircleFunction:
     """The outer function a with |a|^2 + |b|^2 = 1 on the circle, a(0) > 0."""
     return mate_and_factor(b)[0]
@@ -134,6 +167,10 @@ def mate_and_factor(b: UnitCircleFunction):
     """(a, A): the mate of b and the Fejer-Riesz factor A of |q|^2 - |p|^2.
 
     a = A/q (cancelled, rotated so a(0) > 0) from a single factorization.
+    b is refused as extreme when |1 - |b|^2| <= PYTHAGOREAN_TOL on the
+    whole circle, or when w = |q|^2 - |p|^2 is lost in err, the rounding of
+    its coefficients and its trimmed tails; a sign change of w is named
+    UnitBallError only where w < -err somewhere.
     """
     if not isinstance(b, UnitCircleFunction):
         b = UnitCircleFunction.polynomial(b)
@@ -141,12 +178,27 @@ def mate_and_factor(b: UnitCircleFunction):
         raise ValueError("b must be nonconstant")
     p, q = b.as_num_den()
     w = mate_weight(p, q)
-    if np.sum(np.abs(w)) <= config.PYTHAGOREAN_TOL * \
-            np.sum(np.abs(modulus_sq_laurent(q))):
-        raise ExtremeFunctionError(
-            "b has unimodular boundary values; no outer mate exists and "
-            "polynomials are not dense in H(b)")
-    a_num = fejer_riesz(w)
+    # err bounds the rounding of w's coefficients plus, on the circle, the
+    # tails that fejer_riesz trims
+    d = w.size // 2
+    err = (max(p.size, q.size) + 1) * np.finfo(float).eps * \
+        (np.sum(np.abs(p)) ** 2 + np.sum(np.abs(q)) ** 2) + \
+        2 * np.sum(np.abs(w[d + poly.trim(w[d:]).size:]))
+    extreme = ExtremeFunctionError(
+        "b has unimodular boundary values; no outer mate exists and "
+        "polynomials are not dense in H(b)")
+    if np.sum(np.abs(w)) <= err or _is_extreme(q, w, 0.0):
+        raise extreme
+    try:
+        a_num = fejer_riesz(w)
+    except UnitBallError:
+        if _is_extreme(q, w, err):
+            raise extreme from None
+        if _nonnegative(_laurent_center_sub(w, [-err])):
+            raise FactorizationError("the weight changes sign only within "
+                                     "its rounding and trimmed tails"
+                                     ) from None
+        raise
     if b.is_polynomial():
         return UnitCircleFunction.polynomial(a_num / q[0]), a_num
     a = UnitCircleFunction.rational(a_num, q)

@@ -53,7 +53,7 @@ class HbSpace:
         self.exact_declined = exact_declined    # why exact is None
         self.p = b.num.copy()
         self.q = b.den.copy()
-        self.A = poly.trim(np.asarray(A, dtype=complex))
+        self.A = A                      # fejer_riesz trims it
         self._one: Optional[HbElement] = None
         self._a_roots: Optional[list] = None
         self._sweep: Optional[tuple] = None    # clark.clark_sweep's default

@@ -101,6 +101,26 @@ def _scaled_degree_12(sup):
     return UCF.polynomial(c * sup / np.max(np.abs(poly.horner(c, pts))))
 
 
+def _near_extreme_rational():
+    """b = p/q, q = 1 - 0.99z, with |q|^2 - |p|^2 = 3e-10: ||w||_1 is below
+    PYTHAGOREAN_TOL times ||q||_2^2, but 1 - |b|^2 = 3e-10/|q|^2 reaches
+    3e-6 at z = 1."""
+    q = np.array([1.0, -0.99])
+    w = factor.mate_weight([0.0], q)
+    w[1] -= 3e-10
+    return UCF.rational(fejer_riesz(w), q)
+
+
+def _blaschke_12(c, seed):
+    """c times a degree-12 Blaschke product with zeros in |z| < 0.95, in
+    p/q form.  For seed 4 the rounding of the weight's coefficients is 40
+    times PYTHAGOREAN_TOL min |q|^2, for seed 1 seven times."""
+    rng = np.random.default_rng(seed)
+    zs = 0.95 * np.sqrt(rng.random(12)) * np.exp(2j * np.pi * rng.random(12))
+    B = UCF.blaschke(list(zs))
+    return UCF.rational(c * B.num, B.den)
+
+
 class TestUnitBall:
     """Refusals decided from the weight |q|^2 - |p|^2, with no grid."""
 
@@ -109,19 +129,46 @@ class TestUnitBall:
         sp = hb.make_space(_near_pole(k))
         assert sp.pythagorean_residual() < config.PYTHAGOREAN_TOL
 
+    @pytest.mark.parametrize("b", [
+        _near_extreme_rational(), UCF.polynomial([0, np.sqrt(1 - 1.01e-10)])],
+        ids=["q=1-0.99z", "1-|b|^2=1.01e-10"])
+    def test_near_extreme_spaces_build(self, b):
+        sp = hb.make_space(b, use_exact=False)
+        assert sp.pythagorean_residual() < config.PYTHAGOREAN_TOL
+
     @pytest.mark.parametrize("b", [_near_pole(1.5), UCF.polynomial([0, 1.1]),
-                                   _scaled_degree_12(1.001)],
-                             ids=["near pole k=1.5", "1.1z", "degree 12"])
+                                   _scaled_degree_12(1.001),
+                                   _blaschke_12(1 + 1e-9, seed=4)],
+                             ids=["near pole k=1.5", "1.1z", "degree 12",
+                                  "(1+1e-9)B"])
     def test_leaving_the_ball_is_named(self, b):
         with pytest.raises(UnitBallError, match="leaves the unit ball"):
             hb.make_space(b)
 
-    @pytest.mark.parametrize("b", [UCF.polynomial([0, 1]),
-                                   UCF.rational([-0.5, 1], [1, -0.5])],
-                             ids=["z", "(z-0.5)/(1-0.5z)"])
+    @pytest.mark.parametrize("b", [
+        UCF.polynomial([0, 1]), UCF.rational([-0.5, 1], [1, -0.5]),
+        UCF.polynomial([0, np.sqrt(1 - 0.99e-10)]), _blaschke_12(1, seed=4),
+        _blaschke_12(1 - 1e-11, seed=4)],
+        ids=["z", "(z-0.5)/(1-0.5z)", "1-|b|^2=0.99e-10", "B",
+             "(1-1e-11)B"])
     def test_extreme_b_refused(self, b):
         with pytest.raises(ExtremeFunctionError):
             hb.make_space(b)
+
+    def test_sign_change_within_rounding_is_not_named(self):
+        """(1 - 1e-10)B lies inside the ball, but the weight's rounding
+        hides where: its computed sign change is no UnitBallError."""
+        with pytest.raises(FactorizationError, match="only within") as info:
+            hb.make_space(_blaschke_12(1 - 1e-10, seed=1))
+        assert not isinstance(info.value, UnitBallError)
+
+    def test_near_circle_pair_is_no_sign_change(self):
+        """c(1+z)/2, c = 1 - 1e-14: w > 0 on the circle, but its roots
+        1 +- 2.8e-7 lie within PAIRING_RTOL of it and do not cluster."""
+        c = 1 - 1e-14
+        with pytest.raises(FactorizationError, match="too near") as info:
+            hb.make_space(UCF.polynomial([c / 2, c / 2]))
+        assert not isinstance(info.value, UnitBallError)
 
     def test_degree_12_inside_builds(self):
         sp = hb.make_space(_scaled_degree_12(0.999), use_exact=False)

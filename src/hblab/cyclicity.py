@@ -30,7 +30,7 @@ UNDETERMINED = "undetermined"
 
 _THEOREM_GRADE = {CYCLIC, NOT_CYCLIC}
 TABLE_MAX_N = 256           # largest decay table
-EXACT_TABLE_MAX_N = 128     # largest under use_exact=True (N = 128: <2 s)
+EXACT_TABLE_MAX_N = 128     # largest under use_exact=True (N = 128: <1 s)
 
 
 @dataclass

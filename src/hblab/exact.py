@@ -1,8 +1,9 @@
 """Exact complex-rational scalars, the Pythagorean certificate and the
 Bareiss elimination.
 
-Scalars (QC) are complex numbers with Fraction real and imaginary parts.
-Exact polynomials are numpy object arrays of them, which the float code
+Scalars (QC) are Gaussian integers over one positive denominator,
+(a + bi)/d in lowest terms, with Fraction views .re and .im.  Exact
+polynomials are numpy object arrays of them, which the float code
 of poly, factor and hb runs on unchanged: exact mates, inner products
 and Laurent weights go through hb and factor, not through copies here.
 The backend certifies identities (Pythagorean mate relation, mate
@@ -14,6 +15,7 @@ positive constant s are handled in scaled form a = s*A with s^2 rational.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,25 +24,33 @@ import numpy as np
 from . import factor
 
 
-def _binary(op):
-    """op, or NotImplemented for non-numbers so numpy can broadcast."""
-    def wrapped(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
-            return NotImplemented
-        return op(self, other)
-    return wrapped
-
-
 class QC:
-    """Complex number with exact rational parts."""
+    """Complex rational (a + bi)/d: a Gaussian-integer numerator over one
+    positive denominator, in lowest terms (gcd(a, b, d) == 1, d > 0).
 
-    __slots__ = ("re", "im")
+    The form is canonical, so equality compares fields, and a product is
+    four int products and one gcd.  .re and .im are Fraction views.
+    Operands that are not numbers give NotImplemented, so numpy
+    broadcasts a QC over object arrays from either side.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        d = math.lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @classmethod
     def from_complex(cls, z: complex, max_den: int = 10**9) -> "QC":
@@ -49,72 +59,135 @@ class QC:
                    Fraction(float(z.imag)).limit_denominator(max_den))
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def conj(self) -> "QC":
-        return QC(self.re, -self.im)
+        return _raw(self.a, -self.b, self.d)
 
     conjugate = conj    # what numpy's conj calls on object arrays
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.a == 0 and self.b == 0
 
-    @_binary
     def __add__(self, other):
-        return QC(self.re + other.re, self.im + other.im)
+        if type(other) is not QC:
+            other = _coerce_operand(other)
+            if other is None:
+                return NotImplemented
+        return _plus(self, other.a, other.b, other.d)
 
     __radd__ = __add__
 
-    @_binary
     def __sub__(self, other):
-        return QC(self.re - other.re, self.im - other.im)
+        if type(other) is not QC:
+            other = _coerce_operand(other)
+            if other is None:
+                return NotImplemented
+        return _plus(self, -other.a, -other.b, other.d)
 
     def __rsub__(self, other):
-        return _coerce(other).__sub__(self)
+        other = _coerce_operand(other)
+        return NotImplemented if other is None else other - self
 
-    @_binary
     def __mul__(self, other):
-        return QC(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
+        if type(other) is not QC:
+            other = _coerce_operand(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
-    @_binary
     def __truediv__(self, other):
-        d = other.abs2()
-        if d == 0:
+        if type(other) is not QC:
+            other = _coerce_operand(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        n = c * c + e * e
+        if n == 0:
             raise ZeroDivisionError("exact division by zero")
-        return QC((self.re * other.re + self.im * other.im) / d,
-                  (other.re * self.im - other.im * self.re) / d)
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        f = other.d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def __rtruediv__(self, other):
-        return _coerce(other).__truediv__(self)
+        other = _coerce_operand(other)
+        return NotImplemented if other is None else other / self
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _raw(-self.a, -self.b, self.d)
 
     def __eq__(self, other):
-        if not isinstance(other, (QC, int, Fraction, complex, float)):
-            return NotImplemented
-        other = _coerce(other)
-        return self.re == other.re and self.im == other.im
+        if type(other) is not QC:
+            if not isinstance(other, (int, Fraction, complex, float)):
+                return NotImplemented
+            other = _coerce(other)
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        """hash(re) + sys.hash_info.imag * hash(im) in the platform's hash
+        width, as for complex: equal to the hash of an equal int, Fraction,
+        float or complex."""
+        h = hash(self.re) + sys.hash_info.imag * hash(self.im)
+        h = (h + _HASH_HALF) % (2 * _HASH_HALF) - _HASH_HALF
+        return -2 if h == -1 else h
 
     def __repr__(self):
         return f"QC({self.re!s}, {self.im!s})"
 
 
+_HASH_HALF = 1 << (sys.hash_info.width - 1)
+_new = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> QC:
+    """The QC (a + bi)/d of numbers already in lowest terms."""
+    z = _new(QC)
+    z.a, z.b, z.d = a, b, d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> QC:
+    """The QC (a + bi)/d, d > 0, brought to lowest terms."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _raw(a, b, d)
+
+
+def _plus(x: QC, a: int, b: int, d: int) -> QC:
+    """x + (a + bi)/d, over the lcm of the two denominators."""
+    e = x.d
+    if d == e:
+        return _reduced(x.a + a, x.b + b, d)
+    g = math.gcd(d, e)
+    s, t = d // g, e // g
+    return _reduced(x.a * s + a * t, x.b * s + b * t, e * s)
+
+
 def _coerce(x) -> QC:
     if isinstance(x, QC):
         return x
+    if isinstance(x, int):
+        return _raw(x, 0, 1)
+    if isinstance(x, Fraction):
+        return _raw(x.numerator, 0, x.denominator)
     if isinstance(x, complex):
         return QC(Fraction(x.real), Fraction(x.imag))
     return QC(x)
+
+
+def _coerce_operand(x):
+    """x as a QC, or None for what is not a number (numpy arrays)."""
+    try:
+        return _coerce(x)
+    except TypeError:
+        return None
 
 
 QZERO = QC(0)
@@ -170,10 +243,11 @@ def bordered_schur(m) -> list[Fraction]:
     complement k.  A remainder or a non-positive pivot raises
     ArithmeticError."""
     n = len(m)
-    scale = math.lcm(*(x.denominator for j in range(n) for c in m[j][j:]
-                       for x in (c.re, c.im)))
-    re = [[0] * j + [int(c.re * scale) for c in m[j][j:]] for j in range(n)]
-    im = [[0] * j + [int(c.im * scale) for c in m[j][j:]] for j in range(n)]
+    scale = math.lcm(*(c.d for j in range(n) for c in m[j][j:]))
+    re = [[0] * j + [c.a * (scale // c.d) for c in m[j][j:]]
+          for j in range(n)]
+    im = [[0] * j + [c.b * (scale // c.d) for c in m[j][j:]]
+          for j in range(n)]
     out, prev = [], 1
     for k in range(n - 1):
         piv, rk, ik = re[k][k], re[k], im[k]

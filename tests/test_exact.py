@@ -1,7 +1,11 @@
+import math
+import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hblab import exact, factor, hb, poly
 from hblab.exact import QC
@@ -44,6 +48,174 @@ class TestQC:
                           (QC(2) / arr, 1 / (arr / QC(2)))):
             assert got.dtype == object and list(got) == list(want)
         assert list(Fraction(1, 2) * arr) == list(arr * QC(Fraction(1, 2)))
+
+# ---------------------------------------------------------------------------
+# QC against a reference on (re, im) Fraction pairs
+
+def _ref(x):
+    """An int, Fraction, float, complex or QC as a (re, im) Fraction pair."""
+    if isinstance(x, QC):
+        return Fraction(x.a, x.d), Fraction(x.b, x.d)
+    if isinstance(x, complex):
+        return Fraction(x.real), Fraction(x.imag)
+    return Fraction(x), Fraction(0)
+
+
+def _ref_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _ref_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    if n == 0:
+        raise ZeroDivisionError
+    return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+
+_OPS = [(operator.add, _ref_add), (operator.sub, _ref_sub),
+        (operator.mul, _ref_mul), (operator.truediv, _ref_div)]
+
+
+def _assert_canonical(z, want):
+    assert type(z) is QC and (z.re, z.im) == want
+    assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+
+
+def _complex_hash(re, im):
+    """hash(complex(re, im)) computed from the parts' hashes, in the
+    platform's hash width."""
+    half = 1 << (sys.hash_info.width - 1)
+    h = (hash(re) + sys.hash_info.imag * hash(im) + half) % (2 * half) - half
+    return -2 if h == -1 else h
+
+
+_fractions = st.one_of(st.integers(-10**30, 10**30),
+                       st.fractions(max_denominator=10**12))
+_qcs = st.builds(QC, _fractions, _fractions)
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_others = st.one_of(st.integers(-10**20, 10**20), st.fractions(),
+                    _floats, st.complex_numbers(allow_nan=False,
+                                                allow_infinity=False))
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                     database=None)
+
+
+class TestQCProperties:
+    @_PROPERTY
+    @given(_qcs, _qcs)
+    def test_binary_ops_match_reference(self, x, y):
+        for op, ref in _OPS:
+            try:
+                want = ref(_ref(x), _ref(y))
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    op(x, y)
+                continue
+            _assert_canonical(op(x, y), want)
+
+    @_PROPERTY
+    @given(_qcs, _others)
+    def test_mixed_operands_on_both_sides(self, x, y):
+        for op, ref in _OPS:
+            for left, right in ((x, y), (y, x)):
+                try:
+                    want = ref(_ref(left), _ref(right))
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        op(left, right)
+                    continue
+                _assert_canonical(op(left, right), want)
+
+    @_PROPERTY
+    @given(_fractions, _fractions)
+    def test_unary_ops_and_constructor(self, re, im):
+        x = QC(re, im)
+        _assert_canonical(x, (re, im))
+        _assert_canonical(-x, (-re, -im))
+        _assert_canonical(x.conj(), (re, -im))
+        assert x.abs2() == re * re + im * im
+        assert type(x.abs2()) is Fraction
+        assert x.is_zero() == (re == 0 and im == 0)
+
+    @_PROPERTY
+    @given(_others)
+    def test_division_by_zero(self, y):
+        x = exact.qpoly([y])[0]
+        with pytest.raises(ZeroDivisionError):
+            y / QC(0)
+        for zero in (QC(0), 0, Fraction(0), 0.0, 0j):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
+
+    @_PROPERTY
+    @given(_others)
+    def test_hash_agrees_with_equal_numbers(self, y):
+        x = exact.qpoly([y])[0]
+        assert x == y and y == x and hash(x) == hash(y)
+        assert len({x, y}) == 1
+
+    @_PROPERTY
+    @given(_fractions, _fractions)
+    def test_hash_formula(self, re, im):
+        x = QC(re, im)
+        assert hash(x) == _complex_hash(re, im)
+        if im == 0:
+            assert hash(x) == hash(Fraction(re))
+
+    def test_hash_examples(self):
+        assert len({QC(1), 1}) == 1 and hash(QC(1)) == hash(1)
+        assert hash(QC(Fraction(1, 2))) == hash(0.5)
+        assert hash(QC(0.5, -0.25)) == hash(0.5 - 0.25j)
+        assert hash(QC(-1)) == hash(-1) == -2
+
+
+def _ref_schur(m):
+    """The corners c - r_k* G_k^-1 r_k of the full Hermitian matrix m, by
+    Gaussian elimination on (re, im) Fraction pairs."""
+    m = [row[:] for row in m]
+    n, out = len(m), []
+    for k in range(n - 1):
+        for i in range(k + 1, n):
+            f = _ref_div(m[i][k], m[k][k])
+            for j in range(k + 1, n):
+                m[i][j] = _ref_sub(m[i][j], _ref_mul(f, m[k][j]))
+        assert m[n - 1][n - 1][1] == 0
+        out.append(m[n - 1][n - 1][0])
+    return out
+
+
+class TestBorderedSchur:
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(2, 6).flatmap(lambda n: st.lists(
+        st.tuples(st.fractions(-3, 3, max_denominator=12),
+                  st.fractions(-3, 3, max_denominator=12)),
+        min_size=n * n, max_size=n * n)))
+    def test_mixed_denominators_match_elimination(self, entries):
+        # M = B B* + I is Hermitian positive definite, with entries over
+        # many different denominators
+        n = math.isqrt(len(entries))
+        B = [entries[i * n:(i + 1) * n] for i in range(n)]
+        conj = [[(re, -im) for re, im in row] for row in B]
+        M = []
+        for i in range(n):
+            M.append([])
+            for j in range(n):
+                acc = (Fraction(int(i == j)), Fraction(0))
+                for k in range(n):
+                    acc = _ref_add(acc, _ref_mul(B[i][k], conj[j][k]))
+                M[i].append(acc)
+        m = [[None] * i + [QC(*M[i][j]) for j in range(i, n)]
+             for i in range(n)]
+        assert exact.bordered_schur(m) == _ref_schur(M)
 
 
 class TestPolynomials:

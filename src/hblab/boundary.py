@@ -28,14 +28,15 @@ class UnitCircleFunction:
                  boundary_singular=False, den_roots=None):
         self.kind = kind
         self.boundary_singular = bool(boundary_singular)
+        num_roots = None
         if kind == "poly":
             self.num = poly.trim(num)
             self.den = np.array([1.0 + 0j])
             if not np.all(np.isfinite(self.num)):
                 raise ValueError("polynomial coefficients must be finite")
         elif kind == "rational":
-            num, den = _normalize_rational(num, den, boundary_singular,
-                                           den_roots)
+            num, den, num_roots = _normalize_rational(
+                num, den, boundary_singular, den_roots)
             self.num, self.den = num, den
         elif kind == "blaschke":
             zs = [complex(z) for z in (zeros or [])]
@@ -55,6 +56,7 @@ class UnitCircleFunction:
         else:
             raise ValueError(f"unknown representation kind {kind!r}")
         self._samples: dict[int, np.ndarray] = {}
+        self._num_roots = _carried(self.num, num_roots)
 
     # -- constructors -------------------------------------------------------
 
@@ -67,12 +69,24 @@ class UnitCircleFunction:
                  den_roots=None) -> "UnitCircleFunction":
         """num/den, common roots cancelled and poles checked.
 
-        den_roots, when given, are the roots with multiplicity of a den
-        the caller has already cancelled against num (cancel_with_roots);
-        the cancellation and the root solve are then skipped.
+        The cancellation solves den and, when den is nonconstant, num; the
+        function keeps the roots of num it leaves (num_roots).  den_roots,
+        when given, are the roots with multiplicity of a den the caller has
+        already cancelled against num (cancel_with_roots); the cancellation
+        and both root solves are then skipped, and num's roots are solved
+        on first use.
         """
         return cls("rational", num, den, boundary_singular=boundary_singular,
                    den_roots=den_roots)
+
+    @classmethod
+    def _cancelled(cls, num, den, num_roots, den_roots,
+                   boundary_singular=False) -> "UnitCircleFunction":
+        """rational(num, den, ...) for a pair cancel_with_roots returned,
+        carrying the roots it left on both sides: no root solve."""
+        fn = cls.rational(num, den, boundary_singular, den_roots)
+        fn._num_roots = _carried(fn.num, num_roots)
+        return fn
 
     @classmethod
     def blaschke(cls, zeros, phase=1.0) -> "UnitCircleFunction":
@@ -97,6 +111,14 @@ class UnitCircleFunction:
 
     def degree(self) -> int:
         return max(poly.degree(self.num), poly.degree(self.den))
+
+    def num_roots(self) -> tuple:
+        """Roots with multiplicity of the numerator, () when it is constant:
+        carried from construction or solved on first use, then kept."""
+        if self._num_roots is None:
+            self._num_roots = tuple(poly.roots_with_multiplicity(self.num)
+                                    if poly.degree(self.num) >= 1 else ())
+        return self._num_roots
 
     def __call__(self, z):
         zin = np.asarray(z, dtype=complex)
@@ -241,17 +263,27 @@ def _make_rational(num, den) -> UnitCircleFunction:
     return UnitCircleFunction.rational(num, den)
 
 
+def _carried(num, roots):
+    """roots when they account for the degree of num, else None (the
+    roots are then solved on first use)."""
+    if roots is None or sum(m for _r, m in roots) != max(poly.degree(num), 0):
+        return None
+    return tuple(roots)
+
+
 def _normalize_rational(num, den, boundary_singular, den_roots=None):
+    """(num, den, roots of num or None), den[0] = 1, poles checked."""
     num = poly.trim(num)
     den = poly.trim(den)
     if poly.degree(den) < 0 or (poly.degree(den) == 0 and den[0] == 0):
         raise ZeroDivisionError("zero denominator")
+    num_roots = None
     if den_roots is None:
         rd = poly.roots_with_multiplicity(den) if poly.degree(den) >= 1 \
             else []
         rn = poly.roots_with_multiplicity(num) \
             if rd and poly.degree(num) >= 1 else []
-        num, den, den_roots = cancel_with_roots(num, den, rn, rd)
+        num, den, num_roots, den_roots = cancel_with_roots(num, den, rn, rd)
     for r, _m in den_roots:
         if abs(r) < 1 - config.PAIRING_RTOL:
             raise PoleError("denominator vanishes inside the open disk")
@@ -261,7 +293,7 @@ def _normalize_rational(num, den, boundary_singular, den_roots=None):
     if den[0] == 0:
         raise PoleError("denominator vanishes at 0")
     scale = den[0]
-    return num / scale, den / scale
+    return num / scale, den / scale, num_roots
 
 
 def cancel_common_roots(num, den, tol: float = 1e-9):
@@ -269,7 +301,7 @@ def cancel_common_roots(num, den, tol: float = 1e-9):
     num, den = poly.trim(num), poly.trim(den)
     if poly.degree(num) < 1 or poly.degree(den) < 1:
         return num, den
-    num, den, _rd = cancel_with_roots(
+    num, den, _rn, _rd = cancel_with_roots(
         num, den, poly.roots_with_multiplicity(num),
         poly.roots_with_multiplicity(den), tol)
     return num, den
@@ -282,7 +314,7 @@ def cancel_with_roots(num, den, num_roots, den_roots, tol: float = 1e-9):
     den.  Each root of den cancels against the first root of num within
     tol (relative), down to the smaller multiplicity; the reduced pair is
     rebuilt from the remaining roots and the leading coefficients.
-    Returns (num, den, remaining den roots).
+    Returns (num, den, remaining num roots, remaining den roots).
     """
     num, den = poly.trim(num), poly.trim(den)
     keep_n = [[r, m] for r, m in num_roots]
@@ -297,12 +329,13 @@ def cancel_with_roots(num, den, num_roots, den_roots, tol: float = 1e-9):
                     nn[1] -= k
                     cancelled = True
                 break
+    left_n = [(r, m) for r, m in keep_n if m > 0]
     left_d = [(r, m) for r, m in keep_d if m > 0]
     if not cancelled:
-        return num, den, left_d
-    new_num = poly.from_roots([(r, m) for r, m in keep_n if m > 0], num[-1])
+        return num, den, left_n, left_d
+    new_num = poly.from_roots(left_n, num[-1])
     new_den = poly.from_roots(left_d, den[-1])
-    return poly.trim(new_num), poly.trim(new_den), left_d
+    return poly.trim(new_num), poly.trim(new_den), left_n, left_d
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +516,13 @@ def fourier_coeffs(fn: UnitCircleFunction, n0: int, n1: int,
 
 
 def roots(p, cluster_rtol: float | None = None):
-    """Roots with multiplicities of a polynomial (or polynomial function)."""
+    """Roots with multiplicities of a polynomial (or polynomial function,
+    whose kept roots serve the default clustering)."""
     if isinstance(p, UnitCircleFunction):
-        p = p.to_polynomial()
+        coeffs = p.to_polynomial()
+        if cluster_rtol is None and poly.degree(coeffs) >= 1:
+            return list(p.num_roots())
+        p = coeffs
     return poly.roots_with_multiplicity(p, cluster_rtol)
 
 

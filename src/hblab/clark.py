@@ -45,16 +45,20 @@ def phi_alpha(space: HbSpace, alpha: complex) -> UnitCircleFunction:
 
 def _density_root(space: HbSpace, alpha: complex):
     """(phi_alpha, qa, roots of qa, roots left in phi_alpha's denominator);
-    phi_alpha = a*q/qa is a multiple of A/qa, free of the poles of b."""
+    phi_alpha = a*q/qa is a multiple of A/qa, free of the poles of b.
+
+    One root solve, of qa: phi_alpha carries its numerator roots, those
+    of space.a_roots() that the cancellation against qa leaves.
+    """
     qa = poly.psub(space.q, np.conj(alpha) * space.p)
     qa_roots = poly.roots_with_multiplicity(qa) if poly.degree(qa) >= 1 \
         else []
     aq = space.A * (complex(space.a(0.0)) * space.q[0] / space.A[0])
-    num, den, left = cancel_with_roots(aq, qa, space.a_roots(), qa_roots,
-                                       tol=1e-7)
+    num, den, kept, left = cancel_with_roots(aq, qa, space.a_roots(),
+                                             qa_roots, tol=1e-7)
     singular = any(abs(abs(r) - 1) <= config.PAIRING_RTOL for r, _m in left)
-    root = UnitCircleFunction.rational(num, den, boundary_singular=singular,
-                                       den_roots=left)
+    root = UnitCircleFunction._cancelled(num, den, kept, left,
+                                         boundary_singular=singular)
     return root, qa, qa_roots, left
 
 

@@ -92,7 +92,7 @@ def classify_finite_defect(space: HbSpace, f) -> CyclicityReport:
     zero of a.
     """
     return outer_nonvanishing_rule(
-        _as_poly(f), defect_spectrum(space), "finite_defect_classifier",
+        f, defect_spectrum(space), "finite_defect_classifier",
         "cyclic iff outer and nonvanishing at every unimodular zero of a")
 
 
@@ -104,11 +104,12 @@ def outer_nonvanishing_rule(f, points, rule: str,
     inner-model oracles; points are the circle points where the space
     carries its defect (zeros of a, atoms of the measure).
     """
-    f = poly.trim(np.asarray(f, dtype=complex))
+    fn = _candidate(f)
+    f = fn.num
     if poly.degree(f) < 0:
         return CyclicityReport(NOT_CYCLIC, [Evidence(
             rule, "the zero function is never cyclic")])
-    outer = factor.is_outer(f)
+    outer = factor.is_outer(fn)
     values = {_ang(z): float(abs(poly.horner(f, z))) for z in points}
     small = [a for a, v in values.items() if v <= config.POINT_ZERO_TOL]
     verdict = CYCLIC if outer and not small else NOT_CYCLIC
@@ -125,6 +126,14 @@ def _as_poly(f) -> np.ndarray:
     if isinstance(f, UnitCircleFunction):
         return f.to_polynomial()
     return poly.trim(np.asarray(f, dtype=complex))
+
+
+def _candidate(f) -> UnitCircleFunction:
+    """f as a polynomial function, kept when given as one: the rules that
+    read its roots then share one solve."""
+    if isinstance(f, UnitCircleFunction) and f.kind == "poly":
+        return f
+    return UnitCircleFunction.polynomial(_as_poly(f))
 
 
 def _ang(z) -> float:
@@ -364,16 +373,17 @@ def theorem_a_check(space: HbSpace, f, e_arcs: Sequence[Arc],
     unimodular zero in closure(E) and f none in closure(F); grid integrals
     are reported as diagnostics only.
     """
-    f = _as_poly(f)
+    fn = _candidate(f)
+    f = fn.num
     e_arcs, f_arcs = list(e_arcs), list(f_arcs)
     reasons = []
-    if not factor.is_outer(f):
+    outer = factor.is_outer(fn)
+    if not outer:
         reasons.append("candidate is not outer")
     if not arcs_cover_circle(e_arcs + f_arcs):
         reasons.append("E and F do not cover the circle")
     a_zeros = defect_spectrum(space)
-    f_zeros = sigma.sigma_upper(UnitCircleFunction.polynomial(f)) \
-        if factor.is_outer(f) else []
+    f_zeros = sigma.sigma_upper(fn) if outer else []
     bad_a = [z for z in a_zeros
              if arc_union_contains(e_arcs, z, closed=True, tol=1e-12)]
     if bad_a:
@@ -434,13 +444,14 @@ def theorem_b_check(space: HbSpace, f, cover: TheoremBCover | Sequence
     cover certifies every outer candidate exactly when that bound is
     empty (then multiples of a are dense).
     """
-    _require_normalized(space)
-    f = _as_poly(f)
+    phi = _require_normalized(space).density_root
+    fn = _candidate(f)
     items = cover.items if isinstance(cover, TheoremBCover) else list(cover)
     reasons = []
-    if not factor.is_outer(f):
+    outer = factor.is_outer(fn)
+    if not outer:
         reasons.append("candidate is not outer")
-    upper = sigma.sigma_upper(sigma.phi_for_space(space))
+    upper = sigma.sigma_upper(phi)
     uncovered = [z for z in upper
                  if not any(arc.contains_point(z, closed=False)
                             for arc, _eta in items)]
@@ -449,9 +460,8 @@ def theorem_b_check(space: HbSpace, f, cover: TheoremBCover | Sequence
                        f"{[_ang(z) for z in uncovered]} are not covered")
     n = space.grid.n
     pts = config.unit_circle_points(n)
-    fvals = np.abs(poly.horner(_as_poly(f), pts))
-    f_zeros = sigma.sigma_upper(UnitCircleFunction.polynomial(f)) \
-        if factor.is_outer(f) else []
+    fvals = np.abs(poly.horner(fn.num, pts))
+    f_zeros = sigma.sigma_upper(fn) if outer else []
     bounds = []
     for arc, eta in items:
         if eta <= 0:
@@ -491,12 +501,12 @@ def theorem_c_check(space: HbSpace, g) -> tuple:
     part of the conclusion is F in H(b), asserted by embedding F through
     its mate.  Returns (F, outcome).
     """
-    _require_normalized(space)
+    phi = _require_normalized(space).density_root
     g = _as_poly(g)
     f_image = clark.normalized_cauchy_rational(space, 1.0, g)
     theta, big_f = factor.inner_outer(f_image, space.grid)
     sigma_f = sigma.sigma_upper(big_f)
-    sigma_phi = sigma.sigma_upper(sigma.phi_for_space(space))
+    sigma_phi = sigma.sigma_upper(phi)
     clash = [z for z in sigma_f
              if any(abs(z - w) <= 1e-6 for w in sigma_phi)]
     reasons = []
@@ -540,8 +550,9 @@ def necessity_check(space: HbSpace, f, alphas=None) -> NecessityOutcome:
     yields a theorem-grade not_cyclic with the witnessing (alpha, atom).
     Non-outer candidates fail outright.
     """
-    f = _as_poly(f)
-    if poly.degree(f) < 0 or not factor.is_outer(f):
+    fn = _candidate(f)
+    f = fn.num
+    if poly.degree(f) < 0 or not factor.is_outer(fn):
         rep = CyclicityReport(NOT_CYCLIC, [Evidence(
             "outer_necessity", "cyclic vectors must be outer",
             numbers={"is_outer": False})])
@@ -577,16 +588,16 @@ def assess(space: HbSpace, f, n_max: int = 32,
     """Run classifier, necessity, and decay heuristics; merge the evidence.
 
     The theorem-grade classifier verdict wins; heuristic evidence is
-    appended for cross-checking.
+    appended for cross-checking.  Both rules read one root solve of f.
     """
-    f = _as_poly(f)
-    report = classify_finite_defect(space, f)
+    fn = _candidate(f)
+    report = classify_finite_defect(space, fn)
     evidence = list(report.evidence)
-    nec = necessity_check(space, f)
+    nec = necessity_check(space, fn)
     evidence.extend(nec.report.evidence)
     table = None
-    if poly.degree(f) >= 0:
-        table = decay_table(space, f, max(n_max, 20))
+    if poly.degree(fn.num) >= 0:
+        table = decay_table(space, fn.num, max(n_max, 20))
         est = estimate_from_decay(table, thresholds)
         evidence.extend(est.evidence)
         if report.verdict in _THEOREM_GRADE and est.verdict in (

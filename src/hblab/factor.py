@@ -216,16 +216,15 @@ def is_outer(f) -> bool:
 
     For polynomials this characterizes the outer functions (circle zeros
     are permitted); rational functions are tested through their numerator.
+    A UnitCircleFunction is read through its kept numerator roots
+    (num_roots), so asking again, or asking sigma_upper, solves nothing.
     """
-    if isinstance(f, UnitCircleFunction):
-        f = f.num
-    f = poly.trim(f)
-    if poly.degree(f) < 0:
+    fn = f if isinstance(f, UnitCircleFunction) else \
+        UnitCircleFunction.polynomial(f)
+    if poly.degree(fn.num) < 0:
         raise ValueError("the zero function is not outer")
-    if poly.degree(f) == 0:
-        return True
     return all(abs(r) >= 1 - config.INTERIOR_TOL
-               for r, _m in poly.roots_with_multiplicity(f))
+               for r, _m in fn.num_roots())
 
 
 def inner_outer(f, grid: config.GridConfig = config.DEFAULT_GRID):
@@ -240,10 +239,8 @@ def inner_outer(f, grid: config.GridConfig = config.DEFAULT_GRID):
     num, den = fn.as_num_den()
     if poly.degree(num) < 0:
         raise ValueError("cannot factor the zero function")
-    interior = []
-    if poly.degree(num) >= 1:
-        interior = [(r, m) for r, m in poly.roots_with_multiplicity(num)
-                    if abs(r) < 1 - config.INTERIOR_TOL]
+    interior = [(r, m) for r, m in fn.num_roots()
+                if abs(r) < 1 - config.INTERIOR_TOL]
     f_num = num.copy()
     for r, m in interior:
         for _ in range(m):

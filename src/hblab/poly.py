@@ -10,6 +10,8 @@ polishing.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import config
@@ -175,13 +177,20 @@ def from_roots(root_mult_pairs, lead: complex = 1.0) -> np.ndarray:
 
 
 def _polish(p, dp, z: complex, mult: int) -> complex:
+    """At most 30 modified Newton steps z -= mult p(z)/p'(z), evaluated by
+    horner's scalar loop on coefficient lists built once."""
+    p0, *ps = p[::-1].tolist()
+    d0, *ds = dp[::-1].tolist()
     for _ in range(30):
-        pv = horner(p, z)
-        dv = horner(dp, z)
+        pv, dv = p0, d0
+        for a in ps:
+            pv = pv * z + a
+        for a in ds:
+            dv = dv * z + a
         if dv == 0:
             break
         step = mult * pv / dv
-        if not np.isfinite(step):
+        if not (math.isfinite(step.real) and math.isfinite(step.imag)):
             break
         z = z - step
         if abs(step) < 1e-15 * max(1.0, abs(z)):

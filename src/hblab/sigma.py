@@ -53,17 +53,16 @@ def sigma_upper(phi: UnitCircleFunction) -> list:
     """Unimodular zeros of the numerator of an outer rational function.
 
     On any closed arc avoiding these points 1/phi is bounded, hence
-    square-summable, so no non-exposure point lies there.
+    square-summable, so no non-exposure point lies there.  The zeros and
+    the outer test read phi's kept numerator roots: at most one solve,
+    none for a density root of clark, which carries them.
     """
+    if not isinstance(phi, UnitCircleFunction):
+        phi = UnitCircleFunction.polynomial(phi)
     if not factor.is_outer(phi):
         raise ValueError("upper bound requires an outer function")
-    num = phi.num if isinstance(phi, UnitCircleFunction) else poly.aspoly(phi)
-    out = []
-    if poly.degree(num) >= 1:
-        for r, _m in poly.roots_with_multiplicity(num):
-            if abs(abs(r) - 1) <= config.ATOM_LOCATION_TOL:
-                out.append(r / abs(r))
-    return _dedupe(out)
+    return _dedupe([r / abs(r) for r, _m in phi.num_roots()
+                    if abs(abs(r) - 1) <= config.ATOM_LOCATION_TOL])
 
 
 def sigma_lower(space: HbSpace, alphas=None) -> SigmaBounds:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hblab import hb
+from hblab import hb, poly
 from hblab.boundary import UnitCircleFunction as UCF
 
 
@@ -39,3 +39,18 @@ def all_test_spaces(space_half_shift, space_small_shift, space_shifted_half):
         "z(1+z)/2": space_shifted_half,
         "(3z+z^2)/4": extra,
     }
+
+
+@pytest.fixture
+def root_solves(monkeypatch):
+    """The polynomials poly.roots_with_multiplicity is asked to solve,
+    trimmed, in call order."""
+    solved = []
+    solve = poly.roots_with_multiplicity
+
+    def counted(c, *args, **kwargs):
+        solved.append(poly.trim(c))
+        return solve(c, *args, **kwargs)
+
+    monkeypatch.setattr(poly, "roots_with_multiplicity", counted)
+    return solved

@@ -159,6 +159,46 @@ class TestRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             roots(np.array([3.0]))
+        with pytest.raises(ValueError):
+            roots(UCF.constant(3.0))
+
+    def test_function_roots_kept(self):
+        fn = UCF.polynomial([2.0, -1.0, -1.0])
+        assert roots(fn) == roots(fn.to_polynomial()) == list(fn.num_roots())
+
+    def test_polish_matches_horner_loop(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        cases = []
+        for i in range(300):
+            deg = int(rng.integers(1, 13))
+            if i % 3:
+                cases.append(rng.normal(size=deg + 1) +
+                             1j * rng.normal(size=deg + 1))
+            else:               # repeated roots, multiplicity up to 3
+                rs = rng.normal(size=deg) + 1j * rng.normal(size=deg)
+                cases.append(poly.from_roots(
+                    [(r, int(rng.integers(1, 4))) for r in rs[:4]],
+                    lead=rng.normal() + 1j))
+        got = [poly.roots_with_multiplicity(c) for c in cases]
+        monkeypatch.setattr(poly, "_polish", _polish_over_horner)
+        assert got == [poly.roots_with_multiplicity(c) for c in cases]
+        assert any(m > 1 for rs in got for _r, m in rs)
+
+
+def _polish_over_horner(p, dp, z, mult):
+    """poly._polish's Newton loop with each value from poly.horner."""
+    for _ in range(30):
+        pv = poly.horner(p, z)
+        dv = poly.horner(dp, z)
+        if dv == 0:
+            break
+        step = mult * pv / dv
+        if not np.isfinite(step):
+            break
+        z = z - step
+        if abs(step) < 1e-15 * max(1.0, abs(z)):
+            break
+    return z
 
 
 class TestHerglotz:

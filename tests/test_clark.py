@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hblab import clark, config, cyclicity, hb, poly, sigma
+from hblab import clark, config, cyclicity, factor, hb, poly, sigma
 from hblab.boundary import UnitCircleFunction as UCF
 from hblab.errors import DomainError
 
@@ -157,21 +157,13 @@ class TestSweep:
                 total = cm.ac_mass + sum(m for _z, m in cm.atoms)
                 assert abs(total - h0) <= 1e-6 * max(1.0, h0), what
 
-    def test_one_root_solve_per_measure(self, monkeypatch):
-        calls = []
-        solve = poly.roots_with_multiplicity
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(poly, "roots_with_multiplicity", counted)
+    def test_one_root_solve_per_measure(self, root_solves):
         for coeffs in ([0.0, 0.5, 0.5], [0.5, 0, 0, 0, 0.5],
                        [0.1, 0.2j, -0.3, 0.25, 0.1j]):
             sp = hb.make_space(UCF.polynomial(coeffs), use_exact=False)
-            calls.clear()
+            root_solves.clear()
             sweep = clark.clark_sweep(sp)
-            assert len(calls) <= len(sweep) + 4, (coeffs, len(calls))
+            assert len(root_solves) <= len(sweep) + 4, coeffs
 
     def test_default_sweep_matches_64(self, all_test_spaces,
                                       space_from_one_minus_z):
@@ -285,6 +277,42 @@ class TestStoredSweep:
             want = cyclicity.necessity_check(fresh, f)
             assert (got.passed, got.witness) == (want.passed, want.witness)
             assert got.report.to_dict() == want.report.to_dict()
+
+
+def _carried_matches_fresh(sp):
+    """The alpha = 1 density root carries roots of A, and sigma_upper and
+    is_outer on them agree with a fresh solve of its numerator; returns
+    the carried roots."""
+    phi = clark.clark_sweep(sp)[0][1].density_root
+    kept = phi.num_roots()
+    assert all(any(r == s for s, _m in sp.a_roots()) for r, _m in kept)
+    fresh = UCF.rational(phi.num, phi.den)
+    assert factor.is_outer(phi) == factor.is_outer(fresh)
+    got, want = sigma.sigma_upper(phi), sigma.sigma_upper(fresh)
+    assert len(got) == len(want)
+    assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
+    return kept
+
+
+class TestCarriedRoots:
+    """Density roots read the space's roots of A instead of re-solving."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(**RANDOM_B)
+    def test_match_fresh_solve(self, num, poles):
+        _carried_matches_fresh(hb.make_space(_random_b(num, poles),
+                                             use_exact=False))
+
+    @pytest.mark.parametrize("coeffs, left", [
+        ([0.5, 0.5], 0), ([0.0, 0.5, 0.5], 0), ([0.5, 0, 0, 0, 0.5], 0),
+        ([0.5j, 0.5j], 1)])
+    def test_cancelled_cases(self, coeffs, left):
+        # in the first three b = 1 at every circle zero of a, so q - p
+        # cancels them all; i(1+z)/2 keeps its zero at 1, the upper point
+        sp = hb.make_space(UCF.polynomial(coeffs))
+        assert len(_carried_matches_fresh(sp)) == left
+        assert len(sigma.sigma_bounds(sp).upper) == left
 
 
 class TestClosedForm:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hblab import config, cyclicity as cy, exact, hb, poly
+from hblab import clark, config, cyclicity as cy, exact, hb, poly, sigma
 from hblab.boundary import Arc, UnitCircleFunction as UCF
 from hblab.errors import NormalizationError
 
@@ -420,3 +420,67 @@ class TestAssess:
         assert "decay_heuristic" in rules
         agree = [e for e in rep.evidence if e.rule == "route_agreement"]
         assert agree and agree[0].numbers["agree"]
+
+
+def _multiple(c, d) -> bool:
+    """True when the polynomials c and d are proportional."""
+    c, d = poly.trim(c), poly.trim(d)
+    return c.size == d.size and np.allclose(c / c[-1], d / d[-1],
+                                            rtol=0, atol=1e-12)
+
+
+class TestRootSolves:
+    """One root solve per polynomial: rules share the candidate's roots,
+    and stored or carried roots are read, not solved again."""
+
+    SPACES = ([0.5, 0.5], [0.0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0, 0, 0, 0.5],
+              [0.1, 0.2j, -0.3, 0.25, 0.1j])
+
+    @pytest.mark.parametrize("coeffs", SPACES)
+    def test_assess_solves_f_once(self, coeffs, root_solves):
+        sp = hb.make_space(UCF.polynomial(coeffs), use_exact=False)
+        clark.clark_sweep(sp)
+        for f in ([1, 1], [1, -1], [0, 1], [2.0, 0.5j, 0.25]):
+            root_solves.clear()
+            cy.assess(sp, f)
+            assert len(root_solves) == 1 and \
+                np.array_equal(root_solves[0], poly.trim(f)), f
+        fn = UCF.polynomial([3.0, 1.0])
+        root_solves.clear()
+        cy.assess(sp, fn)
+        cy.assess(sp, fn)
+        assert len(root_solves) == 1
+
+    @pytest.mark.parametrize("coeffs", SPACES)
+    def test_sigma_bounds_reads_stored_sweep(self, coeffs, root_solves):
+        sp = hb.make_space(UCF.polynomial(coeffs), use_exact=False)
+        root_solves.clear()
+        first = sigma.sigma_bounds(sp)
+        assert len(root_solves) <= len(clark.clark_sweep(sp)) + 4
+        root_solves.clear()
+        assert sigma.sigma_bounds(sp) == first
+        assert root_solves == []
+
+    def test_certificate_a_solves_f_once(self, root_solves):
+        sp = hb.make_space(UCF.polynomial([0.5, 0.5]))
+        sp.a_roots()
+        for f in ([1, 1], [0, 1]):
+            root_solves.clear()
+            cy.theorem_a_check(sp, f, [Arc.from_angles(0.1, 6.183)],
+                               [Arc.from_angles(-0.5, 0.5)])
+            assert len(root_solves) == 1 and \
+                np.array_equal(root_solves[0], poly.trim(f)), f
+
+    def test_certificate_b_solves_f_not_phi(self, root_solves):
+        sp = hb.make_space_from_phi(UCF.polynomial([1 / np.sqrt(2),
+                                                    -1 / np.sqrt(2)]))
+        sp.a_roots()
+        for f, ok in (([1, 1], True), ([-np.exp(0.1j), 1], False)):
+            root_solves.clear()
+            out = cy.theorem_b_check(sp, f,
+                                     [(Arc.from_angles(-0.2, 0.2), 0.5)])
+            solved = list(root_solves)
+            phi = sigma.phi_for_space(sp)
+            assert out.ok == ok and poly.degree(phi.num) >= 1
+            assert sum(_multiple(c, f) for c in solved) == 1, f
+            assert not any(_multiple(c, phi.num) for c in solved), f

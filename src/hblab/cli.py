@@ -149,8 +149,12 @@ def cmd_decay(args):
         cyclicity.TABLE_MAX_N
     if not 1 <= args.n <= cap:
         _fail(f"--n {args.n} is outside 1..{cap} (--exact {args.exact})", 2)
-    sp = _space(args)
     f = parse_function(args.f)
+    if f.is_polynomial() and \
+            f.degree() + args.n > cyclicity.TABLE_MAX_ROWS:
+        _fail(f"deg f + N = {f.degree()} + {args.n} exceeds "
+              f"{cyclicity.TABLE_MAX_ROWS} (--f, --n)", 2)
+    sp = _space(args)
     table = cyclicity.decay_table(sp, f, args.n,
                                   use_exact=_exact_mode(args))
     out = {"entries": table.csv_rows(), "norm1_sq": table.norm1_sq,

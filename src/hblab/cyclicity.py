@@ -20,7 +20,7 @@ from .boundary import Arc, UnitCircleFunction, arc_union_contains, \
     arcs_cover_circle
 from .errors import NormalizationError
 from .hb import HbElement, HbSpace, element_from_rational, exact_mate, \
-    make_element, shifted_mates
+    make_element
 
 CYCLIC = "cyclic"
 NOT_CYCLIC = "not_cyclic"
@@ -30,6 +30,7 @@ UNDETERMINED = "undetermined"
 
 _THEOREM_GRADE = {CYCLIC, NOT_CYCLIC}
 TABLE_MAX_N = 256           # largest decay table
+TABLE_MAX_ROWS = 2 * TABLE_MAX_N    # largest deg f + N: caps a stored factor
 EXACT_TABLE_MAX_N = 128     # largest under use_exact=True (N = 128: <1 s)
 
 
@@ -187,17 +188,21 @@ def decay_table(space: HbSpace, f, n_max: int,
     """Distances from 1 to the polynomial-multiple spans of f.
 
     Through the embedding, d_N^2 = ||w||^2 - sum of |<w, q_i>|^2 over an
-    orthonormal basis q_i of the span of the first N embedded multiples.
-    shifted_mates gives the N multiples z^k f and their mates from one
-    back substitution (mate(z h) is z mate(h) plus a constant, one more
-    O(deg p + deg A) step) and one residual check covering every column.
-    Only the triangular factor of [M | w] = Q R is formed, M the stacked
-    multiples and w the embedded constant: R[i, N] = <w, q_i>.  Columns
-    whose pivot collapses are flagged as near-dependent.  The Gram
-    matrix squares the conditioning, so only the exact backend uses it
-    (exact_entries: one exact mate, the Gram matrix by the same shift
-    recurrence, one fraction-free elimination over Gaussian integers):
-    "auto" computes the first 32, True refuses N > EXACT_TABLE_MAX_N.
+    orthonormal basis q_i of the span of the first N embedded multiples
+    z^k f, w the embedded constant.  Stacked, multiples and constant are
+    [I; K] [T_f | e_0], K the mate map on polynomials of degree < R =
+    deg f + N (HbSpace.embedding_factor), and [I; K] = Q0 R0.  So the
+    triangular factor of B = R0 [T_f | e_0], R x (N+1) and deg f + 1
+    scaled column slices of R0, is theirs up to a unimodular diagonal:
+    R[i, N] = <w, q_i>, and B's column norms are the multiples' H(b)
+    norms.  Only the space's own Gram matrix I + K^H K goes through a
+    Cholesky, once per space; the conditioning that comes from f stays
+    inside this Householder QR.  Columns whose pivot collapses are
+    flagged as near-dependent.  R is at most TABLE_MAX_ROWS.  The exact
+    backend forms the Gram matrix of the multiples (exact_entries: one
+    exact mate, the Gram matrix by the shift recurrence, one
+    fraction-free elimination over Gaussian integers): "auto" computes
+    the first 32, True refuses N > EXACT_TABLE_MAX_N.
     """
     f = _as_poly(f)
     if poly.degree(f) < 0:
@@ -206,25 +211,28 @@ def decay_table(space: HbSpace, f, n_max: int,
     if not 1 <= n_max <= cap:
         raise ValueError(f"{'exact ' * (use_exact is True)}table size "
                          f"{n_max} is outside 1..{cap}")
-    one = space.one()
-    F, G = shifted_mates(space, f, n_max)
-    rows = F.shape[0]
-    Mw = np.zeros((2 * rows, n_max + 1), dtype=complex)
-    Mw[:rows, :n_max], Mw[rows:, :n_max] = F, G
-    Mw[: one.f.size, n_max] = one.f
-    Mw[rows: rows + one.mate.size, n_max] = one.mate
-    R = np.linalg.qr(Mw, mode="r")
-    col_scale = np.sqrt(np.sum(np.abs(Mw[:, :n_max]) ** 2, axis=0))
-    flags = [n + 1 for n in range(n_max)
-             if abs(R[n, n]) <= 1e-12 * max(1.0, float(col_scale[n]))]
-    u = np.abs(R[:n_max, n_max]) ** 2
-    running = float(np.sum(np.abs(Mw[:, n_max]) ** 2))
-    entries = []
-    for n in range(1, n_max + 1):
-        running -= float(u[n - 1])
-        entries.append((n, max(running, 0.0)))
-    table = DecayTable(f=f, entries=entries, norm1_sq=float(one.norm2),
-                       ridge_flags=flags)
+    rows = f.size - 1 + n_max
+    if rows > TABLE_MAX_ROWS:
+        raise ValueError(f"decay table needs deg f + N <= {TABLE_MAX_ROWS}"
+                         f" (deg f = {f.size - 1}, N = {n_max})")
+    R0 = space.embedding_factor(rows)
+    B = np.empty((rows, n_max + 1), dtype=complex, order="F")
+    np.multiply(R0[:, :n_max], f[0], out=B[:, :n_max])
+    for i in range(1, f.size):
+        B[:, :n_max] += f[i] * R0[:, i:i + n_max]
+    B[:, n_max] = R0[:, 0]
+    del R0      # R0 and B together are the peak memory of a table
+    col_scale = np.sqrt(np.sum(np.abs(B[:, :n_max]) ** 2, axis=0))
+    R = np.linalg.qr(B, mode="r")
+    flags = np.flatnonzero(np.abs(np.diag(R)[:n_max]) <=
+                           1e-12 * np.maximum(1.0, col_scale)) + 1
+    # ||w||^2 = ||B[:, N]||^2 less |R[i, N]|^2 one at a time
+    d2 = np.subtract.accumulate(np.concatenate(
+        [[abs(B[0, n_max]) ** 2], np.abs(R[:n_max, n_max]) ** 2]))[1:]
+    table = DecayTable(f=f, entries=list(zip(range(1, n_max + 1),
+                                             np.maximum(d2, 0.0).tolist())),
+                       norm1_sq=float(space.one().norm2),
+                       ridge_flags=flags.tolist())
     if use_exact in ("auto", True):
         table.exact_entries = _exact_decay(
             space, f, n_max if use_exact is True else min(n_max, 32))
@@ -237,12 +245,13 @@ def decay_table(space: HbSpace, f, n_max: int,
 def _exact_decay(space: HbSpace, f, n: int):
     """Exact d_k^2, k <= n, from one exact mate and one elimination.
 
-    As in shifted_mates, the exact mate u of z^(n-1) f holds every
-    column: mate(z^k f) = u[n-1-k:], with constant term u[n-1-k].  As z g
-    has no constant term, G[j][k] = <z^k f, z^j f> follows from its first
-    row: G[j][k] = G[j-1][k-1] + u[n-1-k] conj(u[n-1-j]) / s2.  G is
-    positive definite (f, zf, ... are independent), and the corners of
-    [[G, r], [r*, ||1||^2]] are the d_k^2 (exact.bordered_schur)."""
+    mate(z h) = z mate(h) plus a constant, so the exact mate u of
+    z^(n-1) f holds every column: mate(z^k f) = u[n-1-k:], with constant
+    term u[n-1-k].  As z g has no constant term, G[j][k] = <z^k f, z^j f>
+    follows from its first row: G[j][k] = G[j-1][k-1] + u[n-1-k]
+    conj(u[n-1-j]) / s2.  G is positive definite (f, zf, ... are
+    independent), and the corners of [[G, r], [r*, ||1||^2]] are the
+    d_k^2 (exact.bordered_schur)."""
     pair = exact_mate(space, f, n - 1)
     if pair is None:
         return None

@@ -57,6 +57,7 @@ class HbSpace:
         self._one: Optional[HbElement] = None
         self._a_roots: Optional[list] = None
         self._sweep: Optional[tuple] = None    # clark.clark_sweep's default
+        self._factor = np.zeros(0, dtype=complex)   # see embedding_factor
 
     def __repr__(self):
         tag = "exact" if self.exact else "float"
@@ -73,6 +74,26 @@ class HbSpace:
             self._a_roots = poly.roots_with_multiplicity(self.A) \
                 if poly.degree(self.A) >= 1 else []
         return self._a_roots
+
+    def embedding_factor(self, rows: int) -> np.ndarray:
+        """R0, upper triangular with R0^H R0 = I + K^H K: the Gram matrix
+        in H(b) of 1, z, ..., z^(rows-1).
+
+        The mates of the monomials are the columns of K, an upper
+        triangular Toeplitz matrix: K[i, k] = c_(k-i), c_k the constant
+        term of mate(z^k) (Sarason's h+ = T_{conj(b)/conj(a)} h), so the
+        embedding of a polynomial h of degree < rows is [I; K] h and
+        ||h||_b = ||R0 h||_2.  Built on first use and rebuilt only for
+        more rows; the columns of the factor are kept packed, column k's
+        k+1 entries at offset k(k+1)/2 (the rows of the lower triangle of
+        R0^T in order), rows(rows+1)/2 numbers in all.
+        """
+        size = rows * (rows + 1) // 2
+        if self._factor.size < size:
+            self._factor = _packed_embedding_factor(self, rows)
+        out = np.zeros((rows, rows), dtype=complex, order="F")
+        out.T[np.tri(rows, dtype=bool)] = self._factor[:size]
+        return out
 
     def a_circle_zeros(self) -> tuple:
         """Unimodular zeros of A, hence of a, in root order."""
@@ -252,33 +273,51 @@ def _solve_mate(p: np.ndarray, A: np.ndarray, h: np.ndarray) -> tuple:
     return g, _pplus_conj_product(A, g) - rhs
 
 
-def shifted_mates(space: HbSpace, f, n: int) -> tuple:
-    """Coefficients and mates of f, zf, ..., z^(n-1) f as columns (F, G).
-
-    The mate g of h solves P_+(conj(p) h + conj(A) g) = 0 with a zero
-    tail (A has no roots inside the disk, so no square-summable
-    homogeneous solution exists).  By shift invariance the mate of zh is
-    z g - gamma/conj(A_0), gamma = sum_j (conj(p_(j+1)) h_j +
-    conj(A_(j+1)) g_j): the back substitution for g continued one index
-    below zero.  So the back substitution for mate(z^(n-1) f) holds every
-    column, column k shifted down by n-1-k, and its residual, of which
-    each column's is a shift, checks the mate relation on all of them.
-    """
-    f = poly.trim(np.asarray(f, dtype=complex))
-    rows, pad = f.size + n - 1, np.zeros(n - 1, dtype=complex)
-    h = np.concatenate([pad, f, pad])       # z^(n-1) f, then n-1 zeros
-    g, resid = _solve_mate(space.p, space.A, h[:rows])
-    u = np.concatenate([g, pad])
+def _float_mate(space: HbSpace, h: np.ndarray) -> np.ndarray:
+    """The mate of h of h's length (see _solve_mate), with the residual
+    of the mate relation checked against MATE_RESIDUAL_TOL.  The mate g
+    solves P_+(conj(p) h + conj(A) g) = 0 with a zero tail: A has no
+    roots inside the disk, so no square-summable homogeneous solution
+    exists."""
+    g, resid = _solve_mate(space.p, space.A, h)
     resid = float(np.max(np.abs(resid)))
-    if resid > config.MATE_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(f)))):
+    if resid > config.MATE_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(h)))):
         raise ArithmeticError(f"mate residual {resid:.3e} too large")
-    idx = np.arange(rows)[:, None] - np.arange(n) + (n - 1)
-    return h[idx], u[idx]
+    return g
+
+
+def _packed_embedding_factor(space: HbSpace, rows: int) -> np.ndarray:
+    """The packed columns of HbSpace.embedding_factor(rows).
+
+    mate(z h) = z mate(h) + a constant, so the mate of z^(rows-1), from
+    one back substitution, holds every c_k, reversed.  The Gram matrix
+    G = I + K^H K obeys G[j+1, k+1] = G[j, k] + conj(c_(j+1)) c_(k+1): its
+    subdiagonal d is I's plus the running sum over s of c_s conj(c_(s+d)),
+    one cumulative sum down the columns of S[s, d] = c_s conj(c_(s+d)).
+    A strided view of S puts S[j, t-j] at [j, t], so its transpose holds
+    G's lower triangle, the only one np.linalg.cholesky reads.  G >= I,
+    so every pivot is at least 1 and the Cholesky cannot break down.
+    """
+    h = np.zeros(rows, dtype=complex)
+    h[-1] = 1.0
+    c = _float_mate(space, h)[::-1]
+    S = c[:, None] * np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([np.conj(c), np.zeros(rows - 1)]), rows)
+    np.cumsum(S, axis=0, out=S)
+    S[:, 0] += 1.0
+    lower = np.lib.stride_tricks.as_strided(
+        S, (rows, rows), (S.strides[0] - S.strides[1], S.strides[1]),
+        writeable=False).T
+    L = np.linalg.cholesky(lower)           # G = L L^H, so R0 = L^H
+    del S, lower        # freed before packing, which peaks the memory
+    packed = L[np.tri(rows, dtype=bool)]
+    return np.conj(packed, out=packed)
 
 
 def mate(space: HbSpace, f) -> np.ndarray:
-    """The mate f1 of a polynomial f (see shifted_mates)."""
-    return poly.trim(shifted_mates(space, f, 1)[1][:, 0], 1e-13)
+    """The mate f1 of a polynomial f."""
+    f = poly.trim(np.asarray(f, dtype=complex))
+    return poly.trim(_float_mate(space, f), 1e-13)
 
 
 def make_element(space: HbSpace, f) -> HbElement:
@@ -292,7 +331,7 @@ def make_element(space: HbSpace, f) -> HbElement:
 def exact_mate(space: HbSpace, f, shift: int = 0) -> Optional[tuple]:
     """(h, s-scaled mate of h) as exact polynomials, h = z^shift f, or
     None when the space or f is not exactly representable.  The float
-    solve of shifted_mates runs on exact scalars; a nonzero exact mate
+    solve (_solve_mate) runs on exact scalars; a nonzero exact mate
     residual raises ArithmeticError."""
     if space.exact is None:
         return None

@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_clark import RANDOM_B, _random_b
 
-from hblab import clark, config, cyclicity as cy, exact, hb, poly, sigma
+from hblab import cli, clark, config, cyclicity as cy, exact, hb, poly, sigma
 from hblab.boundary import Arc, UnitCircleFunction as UCF
 from hblab.errors import NormalizationError
 
@@ -69,8 +70,8 @@ class TestDecay:
             f = (rng.integers(-4, 5, size=4) +
                  1j * rng.integers(-4, 5, size=4)) / 4
             f[0] = 2 + f[0]
-            table = cy.decay_table(sp, f, 16, use_exact=True)
-            assert len(table.exact_entries) == 16, name
+            table = cy.decay_table(sp, f, 64, use_exact=True)
+            assert len(table.exact_entries) == 64, name
             for (n, d), (ne, de) in zip(table.entries, table.exact_entries):
                 assert n == ne
                 assert abs(d - float(de)) < 1e-10, (name, n)
@@ -104,26 +105,32 @@ class TestDecay:
         with pytest.raises(NormalizationError):
             cy.decay_table(sp, [1, 1], 8, use_exact=True)
 
-    def test_shifted_mates_match_back_substitution(self):
+    def test_embedding_factor_matches_monomial_mates(self):
+        # R0^H R0 is the Gram matrix of the embedded monomials, each mate
+        # solved on its own: the shift structure K[i, k] = c_(k-i) holds
         rng = np.random.default_rng(101)
         b8 = rng.normal(size=9) + 1j * rng.normal(size=9)
         b8 *= 0.9 / np.sum(np.abs(b8))
         spaces = [UCF.polynomial([0.5, 0.5]), UCF.polynomial([0, 0.5, 0.5]),
                   UCF.rational([0, 1], [2, 1]), UCF.rational([1, 1], [3, 1]),
                   UCF.polynomial([0.5, 0, 0, 0, 0.5]), UCF.polynomial(b8)]
-        n = 256
+        rows = 258
         for b in spaces:
             sp = hb.make_space(b, use_exact=False)
-            f = rng.normal(size=3) + 1j * rng.normal(size=3)
-            F, G = hb.shifted_mates(sp, f, n)
-            assert F.shape == G.shape == (f.size + n - 1, n)
-            for k in range(n):
-                zkf = np.concatenate([np.zeros(k), f])
-                g = hb.mate(sp, zkf)
-                assert np.array_equal(F[:zkf.size, k], zkf), (b, k)
-                assert not np.any(F[zkf.size:, k])
-                assert np.max(np.abs(G[:g.size, k] - g)) < 1e-13, (b, k)
-                assert np.max(np.abs(G[g.size:, k]), initial=0) < 1e-13
+            R0 = sp.embedding_factor(rows)
+            assert R0.shape == (rows, rows)
+            assert not np.any(np.tril(R0, -1))
+            assert np.all(np.diag(R0).real >= 1) and not np.any(
+                np.diag(R0).imag)
+            K = np.zeros((rows, rows), dtype=complex)
+            for k in range(rows):
+                g = hb.mate(sp, [0] * k + [1])
+                K[:g.size, k] = g
+            gram = np.eye(rows) + K.conj().T @ K
+            err = np.max(np.abs(R0.conj().T @ R0 - gram))
+            assert err <= 1e-13 * np.max(np.abs(gram)), (b, err)
+            # a stored factor serves fewer rows as its leading block
+            assert np.array_equal(sp.embedding_factor(40), R0[:40, :40])
 
     def test_one_back_substitution_per_table(self, monkeypatch):
         calls = []
@@ -134,13 +141,37 @@ class TestDecay:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(hb, "_back_substitute", counted)
+        f = [1, 0.5, 0.25j]
         for b in ([0.5, 0.5], [0.1, 0.2j, -0.3, 0.25, 0.1j]):
             sp = hb.make_space(UCF.polynomial(b), use_exact=False)
             sp.one()
-            for n in (1, 20, 256):
+            # a build makes one, a stored factor none, a larger N rebuilds
+            for n, builds in ((20, 1), (20, 0), (1, 0), (256, 1), (64, 0),
+                              (256, 0)):
                 calls.clear()
-                cy.decay_table(sp, [1, 0.5, 0.25j], n)
-                assert len(calls) == 1, (b, n)
+                cy.decay_table(sp, f, n)
+                assert len(calls) == builds, (b, n)
+            calls.clear()
+            cy.decay_table(sp, [1, 1], 256)     # deg f + N = 257 < 258
+            assert not calls
+
+    def test_table_size_bound(self, space_half_shift, capsys):
+        sp = space_half_shift
+        table = cy.decay_table(sp, [0] * 256 + [1], 256)
+        assert len(table.entries) == 256        # deg f + N = 512
+        assert cy.TABLE_MAX_ROWS == 512
+        with pytest.raises(ValueError, match=r"deg f = 257, N = 256"):
+            cy.decay_table(sp, [0] * 257 + [1], 256)
+        with pytest.raises(ValueError, match=r"deg f = 500, N = 13"):
+            cy.decay_table(sp, [1] + [0] * 499 + [1], 13)
+        assert cli.main(["decay", "--b", "(1+z)/2", "--f", "z^256",
+                         "--n", "256"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decay", "--b", "(1+z)/2", "--f", "1+z^500",
+                      "--n", "13"])
+        assert exc.value.code == 2
+        assert "500 + 13" in capsys.readouterr().out
 
     def test_mate_residual_still_checked(self, monkeypatch):
         rng = np.random.default_rng(103)
@@ -167,12 +198,76 @@ class TestDecay:
                 assert est != cy.LIKELY_CYCLIC
 
 
+def reference_decay(space, f, n):
+    """The stacked route: (d_1^2, ..., d_n^2) and the ridge flags from the
+    triangular factor of [F; G | w], F holding z^k f and G their mates
+    (windows of the one back substitution for the mate of z^(n-1) f), w
+    the embedded constant."""
+    f = poly.trim(np.asarray(f, dtype=complex))
+    rows, pad = f.size + n - 1, np.zeros(n - 1, dtype=complex)
+    h = np.concatenate([pad, f, pad])       # z^(n-1) f, then n-1 zeros
+    u = np.concatenate([hb._solve_mate(space.p, space.A, h[:rows])[0], pad])
+    idx = np.arange(rows)[:, None] - np.arange(n) + (n - 1)
+    one = space.one()
+    Mw = np.zeros((2 * rows, n + 1), dtype=complex)
+    Mw[:rows, :n], Mw[rows:, :n] = h[idx], u[idx]
+    Mw[:one.f.size, n] = one.f
+    Mw[rows:rows + one.mate.size, n] = one.mate
+    R = np.linalg.qr(Mw, mode="r")
+    col_scale = np.sqrt(np.sum(np.abs(Mw[:, :n]) ** 2, axis=0))
+    flags = [k + 1 for k in range(n)
+             if abs(R[k, k]) <= 1e-12 * max(1.0, float(col_scale[k]))]
+    d2 = np.sum(np.abs(Mw[:, n]) ** 2) - np.cumsum(np.abs(R[:n, n]) ** 2)
+    return np.maximum(d2, 0.0), flags
+
+
+def _matches_stacked_route(space, f):
+    for n in (1, 20, 64, 256):
+        table = cy.decay_table(space, f, n)
+        d2, flags = reference_decay(space, f, n)
+        assert np.max(np.abs(table.d2() - d2)) <= 1e-10, (f, n)
+        assert table.ridge_flags == flags, (f, n)
+
+
+# candidates of degree <= 5: a double and a triple circle zero, outer
+# ones with roots off the circle, and one with a root inside the disk
+FACTOR_ROUTE_F = [[1.0], [1, -1], [1, 1], [1, -2, 1], [1, -3, 3, -1],
+                  [2, 1 - 0.5j, 0.25], [0.3, 1, 0.5j],
+                  [1.5, -0.4 + 0.3j, 0.2, 0.1j, -0.05, 0.02 + 0.01j]]
+
+
+class TestFactorRoute:
+    """decay_table on the stored factor against the stacked route."""
+
+    @pytest.mark.parametrize("b", [
+        UCF.polynomial([0.5, 0.5]), UCF.polynomial([0, 0.5, 0.5]),
+        UCF.polynomial([0.5, 0, 0, 0, 0.5]), UCF.rational([0, 1], [2, 1]),
+        UCF.rational([1, 1], [3, 1])],
+        ids=["(1+z)/2", "z(1+z)/2", "(1+z^4)/2", "z/(2+z)", "(1+z)/(3+z)"])
+    def test_named_spaces(self, b):
+        sp = hb.make_space(b, use_exact=False)
+        for f in FACTOR_ROUTE_F:
+            _matches_stacked_route(sp, f)
+
+    def test_multiple_circle_zeros_on_small_shift(self, space_small_shift):
+        for f in ([1, -3, 3, -1], [1, -4, 6, -4, 1]):     # (1-z)^3, (1-z)^4
+            _matches_stacked_route(space_small_shift, f)
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              database=None)
+    @given(**RANDOM_B, k=st.sampled_from(range(len(FACTOR_ROUTE_F))))
+    def test_random_spaces(self, num, poles, k):
+        sp = hb.make_space(_random_b(num, poles), use_exact=False)
+        _matches_stacked_route(sp, FACTOR_ROUTE_F[k])
+
+
 def reference_exact_decay(space, f, n):
     """The per-column exact route: an HbElement and an exact mate for each
     z^k f, pairwise exact inner products, and one bordered elimination
     over Fractions."""
-    F, G = hb.shifted_mates(space, f, n)
-    vecs = [hb.HbElement(space, F[:, k], G[:, k]) for k in range(n)]
+    f = poly.trim(np.asarray(f, dtype=complex))
+    vecs = [hb.make_element(space, np.concatenate([np.zeros(k), f]))
+            for k in range(n)]
     vecs.append(space.one())
     if any(v.exact is None for v in vecs):
         return None

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import acceptance, clark, config, cyclicity, hb, models, sigma
+from . import acceptance, clark, config, cyclicity, hb, models, poly, sigma
 from .boundary import Arc, UnitCircleFunction
 from .errors import HBLabError
 from .parse import ParseError, parse_function
@@ -150,8 +150,11 @@ def cmd_decay(args):
     if not 1 <= args.n <= cap:
         _fail(f"--n {args.n} is outside 1..{cap} (--exact {args.exact})", 2)
     f = parse_function(args.f)
-    if f.is_polynomial() and \
-            f.degree() + args.n > cyclicity.TABLE_MAX_ROWS:
+    if not f.is_polynomial():
+        _fail(f"--f {args.f!r} is not a polynomial", 2)
+    if poly.degree(f.to_polynomial()) < 0:
+        _fail("--f is zero: a decay table needs a nonzero f", 2)
+    if f.degree() + args.n > cyclicity.TABLE_MAX_ROWS:
         _fail(f"deg f + N = {f.degree()} + {args.n} exceeds "
               f"{cyclicity.TABLE_MAX_ROWS} (--f, --n)", 2)
     sp = _space(args)

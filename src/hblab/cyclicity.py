@@ -32,6 +32,7 @@ _THEOREM_GRADE = {CYCLIC, NOT_CYCLIC}
 TABLE_MAX_N = 256           # largest decay table
 TABLE_MAX_ROWS = 2 * TABLE_MAX_N    # largest deg f + N: caps a stored factor
 EXACT_TABLE_MAX_N = 128     # largest under use_exact=True (N = 128: <1 s)
+BLOCK = 32                  # column block of a float table's banded QR
 
 
 @dataclass
@@ -197,12 +198,16 @@ def decay_table(space: HbSpace, f, n_max: int,
     R[i, N] = <w, q_i>, and B's column norms are the multiples' H(b)
     norms.  Only the space's own Gram matrix I + K^H K goes through a
     Cholesky, once per space; the conditioning that comes from f stays
-    inside this Householder QR.  Columns whose pivot collapses are
-    flagged as near-dependent.  R is at most TABLE_MAX_ROWS.  The exact
-    backend forms the Gram matrix of the multiples (exact_entries: one
-    exact mate, the Gram matrix by the shift recurrence, one
-    fraction-free elimination over Gaussian integers): "auto" computes
-    the first 32, True refuses N > EXACT_TABLE_MAX_N.
+    inside Householder QRs.  R0 is upper and T_f lower triangular with
+    bandwidth deg f, so B is zero below its (deg f)-th subdiagonal, and
+    its QR is blocked: BLOCK (or deg f, if larger) columns at a time,
+    each a QR of the rows they reach (_banded_r); N <= BLOCK is one QR
+    of B.  Columns whose pivot collapses are flagged as near-dependent.
+    R is at most TABLE_MAX_ROWS.  The exact backend forms the Gram matrix
+    of the multiples (exact_entries: one exact mate, the Gram matrix by
+    the shift recurrence, one fraction-free elimination over Gaussian
+    integers): "auto" computes the first 32, True refuses
+    N > EXACT_TABLE_MAX_N.
     """
     f = _as_poly(f)
     if poly.degree(f) < 0:
@@ -215,20 +220,15 @@ def decay_table(space: HbSpace, f, n_max: int,
     if rows > TABLE_MAX_ROWS:
         raise ValueError(f"decay table needs deg f + N <= {TABLE_MAX_ROWS}"
                          f" (deg f = {f.size - 1}, N = {n_max})")
-    R0 = space.embedding_factor(rows)
-    B = np.empty((rows, n_max + 1), dtype=complex, order="F")
-    np.multiply(R0[:, :n_max], f[0], out=B[:, :n_max])
-    for i in range(1, f.size):
-        B[:, :n_max] += f[i] * R0[:, i:i + n_max]
-    B[:, n_max] = R0[:, 0]
-    del R0      # R0 and B together are the peak memory of a table
+    B = _embedded_multiples(space, f, n_max)
     col_scale = np.sqrt(np.sum(np.abs(B[:, :n_max]) ** 2, axis=0))
-    R = np.linalg.qr(B, mode="r")
-    flags = np.flatnonzero(np.abs(np.diag(R)[:n_max]) <=
+    norm_w = abs(B[0, n_max]) ** 2      # ||B[:, N]||^2, before B is reduced
+    pivots, proj = _banded_r(B, f.size - 1)
+    flags = np.flatnonzero(np.abs(pivots) <=
                            1e-12 * np.maximum(1.0, col_scale)) + 1
     # ||w||^2 = ||B[:, N]||^2 less |R[i, N]|^2 one at a time
     d2 = np.subtract.accumulate(np.concatenate(
-        [[abs(B[0, n_max]) ** 2], np.abs(R[:n_max, n_max]) ** 2]))[1:]
+        [[norm_w], np.abs(proj) ** 2]))[1:]
     table = DecayTable(f=f, entries=list(zip(range(1, n_max + 1),
                                              np.maximum(d2, 0.0).tolist())),
                        norm1_sq=float(space.one().norm2),
@@ -240,6 +240,43 @@ def decay_table(space: HbSpace, f, n_max: int,
         raise NormalizationError("exact decay requested but the data is "
                                  "not exactly representable")
     return table
+
+
+def _embedded_multiples(space: HbSpace, f: np.ndarray, n: int) -> np.ndarray:
+    """B = R0 [T_f | e_0], (deg f + n) x (n + 1): deg f + 1 scaled column
+    slices of the embedding factor R0, then its first column."""
+    rows = f.size - 1 + n
+    R0 = space.embedding_factor(rows)
+    B = np.empty((rows, n + 1), dtype=complex, order="F")
+    np.multiply(R0[:, :n], f[0], out=B[:, :n])
+    for i in range(1, f.size):
+        B[:, :n] += f[i] * R0[:, i:i + n]
+    B[:, n] = R0[:, 0]
+    return B    # R0 is freed here: with B, it is the peak memory of a table
+
+
+def _banded_r(B: np.ndarray, d: int):
+    """diag(R)[:N] and R[:N, N] of a QR of B, (d + N) x (N + 1) and zero
+    below its d-th subdiagonal, up to a unimodular diagonal.
+
+    Columns are reduced k = max(BLOCK, d) at a time: they reach only the
+    k + d rows below the block's top, and those rows are zero left of the
+    block, so each step is one QR of a (k + d)-row slice, written back in
+    place, and the rows it leaves keep the band.  A trailing block of at
+    most k columns (all of B when N <= k) is one QR.  B is overwritten.
+    """
+    n = B.shape[1] - 1
+    k = max(BLOCK, d)
+    j0 = 0
+    while n - j0 > k:
+        block = B[j0:j0 + k + d, j0:]
+        R = np.linalg.qr(block, mode="r")
+        block[:R.shape[0]] = R
+        block[R.shape[0]:] = 0
+        j0 += k
+    R = np.linalg.qr(B[j0:, j0:], mode="r")
+    return (np.concatenate((B.diagonal()[:j0], R.diagonal()[:n - j0])),
+            np.concatenate((B[:j0, n], R[:n - j0, -1])))
 
 
 def _exact_decay(space: HbSpace, f, n: int):

@@ -261,6 +261,83 @@ class TestFactorRoute:
         _matches_stacked_route(sp, FACTOR_ROUTE_F[k])
 
 
+FACTOR_ROUTE_SPACES = {"(1+z)/2": UCF.polynomial([0.5, 0.5]),
+                       "z(1+z)/2": UCF.polynomial([0, 0.5, 0.5]),
+                       "(1+z^4)/2": UCF.polynomial([0.5, 0, 0, 0, 0.5]),
+                       "z/(2+z)": UCF.rational([0, 1], [2, 1]),
+                       "(1+z)/(3+z)": UCF.rational([1, 1], [3, 1])}
+
+
+@pytest.fixture(scope="module")
+def factor_route_spaces():
+    return {name: hb.make_space(b, use_exact=False)
+            for name, b in FACTOR_ROUTE_SPACES.items()}
+
+
+def single_qr_table(space, f, n):
+    """d_k^2, ridge flags, R and ||1||^2 from one dense QR of the whole
+    B = R0 [T_f | e_0]."""
+    f = poly.trim(np.asarray(f, dtype=complex))
+    B = cy._embedded_multiples(space, f, n)
+    col_scale = np.sqrt(np.sum(np.abs(B[:, :n]) ** 2, axis=0))
+    R = np.linalg.qr(B, mode="r")
+    flags = np.flatnonzero(np.abs(np.diag(R)[:n]) <=
+                           1e-12 * np.maximum(1.0, col_scale)) + 1
+    norm_w = abs(B[0, n]) ** 2
+    d2 = np.subtract.accumulate(np.concatenate(
+        [[norm_w], np.abs(R[:n, n]) ** 2]))[1:]
+    return np.maximum(d2, 0.0).tolist(), flags.tolist(), R, norm_w
+
+
+def _random_f(deg, seed):
+    rng = np.random.default_rng([seed, deg])
+    return rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+
+
+class TestBandedQR:
+    """The blocked QR of B against one dense QR of B."""
+
+    @pytest.mark.parametrize("name", FACTOR_ROUTE_SPACES)
+    def test_single_block_is_the_dense_qr(self, factor_route_spaces, name):
+        sp = factor_route_spaces[name]
+        for f in FACTOR_ROUTE_F + [_random_f(31, 1), _random_f(40, 1)]:
+            for n in (1, 12, cy.BLOCK - 1, cy.BLOCK):
+                table = cy.decay_table(sp, f, n)
+                d2, flags, _R, _w = single_qr_table(sp, f, n)
+                assert [d for _n, d in table.entries] == d2, (f, n)
+                assert table.ridge_flags == flags, (f, n)
+
+    @pytest.mark.parametrize("name", FACTOR_ROUTE_SPACES)
+    def test_blocks_match_the_dense_qr(self, factor_route_spaces, name):
+        sp = factor_route_spaces[name]
+        for deg in (0, 1, 3, 31, 32, 33):
+            f = _random_f(deg, 2)
+            for n in (33, 64, 100, 256):
+                _matches_dense_qr(sp, f, n)
+
+    def test_largest_table(self, factor_route_spaces):
+        # deg f + N = TABLE_MAX_ROWS; the block width deg f = N: one QR
+        f = _random_f(256, 3)
+        _matches_dense_qr(factor_route_spaces["z/(2+z)"], f, 256)
+
+    def test_wide_band_takes_blocks_of_deg_f(self, factor_route_spaces):
+        f = _random_f(100, 4)
+        _matches_dense_qr(factor_route_spaces["(1+z)/(3+z)"], f, 256)
+
+
+def _matches_dense_qr(space, f, n):
+    d2, flags, R, norm_w = single_qr_table(space, f, n)
+    pivots, proj = cy._banded_r(cy._embedded_multiples(space, f, n),
+                                f.size - 1)
+    want = np.abs(np.diag(R)[:n])
+    assert np.max(np.abs(np.abs(pivots) - want) / want) <= 1e-12, n
+    assert np.max(np.abs(np.abs(proj) ** 2 - np.abs(R[:n, n]) ** 2)) <= \
+        1e-12 * norm_w, n
+    table = cy.decay_table(space, f, n)
+    assert table.ridge_flags == flags, n
+    assert np.max(np.abs(table.d2() - d2)) <= 1e-12 * norm_w, n
+
+
 def reference_exact_decay(space, f, n):
     """The per-column exact route: an HbElement and an exact mate for each
     z^k f, pairwise exact inner products, and one bordered elimination

@@ -100,6 +100,14 @@ class TestCli:
                                "--f", "1-z", "--n", "129")
         assert code == 0 and len(doc["entries_exact"]) == 32
 
+    def test_decay_bad_f_exit_two(self, capsys):
+        for f, why in (("1/(2-z)", "not a polynomial"), ("0", "zero"),
+                       ("0*z", "zero")):
+            code, doc, _ = run_cli(capsys, "decay", "--b", "(1+z)/2",
+                                   "--f", f, "--n", "12")
+            assert code == 2 and "--f" in doc["error"], f
+            assert why in doc["error"], f
+
     def test_clark_atom(self, capsys):
         code, doc, _ = run_cli(capsys, "clark", "--b", "z(1+z)/2",
                                "--alpha", "0")

@@ -30,10 +30,8 @@ class UnitCircleFunction:
         self.boundary_singular = bool(boundary_singular)
         num_roots = None
         if kind == "poly":
-            self.num = poly.trim(num)
+            self.num = poly.trim(poly.finite(num))
             self.den = np.array([1.0 + 0j])
-            if not np.all(np.isfinite(self.num)):
-                raise ValueError("polynomial coefficients must be finite")
         elif kind == "rational":
             num, den, num_roots = _normalize_rational(
                 num, den, boundary_singular, den_roots)
@@ -56,7 +54,10 @@ class UnitCircleFunction:
         else:
             raise ValueError(f"unknown representation kind {kind!r}")
         self._samples: dict[int, np.ndarray] = {}
-        self._num_roots = _carried(self.num, num_roots)
+        # degrees under poly.trim's rule, read once: num and den stay fixed
+        self.num_degree = poly.degree(self.num)
+        self.den_degree = poly.degree(self.den)
+        self._num_roots = _carried(self.num_degree, num_roots)
 
     # -- constructors -------------------------------------------------------
 
@@ -85,7 +86,7 @@ class UnitCircleFunction:
         """rational(num, den, ...) for a pair cancel_with_roots returned,
         carrying the roots it left on both sides: no root solve."""
         fn = cls.rational(num, den, boundary_singular, den_roots)
-        fn._num_roots = _carried(fn.num, num_roots)
+        fn._num_roots = _carried(fn.num_degree, num_roots)
         return fn
 
     @classmethod
@@ -102,7 +103,7 @@ class UnitCircleFunction:
         return self.num, self.den
 
     def is_polynomial(self) -> bool:
-        return poly.degree(self.den) == 0
+        return self.den_degree == 0
 
     def to_polynomial(self) -> np.ndarray:
         if not self.is_polynomial():
@@ -110,14 +111,14 @@ class UnitCircleFunction:
         return self.num / self.den[0]
 
     def degree(self) -> int:
-        return max(poly.degree(self.num), poly.degree(self.den))
+        return max(self.num_degree, self.den_degree)
 
     def num_roots(self) -> tuple:
         """Roots with multiplicity of the numerator, () when it is constant:
         carried from construction or solved on first use, then kept."""
         if self._num_roots is None:
             self._num_roots = tuple(poly.roots_with_multiplicity(self.num)
-                                    if poly.degree(self.num) >= 1 else ())
+                                    if self.num_degree >= 1 else ())
         return self._num_roots
 
     def __call__(self, z):
@@ -127,7 +128,7 @@ class UnitCircleFunction:
         if np.any(np.abs(za) > 1 + _EVAL_SLACK):
             raise DomainError("evaluation point outside the closed unit disk")
         nv = np.atleast_1d(poly.horner(self.num, za))
-        if poly.degree(self.den) == 0:
+        if self.den_degree == 0:
             out = nv / self.den[0]
         else:
             dv = np.atleast_1d(poly.horner(self.den, za))
@@ -144,7 +145,7 @@ class UnitCircleFunction:
         if n not in self._samples:
             pts = config.unit_circle_points(n)
             nv = poly.horner(self.num, pts)
-            if poly.degree(self.den) == 0:
+            if self.den_degree == 0:
                 vals = nv / self.den[0]
             else:
                 dv = poly.horner(self.den, pts)
@@ -263,10 +264,10 @@ def _make_rational(num, den) -> UnitCircleFunction:
     return UnitCircleFunction.rational(num, den)
 
 
-def _carried(num, roots):
-    """roots when they account for the degree of num, else None (the
+def _carried(deg, roots):
+    """roots when they account for the degree deg of num, else None (the
     roots are then solved on first use)."""
-    if roots is None or sum(m for _r, m in roots) != max(poly.degree(num), 0):
+    if roots is None or sum(m for _r, m in roots) != max(deg, 0):
         return None
     return tuple(roots)
 

@@ -10,6 +10,7 @@ audited and cross-checked between routes.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -32,7 +33,7 @@ _THEOREM_GRADE = {CYCLIC, NOT_CYCLIC}
 TABLE_MAX_N = 256           # largest decay table
 TABLE_MAX_ROWS = 2 * TABLE_MAX_N    # largest deg f + N: caps a stored factor
 EXACT_TABLE_MAX_N = 128     # largest under use_exact=True (N = 128: <1 s)
-BLOCK = 32                  # column block of a float table's banded QR
+BLOCK = 64                  # column block of a float table's banded QR
 
 
 @dataclass
@@ -108,7 +109,7 @@ def outer_nonvanishing_rule(f, points, rule: str,
     """
     fn = _candidate(f)
     f = fn.num
-    if poly.degree(f) < 0:
+    if fn.num_degree < 0:
         return CyclicityReport(NOT_CYCLIC, [Evidence(
             rule, "the zero function is never cyclic")])
     outer = factor.is_outer(fn)
@@ -127,7 +128,7 @@ def _as_poly(f) -> np.ndarray:
         return f.f
     if isinstance(f, UnitCircleFunction):
         return f.to_polynomial()
-    return poly.trim(np.asarray(f, dtype=complex))
+    return poly.trim(poly.finite(np.asarray(f, dtype=complex), "f: "))
 
 
 def _candidate(f) -> UnitCircleFunction:
@@ -200,9 +201,10 @@ def decay_table(space: HbSpace, f, n_max: int,
     Cholesky, once per space; the conditioning that comes from f stays
     inside Householder QRs.  R0 is upper and T_f lower triangular with
     bandwidth deg f, so B is zero below its (deg f)-th subdiagonal, and
-    its QR is blocked: BLOCK (or deg f, if larger) columns at a time,
-    each a QR of the rows they reach (_banded_r); N <= BLOCK is one QR
-    of B.  Columns whose pivot collapses are flagged as near-dependent.
+    its QR is blocked, BLOCK (or deg f) columns at a time, each slab
+    built from rows of R0 as the QR reaches it (_banded_r): B is never
+    formed.  N <= BLOCK is one QR.  Columns whose pivot collapses are
+    flagged as near-dependent.
     R is at most TABLE_MAX_ROWS.  The exact backend forms the Gram matrix
     of the multiples (exact_entries: one exact mate, the Gram matrix by
     the shift recurrence, one fraction-free elimination over Gaussian
@@ -212,6 +214,9 @@ def decay_table(space: HbSpace, f, n_max: int,
     f = _as_poly(f)
     if poly.degree(f) < 0:
         raise ValueError("decay table needs a nonzero f")
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
+        raise ValueError(f"table size n_max must be an integer, not "
+                         f"{n_max!r}")
     cap = EXACT_TABLE_MAX_N if use_exact is True else TABLE_MAX_N
     if not 1 <= n_max <= cap:
         raise ValueError(f"{'exact ' * (use_exact is True)}table size "
@@ -220,15 +225,13 @@ def decay_table(space: HbSpace, f, n_max: int,
     if rows > TABLE_MAX_ROWS:
         raise ValueError(f"decay table needs deg f + N <= {TABLE_MAX_ROWS}"
                          f" (deg f = {f.size - 1}, N = {n_max})")
-    B = _embedded_multiples(space, f, n_max)
-    col_scale = np.sqrt(np.sum(np.abs(B[:, :n_max]) ** 2, axis=0))
-    norm_w = abs(B[0, n_max]) ** 2      # ||B[:, N]||^2, before B is reduced
-    pivots, proj = _banded_r(B, f.size - 1)
+    R0 = space.embedding_factor(rows)
+    pivots, proj, col_sq = _banded_r(R0, f, n_max)
     flags = np.flatnonzero(np.abs(pivots) <=
-                           1e-12 * np.maximum(1.0, col_scale)) + 1
-    # ||w||^2 = ||B[:, N]||^2 less |R[i, N]|^2 one at a time
+                           1e-12 * np.maximum(1.0, np.sqrt(col_sq))) + 1
+    # ||w||^2 = ||B[:, N]||^2 = |R0[0, 0]|^2 less |R[i, N]|^2 one at a time
     d2 = np.subtract.accumulate(np.concatenate(
-        [[norm_w], np.abs(proj) ** 2]))[1:]
+        [[abs(R0[0, 0]) ** 2], np.abs(proj) ** 2]))[1:]
     table = DecayTable(f=f, entries=list(zip(range(1, n_max + 1),
                                              np.maximum(d2, 0.0).tolist())),
                        norm1_sq=float(space.one().norm2),
@@ -242,41 +245,40 @@ def decay_table(space: HbSpace, f, n_max: int,
     return table
 
 
-def _embedded_multiples(space: HbSpace, f: np.ndarray, n: int) -> np.ndarray:
-    """B = R0 [T_f | e_0], (deg f + n) x (n + 1): deg f + 1 scaled column
-    slices of the embedding factor R0, then its first column."""
-    rows = f.size - 1 + n
-    R0 = space.embedding_factor(rows)
-    B = np.empty((rows, n + 1), dtype=complex, order="F")
-    np.multiply(R0[:, :n], f[0], out=B[:, :n])
-    for i in range(1, f.size):
-        B[:, :n] += f[i] * R0[:, i:i + n]
-    B[:, n] = R0[:, 0]
-    return B    # R0 is freed here: with B, it is the peak memory of a table
+def _banded_r(R0: np.ndarray, f: np.ndarray, n: int):
+    """diag(R)[:n], R[:n, n] and the squared column norms of B[:, :n] for
+    a QR of B = R0 [T_f | e_0], up to a unimodular diagonal, without B.
 
-
-def _banded_r(B: np.ndarray, d: int):
-    """diag(R)[:N] and R[:N, N] of a QR of B, (d + N) x (N + 1) and zero
-    below its d-th subdiagonal, up to a unimodular diagonal.
-
-    Columns are reduced k = max(BLOCK, d) at a time: they reach only the
-    k + d rows below the block's top, and those rows are zero left of the
-    block, so each step is one QR of a (k + d)-row slice, written back in
-    place, and the rows it leaves keep the band.  A trailing block of at
-    most k columns (all of B when N <= k) is one QR.  B is overwritten.
+    B is zero below its d-th subdiagonal (d = deg f), so k = max(BLOCK, d)
+    columns at a time reach k + d rows: the d that the previous block's R
+    carries over and k new rows of B, R0[j0+d : j0+k+d, j0:] [T_f | e_0]
+    (rows [0, k+d) for the first block), zero left of column j0.  Each
+    slab is formed in one reused buffer next to its QR; every entry of B
+    is new in exactly one slab, where its column norm is summed.
     """
-    n = B.shape[1] - 1
+    d = f.size - 1
     k = max(BLOCK, d)
-    j0 = 0
-    while n - j0 > k:
-        block = B[j0:j0 + k + d, j0:]
-        R = np.linalg.qr(block, mode="r")
-        block[:R.shape[0]] = R
-        block[R.shape[0]:] = 0
+    buf = np.empty((min(k + d, d + n), n + 1), dtype=complex, order="F")
+    (pivots, proj), col_sq = np.empty((2, n), dtype=complex), np.zeros(n)
+    j0 = top = 0                # top: rows carried to the head of buf
+    while True:
+        r0, r1 = j0 + top, min(j0 + k + d, d + n)      # new rows of B
+        new = buf[top:top + r1 - r0, :n - j0 + 1]
+        np.multiply(R0[r0:r1, j0:n], f[0], out=new[:, :-1])
+        for i in range(1, d + 1):
+            new[:, :-1] += f[i] * R0[r0:r1, j0 + i:n + i]
+        new[:, -1] = R0[r0:r1, 0]
+        col_sq[j0:] += np.sum(np.abs(new[:, :-1]) ** 2, axis=0)
+        # raw mode: h is the factored slab transposed, R in its lower part
+        h = np.linalg.qr(buf[:top + r1 - r0, :n - j0 + 1], mode="raw")[0]
+        m = min(k, n - j0)
+        pivots[j0:j0 + m] = h.diagonal()[:m]
+        proj[j0:j0 + m] = h[-1, :m]
+        if j0 + m == n:
+            return pivots, proj, col_sq
+        top = d
+        buf[:d, :n - j0 + 1 - k] = np.triu(h[k:, k:k + d].T)
         j0 += k
-    R = np.linalg.qr(B[j0:, j0:], mode="r")
-    return (np.concatenate((B.diagonal()[:j0], R.diagonal()[:n - j0])),
-            np.concatenate((B[:j0, n], R[:n - j0, -1])))
 
 
 def _exact_decay(space: HbSpace, f, n: int):
@@ -598,7 +600,7 @@ def necessity_check(space: HbSpace, f, alphas=None) -> NecessityOutcome:
     """
     fn = _candidate(f)
     f = fn.num
-    if poly.degree(f) < 0 or not factor.is_outer(fn):
+    if fn.num_degree < 0 or not factor.is_outer(fn):
         rep = CyclicityReport(NOT_CYCLIC, [Evidence(
             "outer_necessity", "cyclic vectors must be outer",
             numbers={"is_outer": False})])
@@ -642,7 +644,7 @@ def assess(space: HbSpace, f, n_max: int = 32,
     nec = necessity_check(space, fn)
     evidence.extend(nec.report.evidence)
     table = None
-    if poly.degree(fn.num) >= 0:
+    if fn.num_degree >= 0:
         table = decay_table(space, fn.num, max(n_max, 20))
         est = estimate_from_decay(table, thresholds)
         evidence.extend(est.evidence)

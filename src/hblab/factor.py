@@ -221,7 +221,7 @@ def is_outer(f) -> bool:
     """
     fn = f if isinstance(f, UnitCircleFunction) else \
         UnitCircleFunction.polynomial(f)
-    if poly.degree(fn.num) < 0:
+    if fn.num_degree < 0:
         raise ValueError("the zero function is not outer")
     return all(abs(r) >= 1 - config.INTERIOR_TOL
                for r, _m in fn.num_roots())
@@ -237,7 +237,7 @@ def inner_outer(f, grid: config.GridConfig = config.DEFAULT_GRID):
     fn = f if isinstance(f, UnitCircleFunction) else \
         UnitCircleFunction.polynomial(f)
     num, den = fn.as_num_den()
-    if poly.degree(num) < 0:
+    if fn.num_degree < 0:
         raise ValueError("cannot factor the zero function")
     interior = [(r, m) for r, m in fn.num_roots()
                 if abs(r) < 1 - config.INTERIOR_TOL]
@@ -249,7 +249,7 @@ def inner_outer(f, grid: config.GridConfig = config.DEFAULT_GRID):
             f_num = poly.pmul(f_num, poly.from_roots(
                 [(1 / np.conj(r), m)], lead=(-np.conj(r)) ** m))
     outer0 = UnitCircleFunction.rational(f_num, den) \
-        if poly.degree(den) >= 1 else UnitCircleFunction.polynomial(f_num)
+        if fn.den_degree >= 1 else UnitCircleFunction.polynomial(f_num)
     f0 = complex(poly.horner(f_num, 0)) / complex(den[0])
     s = f0 / abs(f0)
     zeros = []

@@ -29,23 +29,36 @@ def aspoly(c) -> np.ndarray:
     return arr
 
 
+def finite(c, what: str = "") -> np.ndarray:
+    """aspoly(c), refused unless every coefficient is finite."""
+    arr = aspoly(c)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what}polynomial coefficients must be finite")
+    return arr
+
+
+def _kept(arr: np.ndarray, rtol: float) -> int:
+    """How many leading coefficients trim keeps; 0 when all are negligible
+    relative to the max."""
+    scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
+    n = arr.size
+    while n > 0 and abs(arr[n - 1]) <= rtol * scale:
+        n -= 1
+    return n
+
+
 def trim(c, rtol: float = 1e-12) -> np.ndarray:
     """Strip trailing coefficients that are negligible relative to the max."""
     arr = aspoly(c)
-    scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
-    n = arr.size
-    while n > 1 and abs(arr[n - 1]) <= rtol * scale:
-        n -= 1
-    if n == 1 and abs(arr[0]) <= rtol * scale and rtol > 0:
+    n = _kept(arr, rtol)
+    if n == 0 and arr.size and rtol > 0:
         return np.zeros(1, dtype=complex)
-    return arr[:n].copy()
+    return arr[:max(n, 1)].copy()
 
 
 def degree(c) -> int:
-    arr = trim(c)
-    if arr.size == 1 and arr[0] == 0:
-        return -1
-    return arr.size - 1
+    """Degree under trim's rule, -1 for the zero polynomial; no copy."""
+    return _kept(aspoly(c), 1e-12) - 1
 
 
 def padd(p, q) -> np.ndarray:

@@ -76,6 +76,39 @@ class TestConstruction:
         assert poly.degree(fn.den) == 0
         assert fn(0.5) == pytest.approx(1.5)
 
+    def test_nonfinite_coefficients_refused(self):
+        # checked before trimming: an inf would otherwise make every other
+        # coefficient negligible and leave the zero polynomial
+        for c in ([1, np.nan], [1, np.inf], [np.inf, 1], [0.5, 1j * np.inf]):
+            with pytest.raises(ValueError, match="must be finite"):
+                UCF.polynomial(c)
+
+    def test_degrees_follow_the_trim_rule(self):
+        # kept at construction; a rational num is rescaled by den[0] after
+        # it is trimmed, which can make its last coefficient negligible
+        fn = UCF.rational([1.0, 1.5e-12], [2.0, 1.0])
+        assert fn.num.size == 2 and fn.num_degree == 0
+        assert fn.num_degree == poly.degree(fn.num)
+        assert fn.den_degree == poly.degree(fn.den) == 1
+        assert fn.degree() == 1 and not fn.is_polynomial()
+        zero = UCF.polynomial([1e-13])
+        assert (zero.num_degree, zero.degree(), zero.num_roots()) == \
+            (-1, 0, ())
+        assert UCF.polynomial([1, 2, 0]).num_degree == 1
+
+    def test_poly_degree_matches_trim(self):
+        rng = np.random.default_rng(113)
+        cases = [[], [0], [0, 0], [1e-13], [1e-13, 0], [2, 1.5e-12],
+                 [2, 2.5e-12], [1, 0, 0], [0, 0, 1], [np.nan, 1e-13],
+                 [1e300, 1e289]]
+        cases += [rng.normal(size=5) * (rng.random(5) < 0.5)
+                  * 10.0 ** rng.integers(-14, 2, size=5) for _ in range(200)]
+        for c in cases:
+            t = poly.trim(c)
+            want = -1 if t.size == 0 or (t.size == 1 and t[0] == 0) \
+                else t.size - 1
+            assert poly.degree(c) == want, c
+
     def test_dict_round_trip(self):
         fn = UCF.rational([1.0, 2.0j], [1.0, 0.25])
         back = UCF.from_dict(fn.to_dict())

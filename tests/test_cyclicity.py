@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -99,6 +100,21 @@ class TestDecay:
         table = cy.decay_table(space_half_shift, [1, 1], 128, use_exact=True)
         assert table.exact_entries == [(n, Fraction(2, 2 * n + 1))
                                        for n in range(1, 129)]
+
+    def test_bad_arguments_are_named(self, space_half_shift):
+        sp = space_half_shift
+        for f in ([1, np.nan], [1, np.inf], [np.inf, 1], [1, -np.inf * 1j]):
+            with pytest.raises(ValueError, match="f: polynomial "
+                               "coefficients must be finite"):
+                cy.decay_table(sp, f, 8)
+        for n in (True, False, 2.0, 8.5, "8", None, np.float64(8)):
+            with pytest.raises(ValueError, match="n_max must be an integer"):
+                cy.decay_table(sp, [1, 1], n)
+        for n in (np.int64(8), np.int32(8), np.uint8(8)):
+            assert cy.decay_table(sp, [1, 1], n).entries == \
+                cy.decay_table(sp, [1, 1], 8).entries
+        with pytest.raises(ValueError, match="outside"):
+            cy.decay_table(sp, [1, 1], np.int64(0))
 
     def test_exact_request_needs_exact_space(self):
         sp = hb.make_space(UCF.polynomial([0.5, 0.5]), use_exact=False)
@@ -274,19 +290,33 @@ def factor_route_spaces():
             for name, b in FACTOR_ROUTE_SPACES.items()}
 
 
+def dense_multiples(space, f, n):
+    """B = R0 [T_f | e_0], (deg f + n) x (n + 1), formed whole: deg f + 1
+    scaled column slices of the embedding factor R0, then its first
+    column."""
+    rows = f.size - 1 + n
+    R0 = space.embedding_factor(rows)
+    B = np.empty((rows, n + 1), dtype=complex, order="F")
+    np.multiply(R0[:, :n], f[0], out=B[:, :n])
+    for i in range(1, f.size):
+        B[:, :n] += f[i] * R0[:, i:i + n]
+    B[:, n] = R0[:, 0]
+    return B
+
+
 def single_qr_table(space, f, n):
-    """d_k^2, ridge flags, R and ||1||^2 from one dense QR of the whole
-    B = R0 [T_f | e_0]."""
+    """d_k^2, ridge flags, R, ||1||^2 and the squared column norms from
+    one dense QR of the whole B = R0 [T_f | e_0]."""
     f = poly.trim(np.asarray(f, dtype=complex))
-    B = cy._embedded_multiples(space, f, n)
-    col_scale = np.sqrt(np.sum(np.abs(B[:, :n]) ** 2, axis=0))
+    B = dense_multiples(space, f, n)
+    col_sq = np.sum(np.abs(B[:, :n]) ** 2, axis=0)
     R = np.linalg.qr(B, mode="r")
     flags = np.flatnonzero(np.abs(np.diag(R)[:n]) <=
-                           1e-12 * np.maximum(1.0, col_scale)) + 1
+                           1e-12 * np.maximum(1.0, np.sqrt(col_sq))) + 1
     norm_w = abs(B[0, n]) ** 2
     d2 = np.subtract.accumulate(np.concatenate(
         [[norm_w], np.abs(R[:n, n]) ** 2]))[1:]
-    return np.maximum(d2, 0.0).tolist(), flags.tolist(), R, norm_w
+    return np.maximum(d2, 0.0).tolist(), flags.tolist(), R, norm_w, col_sq
 
 
 def _random_f(deg, seed):
@@ -295,7 +325,8 @@ def _random_f(deg, seed):
 
 
 class TestBandedQR:
-    """The blocked QR of B against one dense QR of B."""
+    """The blocked QR, its slabs formed from R0, against one dense QR of
+    the whole B."""
 
     @pytest.mark.parametrize("name", FACTOR_ROUTE_SPACES)
     def test_single_block_is_the_dense_qr(self, factor_route_spaces, name):
@@ -303,7 +334,7 @@ class TestBandedQR:
         for f in FACTOR_ROUTE_F + [_random_f(31, 1), _random_f(40, 1)]:
             for n in (1, 12, cy.BLOCK - 1, cy.BLOCK):
                 table = cy.decay_table(sp, f, n)
-                d2, flags, _R, _w = single_qr_table(sp, f, n)
+                d2, flags, _R, _w, _c = single_qr_table(sp, f, n)
                 assert [d for _n, d in table.entries] == d2, (f, n)
                 assert table.ridge_flags == flags, (f, n)
 
@@ -315,6 +346,17 @@ class TestBandedQR:
             for n in (33, 64, 100, 256):
                 _matches_dense_qr(sp, f, n)
 
+    @pytest.mark.parametrize("name", ["(1+z)/2", "z/(2+z)"])
+    def test_band_and_table_straddle_the_block(self, factor_route_spaces,
+                                               name):
+        # deg f about one block wide; N one past a block, two blocks, one
+        # past two, and the largest table
+        sp = factor_route_spaces[name]
+        for deg in (cy.BLOCK - 1, cy.BLOCK, cy.BLOCK + 1):
+            f = _random_f(deg, 5)
+            for n in (cy.BLOCK + 1, 2 * cy.BLOCK, 2 * cy.BLOCK + 1, 256):
+                _matches_dense_qr(sp, f, n)
+
     def test_largest_table(self, factor_route_spaces):
         # deg f + N = TABLE_MAX_ROWS; the block width deg f = N: one QR
         f = _random_f(256, 3)
@@ -324,15 +366,30 @@ class TestBandedQR:
         f = _random_f(100, 4)
         _matches_dense_qr(factor_route_spaces["(1+z)/(3+z)"], f, 256)
 
+    def test_transient_memory_is_about_one_factor(self):
+        # B is never formed: past the unpacked R0 (rows^2 complex
+        # numbers), a table holds only slab-sized arrays
+        sp = hb.make_space(UCF.rational([0, 1], [2, 1]), use_exact=False)
+        f, n = [1, -0.5, 0.25j, 0.1], 256
+        cy.decay_table(sp, f, n)        # builds and stores the factor
+        tracemalloc.start()
+        try:
+            cy.decay_table(sp, f, n)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * (len(f) - 1 + n) ** 2 * 16, peak
+
 
 def _matches_dense_qr(space, f, n):
-    d2, flags, R, norm_w = single_qr_table(space, f, n)
-    pivots, proj = cy._banded_r(cy._embedded_multiples(space, f, n),
-                                f.size - 1)
+    d2, flags, R, norm_w, col_sq = single_qr_table(space, f, n)
+    pivots, proj, got_sq = cy._banded_r(
+        space.embedding_factor(f.size - 1 + n), f, n)
     want = np.abs(np.diag(R)[:n])
     assert np.max(np.abs(np.abs(pivots) - want) / want) <= 1e-12, n
     assert np.max(np.abs(np.abs(proj) ** 2 - np.abs(R[:n, n]) ** 2)) <= \
         1e-12 * norm_w, n
+    assert np.max(np.abs(got_sq - col_sq) / col_sq) <= 1e-12, n
     table = cy.decay_table(space, f, n)
     assert table.ridge_flags == flags, n
     assert np.max(np.abs(table.d2() - d2)) <= 1e-12 * norm_w, n

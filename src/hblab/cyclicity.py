@@ -10,7 +10,9 @@ audited and cross-checked between routes.
 from __future__ import annotations
 
 import json
+import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -32,7 +34,9 @@ UNDETERMINED = "undetermined"
 _THEOREM_GRADE = {CYCLIC, NOT_CYCLIC}
 TABLE_MAX_N = 256           # largest decay table
 TABLE_MAX_ROWS = 2 * TABLE_MAX_N    # largest deg f + N: caps a stored factor
-EXACT_TABLE_MAX_N = 128     # largest under use_exact=True (N = 128: <1 s)
+# largest under use_exact=True; N = 128 took 0.08 s on (1+z)/2, f = 1+z, and
+# 0.5 s on z/(2+z) and z(1+z)/2 with f of degree 3 and 2 (2-core x86 host)
+EXACT_TABLE_MAX_N = 128
 BLOCK = 64                  # column block of a float table's banded QR
 
 
@@ -226,9 +230,12 @@ def decay_table(space: HbSpace, f, n_max: int,
         raise ValueError(f"decay table needs deg f + N <= {TABLE_MAX_ROWS}"
                          f" (deg f = {f.size - 1}, N = {n_max})")
     R0 = space.embedding_factor(rows)
-    pivots, proj, col_sq = _banded_r(R0, f, n_max)
-    flags = np.flatnonzero(np.abs(pivots) <=
-                           1e-12 * np.maximum(1.0, np.sqrt(col_sq))) + 1
+    # f and the flag rule |pivot| <= 1e-12 max(1, ||column||) scaled by
+    # 2^-e, max|f| < 2^e: exact, and no column norm overflows
+    e = math.frexp(max(map(abs, f.tolist())))[1]
+    pivots, proj, col_sq = _banded_r(R0, f * 2.0 ** -e, n_max)
+    flags = np.flatnonzero(np.abs(pivots) <= 1e-12 * np.maximum(
+        2.0 ** -e, np.sqrt(col_sq))) + 1
     # ||w||^2 = ||B[:, N]||^2 = |R0[0, 0]|^2 less |R[i, N]|^2 one at a time
     d2 = np.subtract.accumulate(np.concatenate(
         [[abs(R0[0, 0]) ** 2], np.abs(proj) ** 2]))[1:]
@@ -290,29 +297,43 @@ def _exact_decay(space: HbSpace, f, n: int):
     follows from its first row: G[j][k] = G[j-1][k-1] + u[n-1-k]
     conj(u[n-1-j]) / s2.  G is positive definite (f, zf, ... are
     independent), and the corners of [[G, r], [r*, ||1||^2]] are the
-    d_k^2 (exact.bordered_schur)."""
+    d_k^2 (exact._bareiss).  With the f-parts over Df and the mate parts
+    over Du, the matrix times Df^2 Du^2 num(s2) is over the Gaussian
+    integers; it is divided by the gcd of its entries before elimination."""
     pair = exact_mate(space, f, n - 1)
     if pair is None:
         return None
-    # object arrays, converted once, so the inner products only slice them
     h, u = pair
-    h = np.array(h, dtype=object)
-    u = np.array(u + (exact.QZERO,) * (h.size - len(u)), dtype=object)
-    inv_s2 = exact.QC(1 / space.exact.s2)
-    cols = [(h[k:], u[k:]) for k in range(n - 1, -1, -1)]  # z^k f, mate
-    cols.append(tuple(np.array(x, dtype=object) for x in space.one().exact))
+    one, one_mate = space.one().exact
+    u += (exact.QZERO,) * (len(h) - len(u))
+    (hr, hi), (er, ei), df = exact.gaussian_ints(h, one)
+    (ur, ui), (vr, vi), du = exact.gaussian_ints(u, one_mate)
+    s2 = space.exact.s2
+    wf, wu = du * du * s2.numerator, df * df * s2.denominator
+    cols = [(hr[k:], hi[k:], ur[k:], ui[k:]) for k in range(n - 1, -1, -1)]
+    cols.append((er, ei, vr, vi))                   # z^k f, then 1
 
-    def ip(x, y):
-        return poly.hardy_inner(x[0], y[0]) + \
-            poly.hardy_inner(x[1], y[1]) * inv_s2
+    def ip(x, y):       # wf <x_f, y_f> + wu <x_mate, y_mate>
+        return (wf * (_dot(x[0], y[0]) + _dot(x[1], y[1])) +
+                wu * (_dot(x[2], y[2]) + _dot(x[3], y[3])),
+                wf * (_dot(x[1], y[0]) - _dot(x[0], y[1])) +
+                wu * (_dot(x[3], y[2]) - _dot(x[2], y[3])))
 
-    m = [[ip(x, cols[0]) for x in cols]]
-    for j in range(1, n):
-        c = u[n - 1 - j].conj() * inv_s2
-        m.append([None] * j + [m[j - 1][k - 1] + u[n - 1 - k] * c
-                               for k in range(j, n)] + [ip(cols[n], cols[j])])
-    m.append([None] * n + [ip(cols[n], cols[n])])
-    return list(enumerate(exact.bordered_schur(m), 1))
+    rows = [[ip(x, cols[0]) for x in cols]]
+    cr, ci = ur[n - 1::-1] + [0], ui[n - 1::-1] + [0]   # u[n-1-k], k <= n
+    for j in range(1, n + 1):
+        a, b = wu * cr[j], -wu * ci[j]          # wu conj(u[n-1-j])
+        rows.append([(0, 0)] * j + [
+            (p + x * a - y * b, q + x * b + y * a) for (p, q), x, y
+            in zip(rows[j - 1][j - 1:], cr[j:n], ci[j:n])] +
+            [ip(cols[n], cols[j])])
+    g = math.gcd(*(x for row in rows for z in row for x in z))
+    re, im = ([[z[t] // g for z in row] for row in rows] for t in (0, 1))
+    return list(enumerate(exact._bareiss(re, im, g, wf * df * df), 1))
+
+
+def _dot(x, y) -> int:
+    return sum(map(operator.mul, x, y))
 
 
 def estimate_from_decay(table: DecayTable,

@@ -54,9 +54,12 @@ class QC:
 
     @classmethod
     def from_complex(cls, z: complex, max_den: int = 10**9) -> "QC":
-        """Nearest small-denominator rational approximation of z."""
-        return cls(Fraction(float(z.real)).limit_denominator(max_den),
-                   Fraction(float(z.imag)).limit_denominator(max_den))
+        """Nearest small-denominator rational approximation of z: each
+        part is Fraction(x).limit_denominator(max_den), found on ints."""
+        a, c = _limit_denominator(float(z.real), max_den)
+        b, e = _limit_denominator(float(z.imag), max_den)
+        d = math.lcm(c, e)          # a/c, b/e in lowest terms: so is this
+        return _raw(a * (d // c), b * (d // e), d)
 
     def to_complex(self) -> complex:
         return complex(self.a / self.d, self.b / self.d)
@@ -170,6 +173,25 @@ def _plus(x: QC, a: int, b: int, d: int) -> QC:
     return _reduced(x.a * s + a * t, x.b * s + b * t, e * s)
 
 
+def _limit_denominator(x: float, max_den: int) -> tuple:
+    """(p, q) of Fraction(x).limit_denominator(max_den): the same
+    continued-fraction convergents and tie rule, on ints."""
+    n, d = x.as_integer_ratio()
+    if max_den < 1:
+        raise ValueError("max_denominator should be at least 1")
+    if d <= max_den:
+        return n, d
+    p0, q0, p1, q1, den = 0, 1, 1, 0, d
+    while q0 + n // d * q1 <= max_den:
+        a = n // d
+        p0, q0, p1, q1, n, d = p1, q1, p0 + a * p1, q0 + a * q1, d, n - a * d
+    # p1/q1 and the semiconvergent, 1/(q1 (q0 + k q1)) apart, flank x
+    k = (max_den - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:        # p1/q1 wins ties
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def _coerce(x) -> QC:
     if isinstance(x, QC):
         return x
@@ -236,18 +258,29 @@ def pythagorean_residual(p: Sequence, q: Sequence, A: Sequence,
 def bordered_schur(m) -> list[Fraction]:
     """Schur complements c - r_k* G_k^-1 r_k, k = 1..n, of a Hermitian
     [[G, r], [r*, c]] given on and above its diagonal, G positive definite
-    and G_k its leading k x k block.  Fraction-free (Bareiss 1968): scaled
-    by the lcm D of its denominators, the matrix is eliminated over the
-    Gaussian integers, each update divided exactly by the previous pivot;
-    pivot k is the leading minor P_k, and the corner then is P_k D times
-    complement k.  A remainder or a non-positive pivot raises
-    ArithmeticError."""
-    n = len(m)
-    scale = math.lcm(*(c.d for j in range(n) for c in m[j][j:]))
-    re = [[0] * j + [c.a * (scale // c.d) for c in m[j][j:]]
-          for j in range(n)]
-    im = [[0] * j + [c.b * (scale // c.d) for c in m[j][j:]]
-          for j in range(n)]
+    and G_k its leading k x k block, by _bareiss of the matrix times the
+    lcm D of its denominators."""
+    *rows, scale = gaussian_ints(*(row[j:] for j, row in enumerate(m)))
+    re, im = ([[0] * j + r[t] for j, r in enumerate(rows)] for t in (0, 1))
+    return _bareiss(re, im, 1, scale)
+
+
+def gaussian_ints(*polys) -> list:
+    """Lists of QC as (re, im) integer lists over their lcm denominator d:
+    the pairs, then d."""
+    d = math.lcm(*(c.d for p in polys for c in p))
+    return [([c.a * (d // c.d) for c in p], [c.b * (d // c.d) for c in p])
+            for p in polys] + [d]
+
+
+def _bareiss(re, im, num: int, den: int) -> list[Fraction]:
+    """num/den times the Schur complements of a Hermitian positive definite
+    Gaussian-integer matrix re + i im, given on and above its diagonal.
+    Fraction-free (Bareiss 1968), in place: each update is divided exactly
+    by the previous pivot, so pivot k is the leading minor P_k and the
+    corner then is P_k times complement k.  A remainder or a non-positive
+    pivot raises ArithmeticError."""
+    n = len(re)
     out, prev = [], 1
     for k in range(n - 1):
         piv, rk, ik = re[k][k], re[k], im[k]
@@ -264,5 +297,5 @@ def bordered_schur(m) -> list[Fraction]:
         prev = piv
         if im[n - 1][n - 1] != 0:
             raise ArithmeticError("exact distance has nonzero imaginary part")
-        out.append(Fraction(re[n - 1][n - 1], piv * scale))
+        out.append(Fraction(re[n - 1][n - 1] * num, piv * den))
     return out

@@ -179,12 +179,8 @@ def _try_exact(b: UnitCircleFunction, A_float: np.ndarray) -> ExactSpaceData:
 
 
 def _rationalize(coeffs, max_den: int = _RATIONALIZE_DEN):
-    out = []
-    for c in np.atleast_1d(coeffs):
-        c = complex(c)
-        if not np.isfinite(c.real) or not np.isfinite(c.imag):
-            raise ValueError("non-finite coefficient")
-        out.append(exact.QC.from_complex(c, max_den))
+    out = [exact.QC.from_complex(c, max_den)
+           for c in poly.finite(coeffs).tolist()]
     return exact.qtrim(out) or [exact.QZERO]    # zero is [0], as in poly.trim
 
 
@@ -316,7 +312,7 @@ def _packed_embedding_factor(space: HbSpace, rows: int) -> np.ndarray:
 
 def mate(space: HbSpace, f) -> np.ndarray:
     """The mate f1 of a polynomial f."""
-    f = poly.trim(np.asarray(f, dtype=complex))
+    f = poly.trim(poly.finite(f, "f: "))
     return poly.trim(_float_mate(space, f), 1e-13)
 
 
@@ -324,7 +320,7 @@ def make_element(space: HbSpace, f) -> HbElement:
     """Embed a polynomial into H(b), computing its mate and norm."""
     if isinstance(f, UnitCircleFunction):
         f = f.to_polynomial()
-    f = poly.trim(np.asarray(f, dtype=complex))
+    f = poly.trim(poly.finite(f, "f: "))
     return HbElement(space, f, mate(space, f))
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -115,6 +116,13 @@ class TestDecay:
                 cy.decay_table(sp, [1, 1], 8).entries
         with pytest.raises(ValueError, match="outside"):
             cy.decay_table(sp, [1, 1], np.int64(0))
+
+    def test_huge_coefficients_flag_nothing(self, space_half_shift):
+        # unscaled, the column norms of these f overflow: every column
+        # was flagged, with a RuntimeWarning
+        for f, n in (([1e300, 1], 8), ([1e200, 1], 80)):
+            table = cy.decay_table(space_half_shift, f, n)
+            assert table.ridge_flags == [] and table.entries[0] == (1, 0.0)
 
     def test_exact_request_needs_exact_space(self):
         sp = hb.make_space(UCF.polynomial([0.5, 0.5]), use_exact=False)
@@ -395,7 +403,7 @@ def _matches_dense_qr(space, f, n):
     assert np.max(np.abs(table.d2() - d2)) <= 1e-12 * norm_w, n
 
 
-def reference_exact_decay(space, f, n):
+def per_column_exact_decay(space, f, n):
     """The per-column exact route: an HbElement and an exact mate for each
     z^k f, pairwise exact inner products, and one bordered elimination
     over Fractions."""
@@ -419,12 +427,42 @@ def reference_exact_decay(space, f, n):
     return out
 
 
+def reference_exact_decay(space, f, n):
+    """The exact table assembled on QC scalars: one exact mate, the Gram
+    matrix of the z^k f by the shift recurrence, exact.bordered_schur."""
+    h, u = hb.exact_mate(space, poly.trim(np.asarray(f, dtype=complex)),
+                         n - 1)
+    h = np.array(h, dtype=object)
+    u = np.array(u + (exact.QZERO,) * (h.size - len(u)), dtype=object)
+    inv_s2 = exact.QC(1 / space.exact.s2)
+    cols = [(h[k:], u[k:]) for k in range(n - 1, -1, -1)]
+    cols.append(tuple(np.array(x, dtype=object) for x in space.one().exact))
+
+    def ip(x, y):
+        return poly.hardy_inner(x[0], y[0]) + \
+            poly.hardy_inner(x[1], y[1]) * inv_s2
+
+    m = [[ip(x, cols[0]) for x in cols]]
+    for j in range(1, n):
+        c = u[n - 1 - j].conj() * inv_s2
+        m.append([None] * j + [m[j - 1][k - 1] + u[n - 1 - k] * c
+                               for k in range(j, n)] + [ip(cols[n], cols[j])])
+    m.append([None] * n + [ip(cols[n], cols[n])])
+    return list(enumerate(exact.bordered_schur(m), 1))
+
+
 EXACT_SPACES = {"(1+z)/2": UCF.polynomial([0.5, 0.5]),
                 "z(1+z)/2": UCF.polynomial([0, 0.5, 0.5]),
                 "z/2": UCF.polynomial([0, 0.5]),
                 "(1+z^2)/2": UCF.polynomial([0.5, 0, 0.5]),
                 "(1+z^4)/2": UCF.polynomial([0.5, 0, 0, 0, 0.5]),
                 "z/(2+z)": UCF.rational([0, 1], [2, 1])}
+
+
+# (space, f) of the README's exact N = 128 timings
+EXACT_128_CASES = [("(1+z)/2", [1, 1]),
+                 ("z/(2+z)", [2, 0.75 - 0.5j, 0, -0.25j]),
+                 ("z(1+z)/2", [1, -1 / 3, 0.25j])]
 
 
 @pytest.fixture(scope="module")
@@ -438,12 +476,35 @@ class TestExactDecay:
         f = np.array([2, 0.75 - 0.5j, 0, -0.25j])
         for name, sp in exact_spaces.items():
             for n in (1, 2, 16, 32):
-                want = reference_exact_decay(sp, f, n)
+                want = per_column_exact_decay(sp, f, n)
                 assert cy.decay_table(sp, f, n, use_exact=True)\
                     .exact_entries == want, (name, n)
         sp = exact_spaces["z(1+z)/2"]
         assert cy.decay_table(sp, [1, -0.5j], 64, use_exact=True)\
-            .exact_entries == reference_exact_decay(sp, [1, -0.5j], 64)
+            .exact_entries == per_column_exact_decay(sp, [1, -0.5j], 64)
+
+    def test_integer_gram_matches_qc_gram(self, exact_spaces, monkeypatch):
+        # the integer assembly against the QC one, and the matrix handed
+        # to the elimination is primitive: a common factor grows every
+        # minor (N = 128 on z/(2+z) and z(1+z)/2 took 2-2.6 times as long)
+        gcds, bareiss = [], exact._bareiss
+
+        def primitive(re, im, *scale):
+            gcds.append(math.gcd(*(x for row in re + im for x in row)))
+            return bareiss(re, im, *scale)
+
+        monkeypatch.setattr(exact, "_bareiss", primitive)
+        cases = [(name, [2, 0.75 - 0.5j, 0, -0.25j], n)
+                 for name in ("(1+z)/2", "z/2", "z(1+z)/2", "(1+z^2)/2",
+                              "(1+z^4)/2") for n in (1, 2, 16, 32, 40)]
+        cases += [(name, f, 64) for name, f in EXACT_128_CASES]
+        for name, f, n in cases:
+            sp = exact_spaces[name]
+            want = reference_exact_decay(sp, f, n)
+            gcds.clear()
+            assert cy._exact_decay(sp, poly.trim(np.asarray(f, complex)),
+                                   n) == want, (name, n)
+            assert gcds == [1], (name, n)
 
     def test_exact_spaces_reproduce_b(self, exact_spaces):
         for name, sp in exact_spaces.items():
@@ -463,7 +524,7 @@ class TestExactDecay:
             f[0] = 1
         sp = exact_spaces[name]
         assert cy.decay_table(sp, f, n, use_exact="auto").exact_entries == \
-            reference_exact_decay(sp, poly.trim(f), n)
+            per_column_exact_decay(sp, poly.trim(f), n)
 
     def test_one_exact_mate_per_table(self, monkeypatch):
         calls = []

@@ -104,6 +104,12 @@ _floats = st.floats(allow_nan=False, allow_infinity=False)
 _others = st.one_of(st.integers(-10**20, 10**20), st.fractions(),
                     _floats, st.complex_numbers(allow_nan=False,
                                                 allow_infinity=False))
+# float parts for from_complex: ties at m = 1, signed zeros, subnormals,
+# powers of two far from 1 and integers up to 2^53
+_parts = st.one_of(
+    _floats, st.integers(-2 ** 53, 2 ** 53).map(float),
+    st.sampled_from([0.0, -0.0, 0.5, -2.5, 5e-324, -2.5e-310, 2.0 ** 60,
+                     -2.0 ** 60, 2.0 ** -60, 1 / 3, -math.pi]))
 _PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                      database=None)
 
@@ -169,6 +175,23 @@ class TestQCProperties:
         assert hash(x) == _complex_hash(re, im)
         if im == 0:
             assert hash(x) == hash(Fraction(re))
+
+    @_PROPERTY
+    @given(_parts, _parts, st.sampled_from([1, 7, 10**9, 10**12]))
+    def test_from_complex_matches_limit_denominator(self, x, y, m):
+        got = QC.from_complex(complex(x, y), m)
+        want = QC(Fraction(x).limit_denominator(m),
+                  Fraction(y).limit_denominator(m))
+        assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+        _assert_canonical(got, (want.re, want.im))
+
+    def test_from_complex_refusals(self):
+        with pytest.raises(ValueError, match="max_denominator"):
+            QC.from_complex(0.5 + 0.25j, 0)
+        with pytest.raises(OverflowError):
+            QC.from_complex(complex(0.5, math.inf))
+        with pytest.raises(ValueError):
+            QC.from_complex(complex(math.nan, 0.5))
 
     def test_hash_examples(self):
         assert len({QC(1), 1}) == 1 and hash(QC(1)) == hash(1)

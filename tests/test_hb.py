@@ -148,6 +148,23 @@ class TestMate:
         el = hb.make_element(space_half_shift, [0.0])
         assert el.norm2 == 0.0 and np.allclose(el.mate, [0.0])
 
+    def test_non_finite_refused(self, space_half_shift, monkeypatch):
+        # inf used to set trim's threshold to inf: [1, inf] was the zero
+        # element, [1, nan] had norm nan
+        sp, finite = space_half_shift, "f: polynomial coefficients must be " \
+            "finite"
+        for f in ([1, np.inf], [1, np.nan]):
+            for embed in (hb.make_element, hb.mate):
+                with pytest.raises(ValueError, match=finite):
+                    embed(sp, f)
+        # the truncated series of kernels and rational functions too
+        monkeypatch.setattr(poly, "series_div",
+                            lambda num, den, n: np.full(n, np.inf + 0j))
+        with pytest.raises(ValueError, match=finite):
+            hb.kernel_element(sp, 0.5)
+        with pytest.raises(ValueError, match=finite):
+            hb.element_from_rational(sp, UCF.rational([1.0], [1.0, -0.4]))
+
     def test_residuals_random(self, all_test_spaces):
         rng = np.random.default_rng(41)
         for sp in all_test_spaces.values():

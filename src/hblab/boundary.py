@@ -273,9 +273,11 @@ def _carried(deg, roots):
 
 
 def _normalize_rational(num, den, boundary_singular, den_roots=None):
-    """(num, den, roots of num or None), den[0] = 1, poles checked."""
-    num = poly.trim(num)
-    den = poly.trim(den)
+    """(num, den, roots of num or None), den[0] = 1, poles checked;
+    coefficients that are not finite, or overflow when divided by den[0],
+    raise ValueError."""
+    num = poly.trim(poly.finite(num, "numerator: "))
+    den = poly.trim(poly.finite(den, "denominator: "))
     if poly.degree(den) < 0 or (poly.degree(den) == 0 and den[0] == 0):
         raise ZeroDivisionError("zero denominator")
     num_roots = None
@@ -294,7 +296,12 @@ def _normalize_rational(num, den, boundary_singular, den_roots=None):
     if den[0] == 0:
         raise PoleError("denominator vanishes at 0")
     scale = den[0]
-    return num / scale, den / scale, num_roots
+    with np.errstate(over="ignore", invalid="ignore"):
+        num, den = num / scale, den / scale
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        raise ValueError(f"dividing by den[0] = {scale:.6g} overflows a "
+                         "coefficient")
+    return num, den, num_roots
 
 
 def cancel_common_roots(num, den, tol: float = 1e-9):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -22,7 +21,7 @@ from . import clark, config, exact, factor, poly, sigma
 from .boundary import Arc, UnitCircleFunction, arc_union_contains, \
     arcs_cover_circle
 from .errors import NormalizationError
-from .hb import HbElement, HbSpace, element_from_rational, exact_mate, \
+from .hb import HbElement, HbSpace, element_from_rational, gaussian_mate, \
     make_element
 
 CYCLIC = "cyclic"
@@ -300,24 +299,22 @@ def _exact_decay(space: HbSpace, f, n: int):
     d_k^2 (exact._bareiss).  With the f-parts over Df and the mate parts
     over Du, the matrix times Df^2 Du^2 num(s2) is over the Gaussian
     integers; it is divided by the gcd of its entries before elimination."""
-    pair = exact_mate(space, f, n - 1)
+    pair = gaussian_mate(space, f, n - 1)
     if pair is None:
         return None
-    h, u = pair
-    one, one_mate = space.one().exact
-    u += (exact.QZERO,) * (len(h) - len(u))
-    (hr, hi), (er, ei), df = exact.gaussian_ints(h, one)
-    (ur, ui), (vr, vi), du = exact.gaussian_ints(u, one_mate)
+    h, u = pair                         # u has h's length
+    one, one_mate = space.one().exact_ints
+    (hr, hi), (er, ei), df = _over_lcm(h, one)
+    (ur, ui), (vr, vi), du = _over_lcm(u, one_mate)
     s2 = space.exact.s2
     wf, wu = du * du * s2.numerator, df * df * s2.denominator
     cols = [(hr[k:], hi[k:], ur[k:], ui[k:]) for k in range(n - 1, -1, -1)]
     cols.append((er, ei, vr, vi))                   # z^k f, then 1
 
     def ip(x, y):       # wf <x_f, y_f> + wu <x_mate, y_mate>
-        return (wf * (_dot(x[0], y[0]) + _dot(x[1], y[1])) +
-                wu * (_dot(x[2], y[2]) + _dot(x[3], y[3])),
-                wf * (_dot(x[1], y[0]) - _dot(x[0], y[1])) +
-                wu * (_dot(x[3], y[2]) - _dot(x[2], y[3])))
+        a, b = exact.hardy_dot(x[0], x[1], y[0], y[1])
+        c, d = exact.hardy_dot(x[2], x[3], y[2], y[3])
+        return wf * a + wu * c, wf * b + wu * d
 
     rows = [[ip(x, cols[0]) for x in cols]]
     cr, ci = ur[n - 1::-1] + [0], ui[n - 1::-1] + [0]   # u[n-1-k], k <= n
@@ -332,8 +329,13 @@ def _exact_decay(space: HbSpace, f, n: int):
     return list(enumerate(exact._bareiss(re, im, g, wf * df * df), 1))
 
 
-def _dot(x, y) -> int:
-    return sum(map(operator.mul, x, y))
+def _over_lcm(*polys) -> list:
+    """(re, im, d) triples as (re, im) pairs over the lcm of their d: the
+    pairs, then the lcm (the layout of exact.gaussian_ints)."""
+    d = math.lcm(*(x[2] for x in polys))
+    return [(re, im) if e == d else ([c * (d // e) for c in re],
+                                     [c * (d // e) for c in im])
+            for re, im, e in polys] + [d]
 
 
 def estimate_from_decay(table: DecayTable,

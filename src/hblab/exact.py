@@ -1,20 +1,24 @@
-"""Exact complex-rational scalars, the Pythagorean certificate and the
-Bareiss elimination.
+"""Exact complex-rational scalars, exact mates, the Pythagorean
+certificate and the Bareiss elimination.
 
 Scalars (QC) are Gaussian integers over one positive denominator,
 (a + bi)/d in lowest terms, with Fraction views .re and .im.  Exact
-polynomials are numpy object arrays of them, which the float code
-of poly, factor and hb runs on unchanged: exact mates, inner products
-and Laurent weights go through hb and factor, not through copies here.
-The backend certifies identities (Pythagorean mate relation, mate
-residuals, norms, Gram eliminations) that the floating pipeline can only
-check to tolerance.  Mates whose outer factor carries an irrational
-positive constant s are handled in scaled form a = s*A with s^2 rational.
+polynomials are either lists of them or, where a read does arithmetic,
+Gaussian-integer polynomials: a triple (re, im, d) of two integer lists
+over one positive denominator, which carry no gcd per operation.  Exact
+mates are solved on such triples (mate_solve, fraction-free) and every
+solve is checked by its own exact residual (mate_residual); the float
+pipeline keeps its own solve in hb.  The backend certifies identities
+(Pythagorean mate relation, mate residuals, norms, Gram eliminations)
+that the floating pipeline can only check to tolerance.  Mates whose
+outer factor carries an irrational positive constant s are handled in
+scaled form a = s*A with s^2 rational.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -228,7 +232,7 @@ def frac_sqrt(x: Fraction):
 
 # ---------------------------------------------------------------------------
 # polynomials: lists of QC, lowest degree first; as numpy object arrays
-# they run through the float kernels of poly, factor and hb unchanged
+# they run through the float kernels of poly and factor unchanged
 
 def qpoly(coeffs: Iterable) -> list[QC]:
     return [_coerce(c) for c in coeffs]
@@ -271,6 +275,116 @@ def gaussian_ints(*polys) -> list:
     d = math.lcm(*(c.d for p in polys for c in p))
     return [([c.a * (d // c.d) for c in p], [c.b * (d // c.d) for c in p])
             for p in polys] + [d]
+
+
+# ---------------------------------------------------------------------------
+# Gaussian-integer polynomials (re, im, d) and exact mates on them
+
+def gaussian_poly(coeffs: Sequence[QC]) -> tuple:
+    """A list of QC as (re, im, d) over its lcm denominator d."""
+    (re, im), d = gaussian_ints(coeffs)
+    return re, im, d
+
+
+def to_qc(x) -> list[QC]:
+    """The coefficients of (re, im, d) as QC, each in lowest terms."""
+    re, im, d = x
+    return [_reduced(a, b, d) for a, b in zip(re, im)]
+
+
+def embedded_inner(x, y, s2: Fraction) -> QC:
+    """<f, g>_2 + <f1, g1>_2 / s2 for x = (f, f1) and y = (g, g1), each a
+    pair of (re, im, d): the integer dot products over one denominator,
+    reduced once."""
+    (f, f1), (g, g1) = x, y
+    ar, ai = hardy_dot(f[0], f[1], g[0], g[1])
+    br, bi = hardy_dot(f1[0], f1[1], g1[0], g1[1])
+    kf, km = f1[2] * g1[2] * s2.numerator, f[2] * g[2] * s2.denominator
+    return _reduced(ar * kf + br * km, ai * kf + bi * km, f[2] * g[2] * kf)
+
+
+def hardy_dot(xr, xi, yr, yi) -> tuple:
+    """(re, im) of sum_k x_k conj(y_k) for Gaussian-integer coefficient
+    lists x = xr + i xi and y = yr + i yi."""
+    return _dot(xr, yr) + _dot(xi, yi), _dot(xi, yr) - _dot(xr, yi)
+
+
+def _dot(x, y) -> int:
+    return sum(map(operator.mul, x, y))
+
+
+def mate_solve(p, A, h) -> tuple:
+    """The g of h's length L with P_+(conj(p) h + conj(A) g) = 0, as
+    (re, im, d); p, A and h are (re, im, d), A's integer A(0) = a0 > 0.
+
+    Read from the top coefficient down, the relation is the series
+    division g[m] = (dA rhs[m] - sum_(j>=1) conj(A_j) g[m+j]) / a0, with
+    rhs = R/D, R = -P_+(conj(p) h) on the numerators and D = dp dh.
+    Multiplied through by powers of a0, g[m] = G[m] / (D a0^(L-m)) with
+
+        G[m] = dA a0^(L-1-m) R[m] - sum_(j>=1) a0^(j-1) conj(A_j) G[m+j],
+
+    integers only, with no division and no gcd.  g is returned over
+    D a0^L, coefficient m as G[m] a0^m.
+    """
+    (pr, pi, dp), (ar, ai, da), (hr, hi, dh) = p, A, h
+    a0 = ar[0]
+    if ai[0] or a0 <= 0:
+        raise ArithmeticError("A(0) is not positive")
+    n = len(hr)
+    rr, ri = _pplus_conj(pr, pi, hr, hi)
+    pw = [1]
+    for _ in range(n):
+        pw.append(pw[-1] * a0)
+    # conj(A_j) a0^(j-1) = c - is
+    taps = [(j, ar[j] * pw[j - 1], ai[j] * pw[j - 1])
+            for j in range(1, min(len(ar), n)) if ar[j] or ai[j]]
+    gr, gi = [0] * (n + len(ar)), [0] * (n + len(ai))
+    for m in range(n - 1, -1, -1):
+        k = -da * pw[n - 1 - m]
+        xr, xi = k * rr[m], k * ri[m]
+        for j, c, s in taps:
+            yr, yi = gr[m + j], gi[m + j]
+            xr -= c * yr + s * yi
+            xi -= c * yi - s * yr
+        gr[m], gi[m] = xr, xi
+    del gr[n:], gi[n:]
+    if a0 != 1:
+        gr = [x * w for x, w in zip(gr, pw)]
+        gi = [x * w for x, w in zip(gi, pw)]
+    return gr, gi, dp * dh * pw[n]
+
+
+def mate_residual(p, A, h, g) -> None:
+    """Check P_+(conj(p) h + conj(A) g) = 0 exactly, all (re, im, d), g
+    of h's length (so no coefficient past the last can be nonzero);
+    raise ArithmeticError if it is not.  Both projections are formed
+    here from the inputs, independently of mate_solve."""
+    (pr, pi, dp), (ar, ai, da), (hr, hi, dh), (gr, gi, dg) = p, A, h, g
+    if len(gr) != len(hr) or len(gi) != len(hi):
+        raise ArithmeticError("exact mate residual is nonzero")
+    sr, si = _pplus_conj(pr, pi, hr, hi)            # over dp dh
+    tr, ti = _pplus_conj(ar, ai, gr, gi)            # over dA dg
+    u, v = da * dg, dp * dh
+    if any(x * u + y * v for x, y in zip(sr, tr)) or \
+            any(x * u + y * v for x, y in zip(si, ti)):
+        raise ArithmeticError("exact mate residual is nonzero")
+
+
+def _pplus_conj(xr, xi, yr, yi) -> tuple:
+    """Numerators (re, im) of P_+(conj(x) y) to y's length:
+    sum_j conj(x_j) y[m+j], one pass over y per nonzero part of x_j."""
+    n = len(yr)
+    re, im = [0] * n, [0] * n
+    for j in range(min(len(xr), n)):
+        c, s = xr[j], xi[j]
+        if c:           # c y: c yr + i c yi
+            re[:n - j] = [u + c * v for u, v in zip(re, yr[j:])]
+            im[:n - j] = [u + c * v for u, v in zip(im, yi[j:])]
+        if s:           # -is y: s yi - i s yr
+            re[:n - j] = [u + s * v for u, v in zip(re, yi[j:])]
+            im[:n - j] = [u - s * v for u, v in zip(im, yr[j:])]
+    return re, im
 
 
 def _bareiss(re, im, num: int, den: int) -> list[Fraction]:

@@ -58,6 +58,7 @@ class HbSpace:
         self._a_roots: Optional[list] = None
         self._sweep: Optional[tuple] = None    # clark.clark_sweep's default
         self._factor = np.zeros(0, dtype=complex)   # see embedding_factor
+        self._exact_pA: Optional[tuple] = None      # see gaussian_mate
 
     def __repr__(self):
         tag = "exact" if self.exact else "float"
@@ -126,11 +127,19 @@ class HbElement:
         return poly.l2sq(self.f) + poly.l2sq(self.mate)
 
     @cached_property
+    def exact_ints(self) -> Optional[tuple]:
+        """(f, s-scaled mate) as Gaussian-integer polynomials (re, im, d),
+        or None (gaussian_mate), computed on the first exact read; a
+        nonzero exact mate residual raises ArithmeticError then, not at
+        construction."""
+        return gaussian_mate(self.space, self.f)
+
+    @property
     def exact(self) -> Optional[tuple]:
-        """(f, s-scaled mate) as exact polynomials, or None, computed on
-        the first exact read; a nonzero exact mate residual raises
-        ArithmeticError then, not at construction."""
-        return exact_mate(self.space, self.f)
+        """(f, s-scaled mate) as exact polynomials (tuples of QC, the mate
+        without trailing zeros), or None."""
+        pair = self.exact_ints
+        return None if pair is None else _qc_pair(*pair)
 
     @property
     def norm2_exact(self) -> Optional[Fraction]:
@@ -247,10 +256,8 @@ def make_space_from_phi(phi: UnitCircleFunction,
 # mates and inner products
 
 def _pplus_conj_product(p: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Coefficients of P_+(conj(p) f): sum_j conj(p_j) f[m + j].
-    np.correlate conjugates a complex p itself, but not an object one."""
-    if p.dtype == object:
-        p = np.conj(p)
+    """Coefficients of P_+(conj(p) f): sum_j conj(p_j) f[m + j]
+    (np.correlate conjugates p)."""
     return np.correlate(f, p, "full")[p.size - 1:]
 
 
@@ -263,7 +270,7 @@ def _back_substitute(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _solve_mate(p: np.ndarray, A: np.ndarray, h: np.ndarray) -> tuple:
     """The g of h's length with P_+(conj(p) h + conj(A) g) = 0, and the
     residual P_+(conj(A) g) - rhs of the relation, rhs = -P_+(conj(p) h).
-    Complex arrays and object arrays of exact scalars alike."""
+    Exact mates are solved by exact.mate_solve."""
     rhs = -_pplus_conj_product(p, h)
     g = _back_substitute(A, rhs)
     return g, _pplus_conj_product(A, g) - rhs
@@ -324,11 +331,13 @@ def make_element(space: HbSpace, f) -> HbElement:
     return HbElement(space, f, mate(space, f))
 
 
-def exact_mate(space: HbSpace, f, shift: int = 0) -> Optional[tuple]:
-    """(h, s-scaled mate of h) as exact polynomials, h = z^shift f, or
-    None when the space or f is not exactly representable.  The float
-    solve (_solve_mate) runs on exact scalars; a nonzero exact mate
-    residual raises ArithmeticError."""
+def gaussian_mate(space: HbSpace, f, shift: int = 0) -> Optional[tuple]:
+    """(h, s-scaled mate of h) as Gaussian-integer polynomials
+    (re, im, d), h = z^shift f and the mate of h's length, or None when
+    the space or f is not exactly representable.  One fraction-free
+    solve (exact.mate_solve), checked by its exact residual: a nonzero
+    one raises ArithmeticError.  The space's p and A are converted on
+    its first exact mate and kept."""
     if space.exact is None:
         return None
     try:
@@ -337,13 +346,26 @@ def exact_mate(space: HbSpace, f, shift: int = 0) -> Optional[tuple]:
         return None
     if not _matches(fe, f):
         return None
-    e = space.exact
-    h = np.array([exact.QZERO] * shift + fe, dtype=object)
-    g, resid = _solve_mate(np.array(e.p, dtype=object),
-                           np.array(e.A, dtype=object), h)
-    if not all(c.is_zero() for c in resid):
-        raise ArithmeticError("exact mate residual is nonzero")
-    return tuple(h), tuple(exact.qtrim(g))
+    if space._exact_pA is None:
+        space._exact_pA = (exact.gaussian_poly(space.exact.p),
+                           exact.gaussian_poly(space.exact.A))
+    p, A = space._exact_pA
+    hr, hi, dh = exact.gaussian_poly(fe)
+    h = ([0] * shift + hr, [0] * shift + hi, dh)
+    g = exact.mate_solve(p, A, h)
+    exact.mate_residual(p, A, h, g)
+    return h, g
+
+
+def exact_mate(space: HbSpace, f, shift: int = 0) -> Optional[tuple]:
+    """(h, s-scaled mate of h) as exact polynomials, h = z^shift f and
+    the mate without trailing zeros, or None (see gaussian_mate)."""
+    pair = gaussian_mate(space, f, shift)
+    return None if pair is None else _qc_pair(*pair)
+
+
+def _qc_pair(h, g) -> tuple:
+    return tuple(exact.to_qc(h)), tuple(exact.qtrim(exact.to_qc(g)))
 
 
 def _matches(fe, f, tol: float = 1e-12) -> bool:
@@ -368,11 +390,9 @@ def inner_product(space: HbSpace, F: HbElement, G: HbElement) -> complex:
 def inner_product_exact(space: HbSpace, F: HbElement, G: HbElement):
     """Exact <f,g>_2 + <f1,g1>_2 / s2 (s-scaled mates) as a QC, or None."""
     _check_space(space, F, G)
-    if space.exact is None or F.exact is None or G.exact is None:
+    if space.exact is None or F.exact_ints is None or G.exact_ints is None:
         return None
-    (f, f1), (g, g1) = F.exact, G.exact
-    return poly.hardy_inner(f, g) + \
-        poly.hardy_inner(f1, g1) / exact.QC(space.exact.s2)
+    return exact.embedded_inner(F.exact_ints, G.exact_ints, space.exact.s2)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +401,7 @@ def inner_product_exact(space: HbSpace, F: HbElement, G: HbElement):
 def kernel(space: HbSpace, lam: complex) -> UnitCircleFunction:
     """Reproducing kernel (1 - conj(b(lam)) b(z)) / (1 - conj(lam) z)."""
     lam = complex(lam)
-    if abs(lam) >= 1:
+    if not abs(lam) < 1:        # NaN too
         raise DomainError("kernel parameter must lie in the open disk")
     blam = complex(space.b(lam))
     num = poly.psub(space.q, np.conj(blam) * space.p)

@@ -83,6 +83,18 @@ class TestConstruction:
             with pytest.raises(ValueError, match="must be finite"):
                 UCF.polynomial(c)
 
+    def test_nonfinite_rational_refused(self):
+        for num, den in (([np.inf], [1, 0.1]), ([1], [1, np.nan])):
+            with pytest.raises(ValueError, match="must be finite"):
+                UCF.rational(num, den)
+
+    def test_rescaling_overflow_refused(self):
+        # num / den[0] overflows although num is finite; refused with no
+        # RuntimeWarning (which the test settings turn into errors)
+        with pytest.raises(ValueError, match="overflows"):
+            UCF.rational([1e308], [0.25, 0.1])
+        assert UCF.rational([1e300], [0.25, 0.1]).num[0] == 4e300
+
     def test_degrees_follow_the_trim_rule(self):
         # kept at construction; a rational num is rescaled by den[0] after
         # it is trimmed, which can make its last coefficient negligible

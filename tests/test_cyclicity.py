@@ -528,14 +528,13 @@ class TestExactDecay:
 
     def test_one_exact_mate_per_table(self, monkeypatch):
         calls = []
-        solve = hb._back_substitute
+        solve = exact.mate_solve
 
-        def counted(A, rhs):
-            if rhs.dtype == object:     # an exact mate
-                calls.append(1)
-            return solve(A, rhs)
+        def counted(p, A, h):
+            calls.append(1)
+            return solve(p, A, h)
 
-        monkeypatch.setattr(hb, "_back_substitute", counted)
+        monkeypatch.setattr(exact, "mate_solve", counted)
         for name in ("(1+z)/2", "z/(2+z)"):
             sp = hb.make_space(EXACT_SPACES[name], use_exact=True)
             for n, mode, want in ((20, "auto", 2), (1, True, 1),
@@ -547,15 +546,17 @@ class TestExactDecay:
                 assert len(calls) == want, (name, n)    # + space.one() once
 
     def test_exact_mate_residual_checked(self, monkeypatch):
-        solve = hb._back_substitute
+        solve = exact.mate_solve
 
-        def perturbed(A, rhs):
-            g = solve(A, rhs).copy()
-            if g.dtype == object:
-                g[0] = g[0] + exact.QC(1, 2 ** -40)
-            return g
+        def perturbed(p, A, h):       # g[0] + 1 + i 2^-40
+            re, im, d = solve(p, A, h)
+            k = 2 ** 40
+            re, im = [x * k for x in re], [x * k for x in im]
+            re[0] += d * k
+            im[0] += d
+            return re, im, d * k
 
-        monkeypatch.setattr(hb, "_back_substitute", perturbed)
+        monkeypatch.setattr(exact, "mate_solve", perturbed)
         sp = hb.make_space(EXACT_SPACES["z(1+z)/2"], use_exact=True)
         for mode in ("auto", True):
             with pytest.raises(ArithmeticError, match="exact mate residual"):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hblab import exact, factor, hb, poly
+from hblab.boundary import UnitCircleFunction as UCF
 from hblab.exact import QC
 
 
@@ -283,28 +284,80 @@ def reference_back_substitution(A, rhs):
     return g
 
 
+def _gp(coeffs):
+    """Coefficients as a Gaussian-integer polynomial (re, im, d)."""
+    return exact.gaussian_poly(exact.qpoly(coeffs))
+
+
+def reference_exact_mate(space, f, shift=0):
+    """(h, s-scaled mate of h), h = z^shift f, by the QC object-array route:
+    P_+(conj(p) h) by np.correlate with an explicit conj, the back
+    substitution as poly.series_div on exact scalars, and the residual of
+    the mate relation checked exactly."""
+    e = space.exact
+    p, A = (np.array(c, dtype=object) for c in (e.p, e.A))
+    h = np.array([exact.QZERO] * shift + hb._rationalize(f), dtype=object)
+    rhs = -np.correlate(h, np.conj(p), "full")[p.size - 1:]
+    g = poly.series_div(rhs[::-1], np.conj(A), rhs.size)[::-1]
+    assert _is_zero(np.correlate(g, np.conj(A), "full")[A.size - 1:] - rhs)
+    return tuple(h), tuple(exact.qtrim(g))
+
+
+# the five exact_auto spaces, z/(2+z), and spaces whose integer pivot
+# a0 = A(0) times A's denominator is not 1: A = 4/5, (7 - z)/10,
+# (7 - iz)/10 and (7 - z^2)/10
+MATE_SPACES = {"(1+z)/2": UCF.polynomial([0.5, 0.5]),
+               "z/2": UCF.polynomial([0, 0.5]),
+               "z(1+z)/2": UCF.polynomial([0, 0.5, 0.5]),
+               "(1+z^2)/2": UCF.polynomial([0.5, 0, 0.5]),
+               "(1+z^4)/2": UCF.polynomial([0.5, 0, 0, 0, 0.5]),
+               "z/(2+z)": UCF.rational([0, 1], [2, 1]),
+               "3z/5": UCF.polynomial([0, 0.6]),
+               "(7+z)/10": UCF.polynomial([0.7, 0.1]),
+               "(7+iz)/10": UCF.polynomial([0.7, 0.1j]),
+               "(7+z^2)/10": UCF.polynomial([0.7, 0, 0.1])}
+
+
+@pytest.fixture(scope="module")
+def mate_spaces():
+    return {name: hb.make_space(b, use_exact=True)
+            for name, b in MATE_SPACES.items()}
+
+
+GAUSSIAN_F = st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9),
+                                st.sampled_from([1, 2, 3, 5, 7, 9, 11, 16])),
+                      min_size=1, max_size=6)
+
+
+def _complex_f(coeffs):
+    return np.array([complex(re, im) / den for re, im, den in coeffs])
+
+
 class TestMateSolve:
-    """The float mate solve of hb, run on exact scalars."""
+    """exact.mate_solve and exact.mate_residual on Gaussian integers."""
 
     def test_half_shift_mate_of_one(self):
-        p = _obj([Fraction(1, 2), Fraction(1, 2)])
-        A = _obj([Fraction(1, 2), Fraction(-1, 2)])
-        g, resid = hb._solve_mate(p, A, _obj([1]))
-        assert list(g) == exact.qpoly([-1])
-        assert _is_zero(resid)
+        p = _gp([Fraction(1, 2), Fraction(1, 2)])
+        A = _gp([Fraction(1, 2), Fraction(-1, 2)])
+        g = exact.mate_solve(p, A, _gp([1]))
+        assert exact.to_qc(g) == exact.qpoly([-1])
+        exact.mate_residual(p, A, _gp([1]), g)
 
     def test_prebuilt_projection(self):
-        # the projection P_+(conj(p) f) is the right-hand side of the
-        # back substitution, built once by _solve_mate
-        p = _obj([Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)])
-        A = _obj([Fraction(3, 4), Fraction(-1, 4)])
-        f = _obj([1, Fraction(-2, 3), 0, Fraction(1, 5)])
-        rhs = -hb._pplus_conj_product(p, f)
-        g = hb._back_substitute(A, rhs)
-        assert list(g) == list(hb._solve_mate(p, A, f)[0])
-        assert _is_zero(hb._pplus_conj_product(A, g) - rhs)
-        shifted = np.append(g[1:], exact.QZERO)
-        assert not _is_zero(hb._pplus_conj_product(A, shifted) - rhs)
+        # the projection -P_+(conj(p) f) is the right-hand side of the
+        # back substitution; the residual check forms it again itself
+        p = [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
+        A = [Fraction(3, 4), Fraction(-1, 4)]
+        f = [1, Fraction(-2, 3), 0, Fraction(1, 5)]
+        rhs = -np.correlate(_obj(f), np.conj(_obj(p)), "full")[len(p) - 1:]
+        g = exact.mate_solve(_gp(p), _gp(A), _gp(f))
+        assert exact.to_qc(g) == reference_back_substitution(_obj(A), rhs)
+        exact.mate_residual(_gp(p), _gp(A), _gp(f), g)
+        re, im, d = g
+        for shifted in ((re[1:] + [0], im[1:] + [0], d),
+                        (re[:-1], im[:-1], d)):
+            with pytest.raises(ArithmeticError, match="exact mate residual"):
+                exact.mate_residual(_gp(p), _gp(A), _gp(f), shifted)
 
     def test_back_substitute_matches_reference(self):
         rng = np.random.default_rng(7)
@@ -320,12 +373,44 @@ class TestMateSolve:
             # relative to the size of the terms each step sums
             scale = np.max(np.abs(want)) * np.sum(np.abs(A)) / abs(A[0])
             assert np.max(np.abs(g - want)) <= 1e-15 * scale
+        # exactly: with p = -1 the mate relation is P_+(conj(A) g) = rhs
         for A, rhs in (([Fraction(1, 2), Fraction(-1, 2)], [1, 0, -3]),
-                       ([QC(3, 1), QC(0, -1), Fraction(1, 7)],
+                       ([3, QC(0, -1), Fraction(1, 7)],
                         [QC(1, 1), Fraction(2, 5), 0, QC(0, -4), 1])):
-            A, rhs = _obj(A), _obj(rhs)
-            assert list(hb._back_substitute(A, rhs)) == \
-                reference_back_substitution(A, rhs)
+            g = exact.mate_solve(_gp([-1]), _gp(A), _gp(rhs))
+            assert exact.to_qc(g) == \
+                reference_back_substitution(_obj(A), _obj(rhs))
+
+    def test_pivot_must_be_positive(self):
+        for A in ([0, 1], [-1, Fraction(1, 2)], [QC(1, 1)]):
+            with pytest.raises(ArithmeticError, match="A\\(0\\)"):
+                exact.mate_solve(_gp([1]), _gp(A), _gp([1, 2]))
+
+    def test_integer_pivots(self, mate_spaces):
+        pivots = {name: exact.gaussian_poly(sp.exact.A)[0][0]
+                  for name, sp in mate_spaces.items()}
+        assert {name for name, a0 in pivots.items() if a0 != 1} == \
+            {"3z/5", "(7+z)/10", "(7+iz)/10", "(7+z^2)/10"}
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(name=st.sampled_from(sorted(MATE_SPACES)), f=GAUSSIAN_F,
+           g=GAUSSIAN_F, shift=st.integers(0, 40))
+    def test_integer_mates_match_reference(self, mate_spaces, name, f, g,
+                                           shift):
+        sp = mate_spaces[name]
+        f, g = _complex_f(f), _complex_f(g)
+        fh, f1 = reference_exact_mate(sp, f, shift)
+        assert hb.exact_mate(sp, f, shift) == (fh, f1)
+        gh, g1 = reference_exact_mate(sp, g)
+        F = hb.make_element(sp, np.concatenate([np.zeros(shift), f]))
+        G = hb.make_element(sp, g)
+        want = poly.hardy_inner(_obj(fh), _obj(gh)) + \
+            poly.hardy_inner(_obj(f1), _obj(g1)) / QC(sp.exact.s2)
+        assert hb.inner_product_exact(sp, F, G) == want
+        assert F.norm2_exact == (poly.hardy_inner(_obj(fh), _obj(fh)) +
+                                 poly.hardy_inner(_obj(f1), _obj(f1)) /
+                                 QC(sp.exact.s2)).re
 
     def test_pythagorean_residual(self):
         b = exact.qpoly([Fraction(1, 2), Fraction(1, 2)])

@@ -188,8 +188,8 @@ class TestMate:
             p, A, fe, ge = (np.array(c, dtype=object) for c in (
                 space_half_shift.exact.p, space_half_shift.exact.A, fe,
                 ge + (exact.QZERO,) * (len(fe) - len(ge))))
-            resid = hb._pplus_conj_product(p, fe) + \
-                hb._pplus_conj_product(A, ge)
+            resid = np.correlate(fe, np.conj(p), "full")[p.size - 1:] + \
+                np.correlate(ge, np.conj(A), "full")[A.size - 1:]
             assert all(c.is_zero() for c in resid)
 
     def test_exact_mate_matches_float_complex_data(self):
@@ -208,23 +208,30 @@ class TestMate:
             assert abs(float(el.norm2_exact) - el.norm2) < 1e-14, f
 
     def test_exact_projection_built_once(self, monkeypatch):
+        # one solve and one residual check per exact mate, both on the
+        # space's p, converted to integers once
         sp = hb.make_space(UCF.polynomial([0.0, 0.5, 0.5]), use_exact=True)
+        p_ints = exact.gaussian_poly(sp.exact.p)
         calls = []
-        product = hb._pplus_conj_product
-        monkeypatch.setattr(hb, "_pplus_conj_product",
-                            lambda p, f: calls.append(
-                                p.dtype == object and tuple(p) == sp.exact.p)
-                            or product(p, f))
+        for name in ("mate_solve", "mate_residual"):
+            fn = getattr(exact, name)
+            monkeypatch.setattr(exact, name, lambda p, *args, fn=fn, name=name:
+                                calls.append((name, p == p_ints, id(p)))
+                                or fn(p, *args))
         el = hb.make_element(sp, [1.0, -0.5, 0.25])
-        assert el.exact is not None and calls.count(True) == 1
+        assert el.exact is not None
+        assert [c[:2] for c in calls] == [("mate_solve", True),
+                                          ("mate_residual", True)]
+        assert hb.make_element(sp, [0.5, 1.0]).norm2_exact is not None
+        assert len({c[2] for c in calls}) == 1
 
     def test_exact_data_on_first_exact_read(self, space_half_shift,
                                             monkeypatch):
         calls = []
-        solve = hb._back_substitute
-        monkeypatch.setattr(hb, "_back_substitute",
-                            lambda A, rhs: calls.append(rhs.dtype == object)
-                            or solve(A, rhs))
+        solve = exact.mate_solve
+        monkeypatch.setattr(exact, "mate_solve",
+                            lambda p, A, h: calls.append(True)
+                            or solve(p, A, h))
         el = hb.make_element(space_half_shift, [1.0, -0.5, 0.25])
         cy.decay_table(space_half_shift, [1.0, 0.5], 32)
         assert calls.count(True) == 0
@@ -347,6 +354,13 @@ class TestKernels:
     def test_outside_disk_rejected(self, space_half_shift):
         with pytest.raises(DomainError):
             hb.kernel(space_half_shift, 1.0)
+
+    def test_nonfinite_parameter_rejected(self, space_half_shift):
+        # |nan| < 1 is False too: refused before any root solve
+        for lam in (np.nan, complex(np.nan, 0.5), np.inf):
+            for fn in (hb.kernel, hb.kernel_element):
+                with pytest.raises(DomainError, match="open disk"):
+                    fn(space_half_shift, lam)
 
     def test_boundary_kernel(self, space_half_shift):
         k = hb.boundary_kernel(space_half_shift, 1.0)

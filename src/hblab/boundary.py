@@ -10,6 +10,7 @@ Herglotz/Cauchy integrals of (density + finitely many atoms) measures.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -56,7 +57,7 @@ class UnitCircleFunction:
         self._samples: dict[int, np.ndarray] = {}
         # degrees under poly.trim's rule, read once: num and den stay fixed
         self.num_degree = poly.degree(self.num)
-        self.den_degree = poly.degree(self.den)
+        self.den_degree = poly.degree(self.den) if kind != "poly" else 0
         self._num_roots = _carried(self.num_degree, num_roots)
 
     # -- constructors -------------------------------------------------------
@@ -362,9 +363,12 @@ class Arc:
 
     @classmethod
     def from_angles(cls, start: float, end: float) -> "Arc":
+        start, end = float(start), float(end)
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ValueError(f"arc angles must be finite, not {start}:{end}")
         tau = 2 * np.pi
-        s = float(start) % tau
-        ln = (float(end) - float(start)) % tau
+        s = start % tau
+        ln = (end - start) % tau
         if ln == 0.0:
             if end == start:
                 raise ValueError("arc must be nonempty")

@@ -64,7 +64,7 @@ def _density_root(space: HbSpace, alpha: complex):
 
 def _unimodular(alpha: complex) -> complex:
     alpha = complex(alpha)
-    if abs(abs(alpha) - 1) > 1e-9:
+    if not abs(abs(alpha) - 1) <= 1e-9:      # NaN fails too
         raise DomainError(f"|alpha| = {abs(alpha):.12g}, expected 1")
     return alpha / abs(alpha)
 

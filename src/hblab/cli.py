@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -60,48 +61,49 @@ def _space(args) -> hb.HbSpace:
     return hb.make_space(b, _grid(args), _exact_mode(args))
 
 
-def _parse_arcs(text: str):
-    arcs = []
-    if not text:
-        return arcs
-    for part in text.split(","):
-        fields = part.split(":")
-        if len(fields) != 2:
-            raise ParseError(f"arc {part!r} is not start:end")
-        arcs.append(Arc.from_angles(float(fields[0]), float(fields[1])))
-    return arcs
+def _finite(text: str, flag: str, form: str) -> tuple:
+    """text as colon-separated floats in the given form, all finite; any
+    other text exits 2 naming the flag."""
+    try:
+        item = tuple(float(x) for x in text.split(":"))
+    except ValueError:
+        item = ()
+    if len(item) != form.count(":") + 1 or \
+            not all(map(math.isfinite, item)):
+        _fail(f"{flag}: {text!r} is not {form} in finite numbers", 2)
+    return item
+
+
+def _numbers(text: str, flag: str, form: str) -> list:
+    """The comma-separated items of a flag, each read by _finite."""
+    return [_finite(part, flag, form) for part in text.split(",")] \
+        if text else []
+
+
+def _parse_arcs(text: str, flag: str):
+    return [Arc.from_angles(s, e) for s, e in
+            _numbers(text, flag, "start:end")]
 
 
 def _parse_cover(text: str):
-    items = []
-    if not text:
-        return items
-    for part in text.split(","):
-        fields = part.split(":")
-        if len(fields) != 3:
-            raise ParseError(f"cover item {part!r} is not start:end:eta")
-        items.append((Arc.from_angles(float(fields[0]), float(fields[1])),
-                      float(fields[2])))
-    return items
+    return [(Arc.from_angles(s, e), eta) for s, e, eta in
+            _numbers(text, "--cover", "start:end:eta")]
 
 
 def _parse_atoms(text: str):
-    out = []
-    for part in text.split(","):
-        fields = part.split(":")
-        if len(fields) != 2:
-            raise ParseError(f"atom {part!r} is not theta:weight")
-        theta, w = float(fields[0]), float(fields[1])
-        out.append((np.exp(1j * theta), w))
-    return out
+    return [(np.exp(1j * theta), w) for theta, w in
+            _numbers(text, "--atoms", "theta:weight")]
 
 
 def _write_csv(path: str, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.12g}" if isinstance(v, float)
-                              else str(v) for v in row) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(f"{v:.12g}" if isinstance(v, float)
+                                  else str(v) for v in row) + "\n")
+    except OSError as exc:
+        _fail(f"--csv: cannot write {path!r}: {exc.strerror or exc}", 2)
 
 
 def _fn_dict(fn: UnitCircleFunction) -> dict:
@@ -185,10 +187,10 @@ def cmd_classify(args):
 
 
 def cmd_clark(args):
+    theta, = _finite(args.alpha, "--alpha", "an angle")
     sp = _space(args)
-    alpha = complex(np.exp(1j * float(args.alpha)))
-    cm = clark.clark_measure(sp, alpha)
-    out = {"alpha_angle": float(args.alpha) % (2 * np.pi),
+    cm = clark.clark_measure(sp, complex(np.exp(1j * theta)))
+    out = {"alpha_angle": theta % (2 * np.pi),
            "atoms": [[config.circle_angle(z), m] for z, m in cm.atoms],
            "atom_mass_errors": cm.atom_errors,
            "ac_mass": cm.ac_mass, "total_mass": cm.total_mass,
@@ -218,13 +220,13 @@ def cmd_certify(args):
         if args.f is None:
             _fail("rule A needs --f", 2)
         outcome = cyclicity.theorem_a_check(
-            sp, parse_function(args.f), _parse_arcs(args.e_arcs or ""),
-            _parse_arcs(args.f_arcs or ""))
+            sp, parse_function(args.f), _parse_arcs(args.e_arcs, "--e-arcs"),
+            _parse_arcs(args.f_arcs, "--f-arcs"))
     elif args.rule == "B":
         if args.f is None:
             _fail("rule B needs --f", 2)
         outcome = cyclicity.theorem_b_check(
-            sp, parse_function(args.f), _parse_cover(args.cover or ""))
+            sp, parse_function(args.f), _parse_cover(args.cover))
     else:
         if args.g is None:
             _fail("rule C needs --g", 2)

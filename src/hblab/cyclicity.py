@@ -31,6 +31,7 @@ LIKELY_NOT_CYCLIC = "likely_not_cyclic"
 UNDETERMINED = "undetermined"
 
 _THEOREM_GRADE = {CYCLIC, NOT_CYCLIC}
+_VERDICTS = _THEOREM_GRADE | {LIKELY_CYCLIC, LIKELY_NOT_CYCLIC, UNDETERMINED}
 TABLE_MAX_N = 256           # largest decay table
 TABLE_MAX_ROWS = 2 * TABLE_MAX_N    # largest deg f + N: caps a stored factor
 # largest under use_exact=True; N = 128 took 0.08 s on (1+z)/2, f = 1+z, and
@@ -60,9 +61,7 @@ class CyclicityReport:
     decay: Optional["DecayTable"] = None
 
     def __post_init__(self):
-        allowed = _THEOREM_GRADE | {LIKELY_CYCLIC, LIKELY_NOT_CYCLIC,
-                                    UNDETERMINED}
-        if self.verdict not in allowed:
+        if self.verdict not in _VERDICTS:
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
     def to_dict(self):
@@ -85,10 +84,12 @@ def defect_spectrum(space: HbSpace) -> list:
 
     For rational b these are exactly the circle points where every
     element of the space has a finite non-tangential limit and the
-    classifier evaluates candidates.
+    classifier evaluates candidates.  Sorted once per space.
     """
-    return sorted(space.a_circle_zeros(),
-                  key=config.circle_angle)
+    if space._defect is None:
+        space._defect = tuple(sorted(space.a_circle_zeros(),
+                                     key=config.circle_angle))
+    return list(space._defect)
 
 
 def classify_finite_defect(space: HbSpace, f) -> CyclicityReport:
@@ -126,20 +127,20 @@ def outer_nonvanishing_rule(f, points, rule: str,
                  "vanishing_points": small})])
 
 
-def _as_poly(f) -> np.ndarray:
-    if isinstance(f, HbElement):
-        return f.f
-    if isinstance(f, UnitCircleFunction):
-        return f.to_polynomial()
-    return poly.trim(poly.finite(np.asarray(f, dtype=complex), "f: "))
-
-
 def _candidate(f) -> UnitCircleFunction:
-    """f as a polynomial function, kept when given as one: the rules that
-    read its roots then share one solve."""
+    """f as a polynomial function, checked and trimmed once, and kept when
+    given as one: the rules and the decay table that read it then share
+    its degree and one root solve."""
     if isinstance(f, UnitCircleFunction) and f.kind == "poly":
         return f
-    return UnitCircleFunction.polynomial(_as_poly(f))
+    if isinstance(f, HbElement):
+        f = f.f
+    elif isinstance(f, UnitCircleFunction):
+        f = f.to_polynomial()
+    try:
+        return UnitCircleFunction.polynomial(f)
+    except ValueError as exc:
+        raise ValueError(f"f: {exc}") from None
 
 
 def _ang(z) -> float:
@@ -192,6 +193,9 @@ def decay_table(space: HbSpace, f, n_max: int,
                 use_exact: str | bool = False) -> DecayTable:
     """Distances from 1 to the polynomial-multiple spans of f.
 
+    f is a coefficient list, an HbElement, or a UnitCircleFunction; a
+    polynomial UnitCircleFunction (the candidate assess builds once) is
+    read as it is, with no second finiteness check or trim.
     Through the embedding, d_N^2 = ||w||^2 - sum of |<w, q_i>|^2 over an
     orthonormal basis q_i of the span of the first N embedded multiples
     z^k f, w the embedded constant.  Stacked, multiples and constant are
@@ -214,9 +218,10 @@ def decay_table(space: HbSpace, f, n_max: int,
     integers): "auto" computes the first 32, True refuses
     N > EXACT_TABLE_MAX_N.
     """
-    f = _as_poly(f)
-    if poly.degree(f) < 0:
+    fn = _candidate(f)
+    if fn.num_degree < 0:
         raise ValueError("decay table needs a nonzero f")
+    f = fn.num
     if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
         raise ValueError(f"table size n_max must be an integer, not "
                          f"{n_max!r}")
@@ -233,8 +238,8 @@ def decay_table(space: HbSpace, f, n_max: int,
     # 2^-e, max|f| < 2^e: exact, and no column norm overflows
     e = math.frexp(max(map(abs, f.tolist())))[1]
     pivots, proj, col_sq = _banded_r(R0, f * 2.0 ** -e, n_max)
-    flags = np.flatnonzero(np.abs(pivots) <= 1e-12 * np.maximum(
-        2.0 ** -e, np.sqrt(col_sq))) + 1
+    flags = (np.abs(pivots) <= 1e-12 * np.maximum(
+        2.0 ** -e, np.sqrt(col_sq))).nonzero()[0] + 1
     # ||w||^2 = ||B[:, N]||^2 = |R0[0, 0]|^2 less |R[i, N]|^2 one at a time
     d2 = np.subtract.accumulate(np.concatenate(
         [[abs(R0[0, 0]) ** 2], np.abs(proj) ** 2]))[1:]
@@ -274,7 +279,7 @@ def _banded_r(R0: np.ndarray, f: np.ndarray, n: int):
         for i in range(1, d + 1):
             new[:, :-1] += f[i] * R0[r0:r1, j0 + i:n + i]
         new[:, -1] = R0[r0:r1, 0]
-        col_sq[j0:] += np.sum(np.abs(new[:, :-1]) ** 2, axis=0)
+        col_sq[j0:] += (np.abs(new[:, :-1]) ** 2).sum(axis=0)
         # raw mode: h is the factored slab transposed, R in its lower part
         h = np.linalg.qr(buf[:top + r1 - r0, :n - j0 + 1], mode="raw")[0]
         m = min(k, n - j0)
@@ -351,7 +356,6 @@ def estimate_from_decay(table: DecayTable,
     if len(table.entries) < 20:
         raise ValueError("estimator needs a table of length >= 20")
     d2 = table.d2()
-    ns = table.sizes().astype(float)
     last = float(d2[-1])
     numbers = {"last_d2": last, "norm1_sq": table.norm1_sq}
     if last < th.final_tol:
@@ -367,7 +371,7 @@ def estimate_from_decay(table: DecayTable,
             "decay_heuristic",
             "distances stalled at a level far from zero",
             numbers=numbers)], decay=table)
-    fit = _trend_fit(ns, d2, th)
+    fit = _trend_fit(table.sizes().astype(float), d2, th)
     if fit is not None:
         numbers.update(fit)
         if fit["extrapolated_d2"] < th.extrap_tol and \
@@ -390,6 +394,7 @@ def _trend_fit(ns, d2, th: DecayThresholds):
         return None
     xs, ys = xs[mask], ys[mask]
     logy = np.log(ys)
+    ss_tot = float(((logy - logy.mean()) ** 2).sum()) or 1e-300
     best = None
     for kind, tx, horizon in (
             ("power", np.log(xs), np.log(th.power_horizon)),
@@ -397,10 +402,7 @@ def _trend_fit(ns, d2, th: DecayThresholds):
         A = np.vstack([tx, np.ones_like(tx)]).T
         sol, *_ = np.linalg.lstsq(A, logy, rcond=None)
         slope, intercept = float(sol[0]), float(sol[1])
-        pred = A @ sol
-        ss_res = float(np.sum((logy - pred) ** 2))
-        ss_tot = float(np.sum((logy - logy.mean()) ** 2)) or 1e-300
-        r2 = 1 - ss_res / ss_tot
+        r2 = 1 - float(((logy - A @ sol) ** 2).sum()) / ss_tot
         if slope >= 0:
             continue
         extrap = float(np.exp(intercept + slope * horizon))
@@ -518,6 +520,8 @@ def theorem_b_check(space: HbSpace, f, cover: TheoremBCover | Sequence
     phi = _require_normalized(space).density_root
     fn = _candidate(f)
     items = cover.items if isinstance(cover, TheoremBCover) else list(cover)
+    if not all(math.isfinite(eta) for _arc, eta in items):
+        raise ValueError("cover bounds eta must be finite")
     reasons = []
     outer = factor.is_outer(fn)
     if not outer:
@@ -573,7 +577,7 @@ def theorem_c_check(space: HbSpace, g) -> tuple:
     its mate.  Returns (F, outcome).
     """
     phi = _require_normalized(space).density_root
-    g = _as_poly(g)
+    g = _candidate(g).num
     f_image = clark.normalized_cauchy_rational(space, 1.0, g)
     theta, big_f = factor.inner_outer(f_image, space.grid)
     sigma_f = sigma.sigma_upper(big_f)
@@ -668,7 +672,7 @@ def assess(space: HbSpace, f, n_max: int = 32,
     evidence.extend(nec.report.evidence)
     table = None
     if fn.num_degree >= 0:
-        table = decay_table(space, fn.num, max(n_max, 20))
+        table = decay_table(space, fn, max(n_max, 20))
         est = estimate_from_decay(table, thresholds)
         evidence.extend(est.evidence)
         if report.verdict in _THEOREM_GRADE and est.verdict in (

@@ -56,6 +56,7 @@ class HbSpace:
         self.A = A                      # fejer_riesz trims it
         self._one: Optional[HbElement] = None
         self._a_roots: Optional[list] = None
+        self._defect: Optional[tuple] = None   # cyclicity.defect_spectrum
         self._sweep: Optional[tuple] = None    # clark.clark_sweep's default
         self._factor = np.zeros(0, dtype=complex)   # see embedding_factor
         self._exact_pA: Optional[tuple] = None      # see gaussian_mate

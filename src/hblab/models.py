@@ -35,10 +35,10 @@ class DirichletSpec:
         pairs = []
         for zeta, w in atoms:
             zeta = complex(zeta)
-            if abs(abs(zeta) - 1) > 1e-9:
+            if not abs(abs(zeta) - 1) <= 1e-9:     # NaN fails too
                 raise DomainError("Dirichlet atoms must lie on the circle")
-            if w <= 0:
-                raise ValueError("weights must be positive")
+            if not 0 < w < float("inf"):
+                raise ValueError("weights must be positive and finite")
             pairs.append((zeta / abs(zeta), float(w)))
         for i, (z1, _w) in enumerate(pairs):
             for z2, _w2 in pairs[i + 1:]:

@@ -11,6 +11,7 @@ polishing.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -23,26 +24,29 @@ def aspoly(c) -> np.ndarray:
             c = np.asarray(c, dtype=complex)
         except TypeError:       # exact scalars have no complex(): keep them
             c = np.asarray(c, dtype=object)
-    arr = np.atleast_1d(c)
-    if arr.ndim != 1:
-        raise ValueError("polynomial coefficients must be one-dimensional")
-    return arr
+    if c.ndim != 1:
+        if c.ndim:
+            raise ValueError("polynomial coefficients must be one-dimensional")
+        c = c.reshape(1)
+    return c
 
 
 def finite(c, what: str = "") -> np.ndarray:
     """aspoly(c), refused unless every coefficient is finite."""
     arr = aspoly(c)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what}polynomial coefficients must be finite")
     return arr
 
 
 def _kept(arr: np.ndarray, rtol: float) -> int:
     """How many leading coefficients trim keeps; 0 when all are negligible
-    relative to the max."""
-    scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
+    relative to the max.  The max is of np.abs over the array and the tail
+    test uses the scalar abs; the two can differ in the last bit (numpy's
+    SIMD loops)."""
     n = arr.size
-    while n > 0 and abs(arr[n - 1]) <= rtol * scale:
+    tol = rtol * max(1.0, float(np.abs(arr).max()) if n else 0.0)
+    while n > 0 and abs(arr[n - 1]) <= tol:
         n -= 1
     return n
 
@@ -82,7 +86,7 @@ def pmul(p, q) -> np.ndarray:
 def horner(c, z):
     """Evaluate at an array of points, or at a scalar in complex arithmetic."""
     arr = aspoly(c)[::-1]
-    if np.ndim(z) == 0:
+    if isinstance(z, numbers.Number) or np.ndim(z) == 0:
         z, arr = complex(z), arr.tolist()
         acc = arr[0]
     else:
@@ -215,15 +219,28 @@ def roots_with_multiplicity(c, cluster_rtol: float | None = None):
     """All complex roots with multiplicities.
 
     Companion-matrix eigenvalues, clustered at the configured relative
-    radius, then polished with the multiplicity-aware Newton step.
+    radius, then polished with the multiplicity-aware Newton step.  c must
+    be finite; it is read under trim's rule, without a copy.  At degree 1
+    the root is read off as np.roots returns it: 0.0 when c0 = 0, else
+    the one entry of the 1 x 1 companion matrix, -c0/c1 in numpy
+    arithmetic, where LAPACK returns it unscaled (|c0/c1| within
+    1e-130..1e130; LAPACK rescales a matrix whose norm leaves about
+    1e-138..1e138).
     """
-    arr = trim(c)
-    if degree(arr) < 1:
+    arr = finite(c)
+    arr = arr[:_kept(arr, 1e-12)]
+    if arr.size < 2:
         raise ValueError("root finding needs degree >= 1")
     rtol = config.ROOT_CLUSTER_RTOL if cluster_rtol is None else cluster_rtol
-    raw = np.roots(arr[::-1])
+    root = -arr[0] / arr[1] if arr.size == 2 else 0
+    if arr.size == 2 and arr[0] == 0:
+        raw = [0.0]                     # np.roots splits off zero roots
+    elif 1e-130 < abs(root) < 1e130:
+        raw = [complex(root)]
+    else:
+        raw = np.roots(arr[::-1]).tolist()
     clusters: list[list] = []           # [sum of members, member count]
-    for r in sorted(raw.tolist(), key=lambda t: (abs(t), np.angle(t))):
+    for r in _modulus_order(raw):
         for cl in clusters:
             center = cl[0] / cl[1]
             if abs(r - center) <= rtol * max(1.0, abs(center)):
@@ -237,5 +254,14 @@ def roots_with_multiplicity(c, cluster_rtol: float | None = None):
     for total, count in clusters:
         z = _polish(arr, dp, complex(total / count), count)
         out.append((z, count))
-    out.sort(key=lambda t: (abs(t[0]), np.angle(t[0])))
-    return out
+    return _modulus_order(out, lambda t: t[0])
+
+
+def _modulus_order(items, root=lambda t: t) -> list:
+    """items sorted by (|root|, np.angle(root)), np.angle read only where
+    moduli tie."""
+    runs: dict = {}
+    for t in items:
+        runs.setdefault(abs(root(t)), []).append(t)
+    return [t for m in sorted(runs) for t in (runs[m] if len(runs[m]) == 1
+            else sorted(runs[m], key=lambda t: np.angle(root(t))))]

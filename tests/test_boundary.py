@@ -326,6 +326,12 @@ class TestArcs:
         with pytest.raises(ValueError):
             Arc.from_angles(1.0, 1.0)
 
+    def test_nonfinite_angles_rejected(self):
+        for start, end in ((np.nan, 1.0), (0.0, np.nan), (np.inf, 1.0),
+                           (0.0, -np.inf), (np.nan, np.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                Arc.from_angles(start, end)
+
 
 class TestAnalyticProjection:
     def test_smooth_rational(self):

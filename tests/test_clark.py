@@ -61,6 +61,10 @@ class TestClarkMeasure:
     def test_nonunimodular_alpha_rejected(self, space_small_shift):
         with pytest.raises(DomainError):
             clark.clark_measure(space_small_shift, 0.5)
+        for alpha in (np.nan, complex(np.nan, 0), complex(1, np.nan),
+                      np.inf, complex(np.inf, 1)):
+            with pytest.raises(DomainError):
+                clark.clark_measure(space_small_shift, alpha)
 
     def test_csv_rows(self, space_shifted_half):
         cm = clark.clark_measure(space_shifted_half, 1.0)

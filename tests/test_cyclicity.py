@@ -645,6 +645,12 @@ class TestCertificates:
         with pytest.raises(NormalizationError):
             cy.theorem_b_check(space_half_shift, [1, 1], [])
 
+    def test_rule_b_nonfinite_bound_refused(self, space_from_one_minus_z):
+        for eta in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                cy.theorem_b_check(space_from_one_minus_z, [1, 1],
+                                   [(Arc.from_angles(-0.2, 0.2), eta)])
+
     def test_rule_b_missing_cover(self, space_from_one_minus_z):
         out = cy.theorem_b_check(space_from_one_minus_z, [1, 1], [])
         assert not out.ok
@@ -741,6 +747,38 @@ class TestRootSolves:
         cy.assess(sp, fn)
         cy.assess(sp, fn)
         assert len(root_solves) == 1
+
+    @pytest.mark.parametrize("coeffs", SPACES)
+    def test_assess_validates_f_once(self, coeffs, monkeypatch):
+        """On a steady space (sweep, factor and one() stored), assess of an
+        f of degree <= 5 solves its roots once and trims it at most once:
+        the candidate built first is what every rule and the table read."""
+        sp = hb.make_space(UCF.polynomial(coeffs), use_exact=False)
+        rng = np.random.default_rng(7)
+        fs = [[1, 1], [1, -1], [0, 1], [2.0, 0.5j, 0.25], [1] * 6,
+              list(rng.standard_normal(6) + 1j * rng.standard_normal(6)),
+              [1e-13, 1, 1e-14]]
+        for f in fs:
+            cy.assess(sp, f)                # steady: nothing left to build
+        calls = {"roots": 0, "trim": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(poly, "roots_with_multiplicity",
+                            counted("roots", poly.roots_with_multiplicity))
+        monkeypatch.setattr(poly, "trim", counted("trim", poly.trim))
+        for f in fs:
+            calls.update(roots=0, trim=0)
+            cy.assess(sp, f)
+            assert calls["roots"] == 1 and calls["trim"] <= 1, (f, calls)
+        fn = UCF.polynomial([3.0, 1.0])
+        cy.assess(sp, fn)
+        calls.update(roots=0, trim=0)
+        cy.assess(sp, fn)
+        assert calls == {"roots": 0, "trim": 0}
 
     @pytest.mark.parametrize("coeffs", SPACES)
     def test_sigma_bounds_reads_stored_sweep(self, coeffs, root_solves):

@@ -5,6 +5,7 @@ import pytest
 
 from hblab import clark, cyclicity as cy, hb, models
 from hblab.boundary import UnitCircleFunction as UCF
+from hblab.errors import DomainError
 
 
 class TestDirichlet:
@@ -47,6 +48,15 @@ class TestDirichlet:
             models.DirichletSpec([(1.0, -1.0)])
         with pytest.raises(ValueError):
             models.DirichletSpec([(1.0, 1.0), (1.0, 2.0)])
+
+    def test_nonfinite_atoms_refused(self):
+        for zeta in (np.nan, complex(np.nan, 0), complex(1, np.nan),
+                     np.inf):
+            with pytest.raises(DomainError):
+                models.DirichletSpec([(zeta, 1.0)])
+        for w in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                models.DirichletSpec([(1.0, w)])
 
 
 class TestThetaModel:

@@ -193,6 +193,37 @@ class TestCli:
         code, doc, _ = run_cli(capsys, "--tol", "0", *argv)
         assert code == 0
 
+    def test_nonfinite_numbers_exit_two(self, capsys):
+        cases = [
+            (["certify", "--rule", "B", "--b", "z/2", "--f", "1+z",
+              "--cover", "nan:1:0.5"], "--cover"),
+            (["certify", "--rule", "B", "--b", "z/2", "--f", "1+z",
+              "--cover", "0:1:nan"], "--cover"),
+            (["certify", "--rule", "A", "--b", "(1+z)/2", "--f", "1+z",
+              "--e-arcs", "nan:1", "--f-arcs", "0:1"], "--e-arcs"),
+            (["certify", "--rule", "A", "--b", "(1+z)/2", "--f", "1+z",
+              "--e-arcs", "0.1:6.183", "--f-arcs", "0:inf"], "--f-arcs"),
+            (["dirichlet", "--atoms", "nan:1", "--f", "1+z"], "--atoms"),
+            (["dirichlet", "--atoms", "0:nan", "--f", "1+z"], "--atoms"),
+            (["dirichlet", "--atoms", "0:1,1:inf", "--f", "1+z"], "--atoms"),
+            (["dirichlet", "--atoms", "0:1:2", "--f", "1+z"], "--atoms"),
+            (["clark", "--b", "(1+z)/2", "--alpha", "nan"], "--alpha"),
+            (["clark", "--b", "(1+z)/2", "--alpha=-inf"], "--alpha"),
+            (["clark", "--b", "(1+z)/2", "--alpha", "x"], "--alpha"),
+        ]
+        for argv, flag in cases:
+            code, doc, out = run_cli(capsys, *argv)
+            assert code == 2 and flag in doc["error"], argv
+            assert "NaN" not in out and "Infinity" not in out, argv
+
+    def test_unwritable_csv_exit_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        for argv in (["decay", "--b", "(1+z)/2", "--f", "1-z", "--n", "20"],
+                     ["clark", "--b", "z(1+z)/2", "--alpha", "0"]):
+            code, doc, _ = run_cli(capsys, *argv, "--csv", str(target))
+            assert code == 2 and doc["error"].startswith("--csv"), argv
+            assert not target.exists()
+
     def test_tol_scoped_to_one_call(self, capsys):
         before = config.POINT_ZERO_TOL
         code, doc, _ = run_cli(capsys, "--tol", "0.5", "classify",

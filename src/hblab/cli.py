@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import acceptance, clark, config, cyclicity, hb, models, poly, sigma
+from . import clark, config, cyclicity, hb, models, poly, sigma
 from .boundary import Arc, UnitCircleFunction
 from .errors import HBLabError
 from .parse import ParseError, parse_function
@@ -262,6 +262,7 @@ def cmd_theta(args):
 
 
 def cmd_verify(args):
+    from . import acceptance    # only verify compiles the suite
     results = acceptance.run_all(echo=True)
     ok = all(r.passed for r in results)
     _emit({"passed": sum(r.passed for r in results),
@@ -317,10 +318,37 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _is_numbers(text: str) -> bool:
+    try:
+        for x in text.replace(",", ":").split(":"):
+            float(x)
+    except ValueError:
+        return False
+    return True
+
+
+def _glue_values(argv: list) -> list:
+    """argv with `--flag -1e-3` written `--flag=-1e-3`.  argparse takes
+    a value that starts with '-' for an option unless it is a plain
+    negative decimal, so `--alpha -1e-3` or `--f-arcs -0.5:0.5` would be
+    a usage error; a value that reads as numbers (comma-separated colon
+    lists, as _numbers reads them) is joined to its flag instead."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and len(out[-1]) > 2 and \
+                "=" not in out[-1] and arg.startswith("-") and \
+                _is_numbers(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_glue_values(
+            sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         if exc.code not in (0, None):
             raise SystemExit(2)

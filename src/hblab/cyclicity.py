@@ -209,9 +209,9 @@ def decay_table(space: HbSpace, f, n_max: int,
     inside Householder QRs.  R0 is upper and T_f lower triangular with
     bandwidth deg f, so B is zero below its (deg f)-th subdiagonal, and
     its QR is blocked, BLOCK (or deg f) columns at a time, each slab
-    built from rows of R0 as the QR reaches it (_banded_r): B is never
-    formed.  N <= BLOCK is one QR.  Columns whose pivot collapses are
-    flagged as near-dependent.
+    built from rows of R0, a view of the stored factor, as the QR reaches
+    it (_banded_r): B is never formed.  N <= BLOCK is one QR.  Columns
+    whose pivot collapses are flagged as near-dependent.
     R is at most TABLE_MAX_ROWS.  The exact backend forms the Gram matrix
     of the multiples (exact_entries: one exact mate, the Gram matrix by
     the shift recurrence, one fraction-free elimination over Gaussian
@@ -263,9 +263,10 @@ def _banded_r(R0: np.ndarray, f: np.ndarray, n: int):
     B is zero below its d-th subdiagonal (d = deg f), so k = max(BLOCK, d)
     columns at a time reach k + d rows: the d that the previous block's R
     carries over and k new rows of B, R0[j0+d : j0+k+d, j0:] [T_f | e_0]
-    (rows [0, k+d) for the first block), zero left of column j0.  Each
-    slab is formed in one reused buffer next to its QR; every entry of B
-    is new in exactly one slab, where its column norm is summed.
+    (rows [0, k+d) for the first block), zero left of column j0.  R0 is
+    the stored factor, read in place.  Each slab is formed in one reused
+    buffer next to its QR; every entry of B is new in exactly one slab,
+    where its column norm is summed.
     """
     d = f.size - 1
     k = max(BLOCK, d)

@@ -58,7 +58,7 @@ class HbSpace:
         self._a_roots: Optional[list] = None
         self._defect: Optional[tuple] = None   # cyclicity.defect_spectrum
         self._sweep: Optional[tuple] = None    # clark.clark_sweep's default
-        self._factor = np.zeros(0, dtype=complex)   # see embedding_factor
+        self._factor = np.zeros((0, 0), dtype=complex)  # embedding_factor
         self._exact_pA: Optional[tuple] = None      # see gaussian_mate
 
     def __repr__(self):
@@ -86,16 +86,13 @@ class HbSpace:
         term of mate(z^k) (Sarason's h+ = T_{conj(b)/conj(a)} h), so the
         embedding of a polynomial h of degree < rows is [I; K] h and
         ||h||_b = ||R0 h||_2.  Built on first use and rebuilt only for
-        more rows; the columns of the factor are kept packed, column k's
-        k+1 entries at offset k(k+1)/2 (the rows of the lower triangle of
-        R0^T in order), rows(rows+1)/2 numbers in all.
+        more rows.  The stored factor is the Cholesky output itself,
+        read-only and in Fortran order, and fewer rows get its leading
+        block as a view: no table copies it.
         """
-        size = rows * (rows + 1) // 2
-        if self._factor.size < size:
-            self._factor = _packed_embedding_factor(self, rows)
-        out = np.zeros((rows, rows), dtype=complex, order="F")
-        out.T[np.tri(rows, dtype=bool)] = self._factor[:size]
-        return out
+        if self._factor.shape[0] < rows:
+            self._factor = _embedding_factor(self, rows)
+        return self._factor[:rows, :rows]
 
     def a_circle_zeros(self) -> tuple:
         """Unimodular zeros of A, hence of a, in root order."""
@@ -290,8 +287,8 @@ def _float_mate(space: HbSpace, h: np.ndarray) -> np.ndarray:
     return g
 
 
-def _packed_embedding_factor(space: HbSpace, rows: int) -> np.ndarray:
-    """The packed columns of HbSpace.embedding_factor(rows).
+def _embedding_factor(space: HbSpace, rows: int) -> np.ndarray:
+    """HbSpace.embedding_factor(rows), built and marked read-only.
 
     mate(z h) = z mate(h) + a constant, so the mate of z^(rows-1), from
     one back substitution, holds every c_k, reversed.  The Gram matrix
@@ -313,9 +310,9 @@ def _packed_embedding_factor(space: HbSpace, rows: int) -> np.ndarray:
         S, (rows, rows), (S.strides[0] - S.strides[1], S.strides[1]),
         writeable=False).T
     L = np.linalg.cholesky(lower)           # G = L L^H, so R0 = L^H
-    del S, lower        # freed before packing, which peaks the memory
-    packed = L[np.tri(rows, dtype=bool)]
-    return np.conj(packed, out=packed)
+    R0 = np.conj(L, out=L).T
+    R0.flags.writeable = False
+    return R0
 
 
 def mate(space: HbSpace, f) -> np.ndarray:

@@ -12,6 +12,41 @@ from hblab.boundary import Arc, UnitCircleFunction as UCF
 from hblab.errors import NormalizationError
 
 
+def _b8():
+    rng = np.random.default_rng(101)
+    b8 = rng.normal(size=9) + 1j * rng.normal(size=9)
+    return b8 * (0.9 / np.sum(np.abs(b8)))
+
+
+EMBEDDING_SPACES = {"(1+z)/2": UCF.polynomial([0.5, 0.5]),
+                    "z(1+z)/2": UCF.polynomial([0, 0.5, 0.5]),
+                    "z/(2+z)": UCF.rational([0, 1], [2, 1]),
+                    "(1+z)/(3+z)": UCF.rational([1, 1], [3, 1]),
+                    "(1+z^4)/2": UCF.polynomial([0.5, 0, 0, 0, 0.5]),
+                    "b8": UCF.polynomial(_b8())}
+
+
+def reference_embedding_factor(space, rows):
+    """The embedding factor as its columns were once stored: packed, the
+    lower triangle of the Cholesky factor L in row order, conjugated,
+    then unpacked into a zeroed rows x rows array for every read."""
+    h = np.zeros(rows, dtype=complex)
+    h[-1] = 1.0
+    c = hb._float_mate(space, h)[::-1]
+    S = c[:, None] * np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([np.conj(c), np.zeros(rows - 1)]), rows)
+    np.cumsum(S, axis=0, out=S)
+    S[:, 0] += 1.0
+    lower = np.lib.stride_tricks.as_strided(
+        S, (rows, rows), (S.strides[0] - S.strides[1], S.strides[1]),
+        writeable=False).T
+    L = np.linalg.cholesky(lower)
+    packed = np.conj(L[np.tri(rows, dtype=bool)])
+    out = np.zeros((rows, rows), dtype=complex, order="F")
+    out.T[np.tri(rows, dtype=bool)] = packed
+    return out
+
+
 class TestClassifier:
     def test_worked_examples(self, space_half_shift):
         sp = space_half_shift
@@ -132,14 +167,8 @@ class TestDecay:
     def test_embedding_factor_matches_monomial_mates(self):
         # R0^H R0 is the Gram matrix of the embedded monomials, each mate
         # solved on its own: the shift structure K[i, k] = c_(k-i) holds
-        rng = np.random.default_rng(101)
-        b8 = rng.normal(size=9) + 1j * rng.normal(size=9)
-        b8 *= 0.9 / np.sum(np.abs(b8))
-        spaces = [UCF.polynomial([0.5, 0.5]), UCF.polynomial([0, 0.5, 0.5]),
-                  UCF.rational([0, 1], [2, 1]), UCF.rational([1, 1], [3, 1]),
-                  UCF.polynomial([0.5, 0, 0, 0, 0.5]), UCF.polynomial(b8)]
         rows = 258
-        for b in spaces:
+        for b in EMBEDDING_SPACES.values():
             sp = hb.make_space(b, use_exact=False)
             R0 = sp.embedding_factor(rows)
             assert R0.shape == (rows, rows)
@@ -155,6 +184,47 @@ class TestDecay:
             assert err <= 1e-13 * np.max(np.abs(gram)), (b, err)
             # a stored factor serves fewer rows as its leading block
             assert np.array_equal(sp.embedding_factor(40), R0[:40, :40])
+
+    @pytest.mark.parametrize("name", EMBEDDING_SPACES)
+    def test_stored_factor_is_the_packed_route(self, name):
+        # the stored Cholesky output holds the same numbers as the packed
+        # columns unpacked into a zeroed array
+        sp = hb.make_space(EMBEDDING_SPACES[name], use_exact=False)
+        for rows in (1, 2, 37, 258, 512):
+            R0 = sp.embedding_factor(rows)
+            assert R0.shape == (rows, rows) and R0.flags.f_contiguous
+            assert np.array_equal(R0, reference_embedding_factor(sp, rows))
+
+    def test_stored_factor_is_read_only(self, space_half_shift):
+        R0 = space_half_shift.embedding_factor(30)
+        with pytest.raises(ValueError):
+            R0[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            R0[5:, 3] *= 0
+
+    def test_fewer_rows_are_a_view(self):
+        sp = hb.make_space(UCF.rational([1, 1], [3, 1]), use_exact=False)
+        big = sp.embedding_factor(100)
+        for rows in (1, 40, 99, 100):
+            small = sp.embedding_factor(rows)
+            assert np.shares_memory(small, big), rows
+            assert small.base is not None and not small.flags.writeable
+
+    def test_factor_rebuilt_only_for_more_rows(self, monkeypatch):
+        calls = []
+        solve = hb._float_mate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(hb, "_float_mate", counted)
+        sp = hb.make_space(UCF.rational([0, 1], [2, 1]), use_exact=False)
+        for rows, built in ((50, 1), (20, 0), (50, 0), (51, 1), (300, 1),
+                            (1, 0), (300, 0), (299, 0)):
+            before = len(calls)
+            sp.embedding_factor(rows)
+            assert len(calls) - before == built, rows
 
     def test_one_back_substitution_per_table(self, monkeypatch):
         calls = []
@@ -375,8 +445,8 @@ class TestBandedQR:
         _matches_dense_qr(factor_route_spaces["(1+z)/(3+z)"], f, 256)
 
     def test_transient_memory_is_about_one_factor(self):
-        # B is never formed: past the unpacked R0 (rows^2 complex
-        # numbers), a table holds only slab-sized arrays
+        # B is never formed: a table holds at most about one rows^2
+        # array (rows^2 complex numbers)
         sp = hb.make_space(UCF.rational([0, 1], [2, 1]), use_exact=False)
         f, n = [1, -0.5, 0.25j, 0.1], 256
         cy.decay_table(sp, f, n)        # builds and stores the factor
@@ -387,6 +457,20 @@ class TestBandedQR:
         finally:
             tracemalloc.stop()
         assert peak <= 2.25 * (len(f) - 1 + n) ** 2 * 16, peak
+
+    def test_transient_memory_is_below_one_factor(self):
+        # R0 is read in place: a steady table allocates no rows^2 array,
+        # only its slab buffer, the slab QRs and the per-column vectors
+        sp = hb.make_space(UCF.rational([0, 1], [2, 1]), use_exact=False)
+        f, n = [1, -0.5, 0.25j, 0.1], 256
+        cy.decay_table(sp, f, n)        # builds and stores the factor
+        tracemalloc.start()
+        try:
+            cy.decay_table(sp, f, n)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (len(f) - 1 + n) ** 2 * 16, peak
 
 
 def _matches_dense_qr(space, f, n):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,3 +284,68 @@ class TestCli:
         assert code == 0
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "N,d2" and len(lines) == 9
+
+
+NEGATIVE_VALUES = [
+    (["clark", "--b", "z/2"], "--alpha", "-1e-3"),
+    (["clark", "--b", "z/2"], "--alpha", "-.5"),
+    (["certify", "--rule", "A", "--b", "(1+z)/2", "--f", "1+z",
+      "--f-arcs", "0.6:1"], "--e-arcs", "-0.5:0.5"),
+    (["certify", "--rule", "A", "--b", "(1+z)/2", "--f", "1+z",
+      "--e-arcs", "0.1:6.183"], "--f-arcs", "-0.5:0.5"),
+    (["certify", "--rule", "B", "--b", "z/2", "--f", "1+z"], "--cover",
+     "-0.5:0.5:1e-3,1:2:0.5"),
+    (["dirichlet", "--f", "1-z"], "--atoms", "-1e-1:1,2:0.5"),
+]
+
+
+class TestNegativeValues:
+    """A flag value that starts with '-' and reads as numbers is the
+    value, not an option."""
+
+    @pytest.mark.parametrize("argv, flag, value", NEGATIVE_VALUES)
+    def test_space_form_is_the_equals_form(self, capsys, argv, flag, value):
+        code, doc, out = run_cli(capsys, *argv, flag, value)
+        assert doc is not None and "error" not in doc, (flag, out)
+        assert code in (0, 1)
+        code_eq, _doc, out_eq = run_cli(capsys, *argv, f"{flag}={value}")
+        assert (code, out) == (code_eq, out_eq)
+
+    def test_readme_certify_example(self, capsys):
+        code, doc, _ = run_cli(capsys, "certify", "--rule", "A",
+                               "--b", "(1+z)/2", "--f", "1+z",
+                               "--e-arcs", "0.1:6.183",
+                               "--f-arcs", "-0.5:0.5")
+        assert code == 0 and doc["certified"]
+
+    def test_nonfinite_negative_names_the_flag(self, capsys):
+        code, doc, _ = run_cli(capsys, "clark", "--b", "z/2",
+                               "--alpha", "-inf")
+        assert code == 2 and "--alpha" in doc["error"]
+
+    def test_unknown_option_still_exits_two(self, capsys):
+        for argv in (["clark", "--b", "z/2", "--alpha", "0", "--bogus",
+                      "-1e-3"],
+                     ["clark", "--b", "z/2", "--alpha", "-x"],
+                     ["clark", "--b", "z/2", "--alpha", "-e-3"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == ""
+
+
+class TestColdImports:
+    def test_only_verify_imports_acceptance(self):
+        code = ("import sys; from hblab import cli; "
+                "cli.main(['mate', '--b', 'z/2']); "
+                "print('hblab.acceptance' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip().splitlines()[-1] == "False"
+
+    def test_verify_passes_every_criterion(self, capsys):
+        code, doc, _ = run_cli(capsys, "verify")
+        assert code == 0 and doc["passed"] == 11 and doc["failed"] == []

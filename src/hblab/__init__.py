@@ -4,18 +4,19 @@ Construct H(b) spaces with exact Pythagorean mates, compute norms and
 reproducing kernels through the Toeplitz embedding, build Clark measures
 and normalized Cauchy transforms, bracket the non-exposure set, and
 decide or certify cyclicity by several mutually cross-checking routes.
+
+`import hblab` loads the core that builds spaces and reads function
+literals.  The analysis modules (clark, sigma, cyclicity, models) load
+on first access to one of their names, so a command that never uses
+them never compiles them.
 """
+
+import importlib
 
 from .boundary import (Arc, CircleMeasure, UnitCircleFunction,
                        analytic_projection, cauchy, evaluate, fourier_coeffs,
                        herglotz, roots)
-from .clark import (ClarkMeasure, clark_measure, normalized_cauchy,
-                    normalized_cauchy_rational, poltoratski_limit)
 from .config import DEFAULT_GRID, GridConfig
-from .cyclicity import (CyclicityReport, DecayTable, DecayThresholds,
-                        assess, classify_finite_defect, decay_table,
-                        estimate_from_decay, necessity_check,
-                        theorem_a_check, theorem_b_check, theorem_c_check)
 from .errors import (DomainError, ExtremeFunctionError, FactorizationError,
                      HBLabError, MembershipError, NormalizationError,
                      PoleError, SpaceMismatchError, UnitBallError)
@@ -24,14 +25,44 @@ from .hb import (HbElement, HbSpace, boundary_kernel, divide_inner,
                  element_from_rational, inner_product, inner_product_exact,
                  kernel, kernel_element, make_element, make_space,
                  make_space_from_phi, mate)
-from .models import (DirichletSpec, ThetaModel, dirichlet_cyclic,
-                     dirichlet_integral, dirichlet_norm, theta_cyclic,
-                     theta_model, universal_cyclicity)
 from .parse import parse_function
-from .sigma import (SigmaBounds, ToeplitzSectionReport,
-                    jphi_membership_residuals, phi_alpha,
-                    pseudocontinuation_eval, sigma_bounds, sigma_lower,
-                    sigma_upper, toeplitz_kernel_sections)
+
+_ON_FIRST_USE = {
+    "clark": ("ClarkMeasure", "clark_measure", "normalized_cauchy",
+              "normalized_cauchy_rational", "poltoratski_limit"),
+    "cyclicity": ("CyclicityReport", "DecayTable", "DecayThresholds",
+                  "assess", "classify_finite_defect", "decay_table",
+                  "estimate_from_decay", "necessity_check",
+                  "theorem_a_check", "theorem_b_check", "theorem_c_check"),
+    "models": ("DirichletSpec", "ThetaModel", "dirichlet_cyclic",
+               "dirichlet_integral", "dirichlet_norm", "theta_cyclic",
+               "theta_model", "universal_cyclicity"),
+    "sigma": ("SigmaBounds", "ToeplitzSectionReport",
+              "jphi_membership_residuals", "phi_alpha",
+              "pseudocontinuation_eval", "sigma_bounds", "sigma_lower",
+              "sigma_upper", "toeplitz_kernel_sections"),
+}
+_HOME = {name: module for module, names in _ON_FIRST_USE.items()
+         for name in names}
+
+
+def __getattr__(name):
+    """Load an analysis module on first access to it or to one of its
+    names (PEP 562); the value is then bound here, so later lookups
+    never come back."""
+    module = _HOME.get(name, name)
+    if module not in _ON_FIRST_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+        globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME) | set(_ON_FIRST_USE))
+
 
 __version__ = "0.1.0"
 

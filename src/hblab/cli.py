@@ -15,7 +15,9 @@ import sys
 
 import numpy as np
 
-from . import clark, config, cyclicity, hb, models, poly, sigma
+# each handler imports the analysis module it calls, so a command loads
+# only the modules it runs
+from . import config, hb, poly
 from .boundary import Arc, UnitCircleFunction
 from .errors import HBLabError
 from .parse import ParseError, parse_function
@@ -59,6 +61,16 @@ def _exact_mode(args):
 def _space(args) -> hb.HbSpace:
     b = parse_function(args.b)
     return hb.make_space(b, _grid(args), _exact_mode(args))
+
+
+def _polynomial(args, flag: str) -> UnitCircleFunction:
+    """The function given by --f or --g, which must be a polynomial:
+    anything else exits 2 naming the flag."""
+    text = getattr(args, flag)
+    fn = parse_function(text)
+    if not fn.is_polynomial():
+        _fail(f"--{flag} {text!r} is not a polynomial", 2)
+    return fn
 
 
 def _finite(text: str, flag: str, form: str) -> tuple:
@@ -131,12 +143,12 @@ def cmd_validate(args):
            "exact_backend": sp.exact is not None,
            "exact_declined": sp.exact_declined,
            "defect_points_angle": [config.circle_angle(z)
-                                   for z in cyclicity.defect_spectrum(sp)]})
+                                   for z in hb.defect_spectrum(sp)]})
 
 
 def cmd_norm(args):
+    f = _polynomial(args, "f")
     sp = _space(args)
-    f = parse_function(args.f)
     el = hb.make_element(sp, f)
     out = {"norm_sq": el.norm2,
            "mate_coeffs": [[c.real, c.imag] for c in el.mate]}
@@ -147,13 +159,12 @@ def cmd_norm(args):
 
 
 def cmd_decay(args):
+    from . import cyclicity
     cap = cyclicity.EXACT_TABLE_MAX_N if args.exact == "on" else \
         cyclicity.TABLE_MAX_N
     if not 1 <= args.n <= cap:
         _fail(f"--n {args.n} is outside 1..{cap} (--exact {args.exact})", 2)
-    f = parse_function(args.f)
-    if not f.is_polynomial():
-        _fail(f"--f {args.f!r} is not a polynomial", 2)
+    f = _polynomial(args, "f")
     if poly.degree(f.to_polynomial()) < 0:
         _fail("--f is zero: a decay table needs a nonzero f", 2)
     if f.degree() + args.n > cyclicity.TABLE_MAX_ROWS:
@@ -180,13 +191,15 @@ def cmd_decay(args):
 
 
 def cmd_classify(args):
+    from . import cyclicity
+    f = _polynomial(args, "f")
     sp = _space(args)
-    f = parse_function(args.f)
     rep = cyclicity.classify_finite_defect(sp, f)
     _emit(rep.to_dict())
 
 
 def cmd_clark(args):
+    from . import clark
     theta, = _finite(args.alpha, "--alpha", "an angle")
     sp = _space(args)
     cm = clark.clark_measure(sp, complex(np.exp(1j * theta)))
@@ -203,6 +216,7 @@ def cmd_clark(args):
 
 
 def cmd_sigma(args):
+    from . import sigma
     sp = _space(args)
     bounds = sigma.sigma_bounds(sp)
     _emit({"lower_angles": [config.circle_angle(z) for z in bounds.lower],
@@ -215,22 +229,20 @@ def cmd_sigma(args):
 
 
 def cmd_certify(args):
+    from . import cyclicity
+    flag = "g" if args.rule == "C" else "f"
+    if getattr(args, flag) is None:
+        _fail(f"rule {args.rule} needs --{flag}", 2)
+    fn = _polynomial(args, flag)
     sp = _space(args)
     if args.rule == "A":
-        if args.f is None:
-            _fail("rule A needs --f", 2)
         outcome = cyclicity.theorem_a_check(
-            sp, parse_function(args.f), _parse_arcs(args.e_arcs, "--e-arcs"),
+            sp, fn, _parse_arcs(args.e_arcs, "--e-arcs"),
             _parse_arcs(args.f_arcs, "--f-arcs"))
     elif args.rule == "B":
-        if args.f is None:
-            _fail("rule B needs --f", 2)
-        outcome = cyclicity.theorem_b_check(
-            sp, parse_function(args.f), _parse_cover(args.cover))
+        outcome = cyclicity.theorem_b_check(sp, fn, _parse_cover(args.cover))
     else:
-        if args.g is None:
-            _fail("rule C needs --g", 2)
-        big_f, outcome = cyclicity.theorem_c_check(sp, parse_function(args.g))
+        big_f, outcome = cyclicity.theorem_c_check(sp, fn)
     doc = {"rule": args.rule, "certified": outcome.ok,
            "report": outcome.report.to_dict(), "reasons": outcome.reasons}
     if args.rule == "C" and outcome.ok:
@@ -241,8 +253,9 @@ def cmd_certify(args):
 
 
 def cmd_dirichlet(args):
+    from . import models
+    f = _polynomial(args, "f").to_polynomial()
     spec = models.DirichletSpec(_parse_atoms(args.atoms))
-    f = parse_function(args.f).to_polynomial()
     out = {"dirichlet_integral": models.dirichlet_integral(spec, f),
            "norm_sq": models.dirichlet_norm(spec, f),
            "verdict": models.dirichlet_cyclic(spec, f).verdict}
@@ -253,8 +266,9 @@ def cmd_dirichlet(args):
 
 
 def cmd_theta(args):
+    from . import models
+    f = _polynomial(args, "f").to_polynomial()
     model = models.theta_model(parse_function(args.theta))
-    f = parse_function(args.f).to_polynomial()
     _emit({"atoms": [[config.circle_angle(z), m] for z, m in model.atoms],
            "model_dimension": model.model_dimension,
            "mass_total": model.herglotz_mass,

@@ -17,12 +17,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import clark, config, exact, factor, poly, sigma
+# clark and sigma are imported by the rules that call them, so the
+# classifier and decay tables load neither
+from . import config, exact, factor, poly
 from .boundary import Arc, UnitCircleFunction, arc_union_contains, \
     arcs_cover_circle
 from .errors import NormalizationError
-from .hb import HbElement, HbSpace, element_from_rational, gaussian_mate, \
-    make_element
+from .hb import HbElement, HbSpace, defect_spectrum, element_from_rational, \
+    gaussian_mate, make_element
 
 CYCLIC = "cyclic"
 NOT_CYCLIC = "not_cyclic"
@@ -78,19 +80,6 @@ class CyclicityReport:
 
 # ---------------------------------------------------------------------------
 # finite-defect classifier
-
-def defect_spectrum(space: HbSpace) -> list:
-    """Unimodular zeros of a: the boundary points carrying the defect.
-
-    For rational b these are exactly the circle points where every
-    element of the space has a finite non-tangential limit and the
-    classifier evaluates candidates.  Sorted once per space.
-    """
-    if space._defect is None:
-        space._defect = tuple(sorted(space.a_circle_zeros(),
-                                     key=config.circle_angle))
-    return list(space._defect)
-
 
 def classify_finite_defect(space: HbSpace, f) -> CyclicityReport:
     """Exact cyclicity classification for rational b and polynomial f.
@@ -447,6 +436,7 @@ def theorem_a_check(space: HbSpace, f, e_arcs: Sequence[Arc],
     unimodular zero in closure(E) and f none in closure(F); grid integrals
     are reported as diagnostics only.
     """
+    from . import sigma
     fn = _candidate(f)
     f = fn.num
     e_arcs, f_arcs = list(e_arcs), list(f_arcs)
@@ -499,6 +489,7 @@ def theorem_a_check(space: HbSpace, f, e_arcs: Sequence[Arc],
 
 def _require_normalized(space: HbSpace):
     """Base-point normalization: mu_1 absolutely continuous, phi unit norm."""
+    from . import clark
     cm = clark.clark_measure(space, 1.0)
     if cm.atoms:
         raise NormalizationError(
@@ -518,6 +509,7 @@ def theorem_b_check(space: HbSpace, f, cover: TheoremBCover | Sequence
     cover certifies every outer candidate exactly when that bound is
     empty (then multiples of a are dense).
     """
+    from . import sigma
     phi = _require_normalized(space).density_root
     fn = _candidate(f)
     items = cover.items if isinstance(cover, TheoremBCover) else list(cover)
@@ -577,6 +569,7 @@ def theorem_c_check(space: HbSpace, g) -> tuple:
     part of the conclusion is F in H(b), asserted by embedding F through
     its mate.  Returns (F, outcome).
     """
+    from . import clark, sigma
     phi = _require_normalized(space).density_root
     g = _candidate(g).num
     f_image = clark.normalized_cauchy_rational(space, 1.0, g)
@@ -626,6 +619,7 @@ def necessity_check(space: HbSpace, f, alphas=None) -> NecessityOutcome:
     yields a theorem-grade not_cyclic with the witnessing (alpha, atom).
     Non-outer candidates fail outright.
     """
+    from . import clark
     fn = _candidate(f)
     f = fn.num
     if fn.num_degree < 0 or not factor.is_outer(fn):

@@ -259,16 +259,6 @@ def pythagorean_residual(p: Sequence, q: Sequence, A: Sequence,
     return [] if all(c.is_zero() for c in resid) else list(resid)
 
 
-def bordered_schur(m) -> list[Fraction]:
-    """Schur complements c - r_k* G_k^-1 r_k, k = 1..n, of a Hermitian
-    [[G, r], [r*, c]] given on and above its diagonal, G positive definite
-    and G_k its leading k x k block, by _bareiss of the matrix times the
-    lcm D of its denominators."""
-    *rows, scale = gaussian_ints(*(row[j:] for j, row in enumerate(m)))
-    re, im = ([[0] * j + r[t] for j, r in enumerate(rows)] for t in (0, 1))
-    return _bareiss(re, im, 1, scale)
-
-
 def gaussian_ints(*polys) -> list:
     """Lists of QC as (re, im) integer lists over their lcm denominator d:
     the pairs, then d."""

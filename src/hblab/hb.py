@@ -56,7 +56,7 @@ class HbSpace:
         self.A = A                      # fejer_riesz trims it
         self._one: Optional[HbElement] = None
         self._a_roots: Optional[list] = None
-        self._defect: Optional[tuple] = None   # cyclicity.defect_spectrum
+        self._defect: Optional[tuple] = None   # defect_spectrum
         self._sweep: Optional[tuple] = None    # clark.clark_sweep's default
         self._factor = np.zeros((0, 0), dtype=complex)  # embedding_factor
         self._exact_pA: Optional[tuple] = None      # see gaussian_mate
@@ -110,6 +110,19 @@ class HbSpace:
             return None
         e = self.exact
         return exact.pythagorean_residual(e.p, e.q, e.A, e.s2)
+
+
+def defect_spectrum(space: HbSpace) -> list:
+    """Unimodular zeros of a: the boundary points carrying the defect.
+
+    For rational b these are exactly the circle points where every
+    element of the space has a finite non-tangential limit and the
+    classifier evaluates candidates.  Sorted once per space.
+    """
+    if space._defect is None:
+        space._defect = tuple(sorted(space.a_circle_zeros(),
+                                     key=config.circle_angle))
+    return list(space._defect)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import clark, config, cyclicity, exact, factor, poly
+from . import config, cyclicity, exact, factor, poly
 from .boundary import UnitCircleFunction
 from .errors import DomainError
 from .hb import HbSpace, kernel_element, element_from_rational
@@ -120,6 +120,7 @@ class ThetaModel:
 def theta_model(theta, grid: config.GridConfig = config.DEFAULT_GRID
                 ) -> ThetaModel:
     """Build the half-shifted model for a nonconstant finite Blaschke theta."""
+    from . import clark     # the Dirichlet oracles load no Clark code
     if not isinstance(theta, UnitCircleFunction):
         theta = UnitCircleFunction.blaschke(list(theta))
     tn, td = theta.as_num_den()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_clark import RANDOM_B, _random_b
+from test_exact import bordered_schur
 
 from hblab import cli, clark, config, cyclicity as cy, exact, hb, poly, sigma
 from hblab.boundary import Arc, UnitCircleFunction as UCF
@@ -513,7 +514,7 @@ def per_column_exact_decay(space, f, n):
 
 def reference_exact_decay(space, f, n):
     """The exact table assembled on QC scalars: one exact mate, the Gram
-    matrix of the z^k f by the shift recurrence, exact.bordered_schur."""
+    matrix of the z^k f by the shift recurrence, bordered_schur."""
     h, u = hb.exact_mate(space, poly.trim(np.asarray(f, dtype=complex)),
                          n - 1)
     h = np.array(h, dtype=object)
@@ -532,7 +533,7 @@ def reference_exact_decay(space, f, n):
         m.append([None] * j + [m[j - 1][k - 1] + u[n - 1 - k] * c
                                for k in range(j, n)] + [ip(cols[n], cols[j])])
     m.append([None] * n + [ip(cols[n], cols[n])])
-    return list(enumerate(exact.bordered_schur(m), 1))
+    return list(enumerate(bordered_schur(m), 1))
 
 
 EXACT_SPACES = {"(1+z)/2": UCF.polynomial([0.5, 0.5]),
@@ -655,19 +656,19 @@ class TestExactDecay:
 
     def test_bordered_schur_guards(self):
         q = exact.QC
-        assert exact.bordered_schur([[q(2), q(1)], [None, q(1)]]) == \
+        assert bordered_schur([[q(2), q(1)], [None, q(1)]]) == \
             [Fraction(1, 2)]
         # G = [[4, 2i], [-2i, 2]], r = (1, 1), c = 2: G^-1 = [[1/2, -i/2],
         # [i/2, 1]], so the corners are 2 - 1/4 and 2 - 3/2
         m = [[q(4), q(0, 2), q(1)], [None, q(2), q(1)], [None, None, q(2)]]
-        assert exact.bordered_schur(m) == [Fraction(7, 4), Fraction(1, 2)]
+        assert bordered_schur(m) == [Fraction(7, 4), Fraction(1, 2)]
         for bad in ([[q(0), q(1)], [None, q(1)]],
                     [[q(-1), q(1)], [None, q(1)]],
                     [[q(1, 1), q(1)], [None, q(1)]]):
             with pytest.raises(ArithmeticError, match="pivot"):
-                exact.bordered_schur(bad)
+                bordered_schur(bad)
         with pytest.raises(ArithmeticError, match="imaginary"):
-            exact.bordered_schur([[q(1), q(0)], [None, q(1, 1)]])
+            bordered_schur([[q(1), q(0)], [None, q(1, 1)]])
 
 
 class TestCertificates:

@@ -201,6 +201,17 @@ class TestQCProperties:
         assert hash(QC(-1)) == hash(-1) == -2
 
 
+def bordered_schur(m) -> list:
+    """Schur complements c - r_k* G_k^-1 r_k, k = 1..n, of a Hermitian
+    [[G, r], [r*, c]] given as QC on and above its diagonal, G positive
+    definite and G_k its leading k x k block, by exact._bareiss of the
+    matrix times the lcm D of its denominators: the reference that exact
+    decay tables are checked against."""
+    *rows, scale = exact.gaussian_ints(*(row[j:] for j, row in enumerate(m)))
+    re, im = ([[0] * j + r[t] for j, r in enumerate(rows)] for t in (0, 1))
+    return exact._bareiss(re, im, 1, scale)
+
+
 def _ref_schur(m):
     """The corners c - r_k* G_k^-1 r_k of the full Hermitian matrix m, by
     Gaussian elimination on (re, im) Fraction pairs."""
@@ -239,7 +250,7 @@ class TestBorderedSchur:
                 M[i].append(acc)
         m = [[None] * i + [QC(*M[i][j]) for j in range(i, n)]
              for i in range(n)]
-        assert exact.bordered_schur(m) == _ref_schur(M)
+        assert bordered_schur(m) == _ref_schur(M)
 
 
 class TestPolynomials:

@@ -112,6 +112,22 @@ class TestCli:
             assert code == 2 and "--f" in doc["error"], f
             assert why in doc["error"], f
 
+    # b = z is extreme: the flag is read before the space is built
+    @pytest.mark.parametrize("argv, flag", [
+        (["norm", "--b", "z"], "--f"),
+        (["classify", "--b", "z"], "--f"),
+        (["certify", "--rule", "A", "--b", "z", "--e-arcs", "0.1:6.183",
+          "--f-arcs", "-0.5:0.5"], "--f"),
+        (["certify", "--rule", "B", "--b", "z"], "--f"),
+        (["certify", "--rule", "C", "--b", "z"], "--g"),
+        (["dirichlet", "--atoms", "0:1"], "--f"),
+        (["theta", "--theta", "z^2"], "--f"),
+    ])
+    def test_non_polynomial_exit_two(self, capsys, argv, flag):
+        code, doc, _ = run_cli(capsys, *argv, flag, "1/(2+z)")
+        assert code == 2
+        assert doc["error"] == f"{flag} '1/(2+z)' is not a polynomial"
+
     def test_clark_atom(self, capsys):
         code, doc, _ = run_cli(capsys, "clark", "--b", "z(1+z)/2",
                                "--alpha", "0")
@@ -334,17 +350,64 @@ class TestNegativeValues:
         assert capsys.readouterr().out == ""
 
 
+CORE = ["boundary", "config", "errors", "exact", "factor", "hb", "parse",
+        "poly"]
+
+# each README command but verify, and the analysis modules it loads
+# beyond the core and cli
+COMMAND_MODULES = [
+    (["mate", "--b", "(1+z)/2"], []),
+    (["validate", "--b", "z/2"], []),
+    (["norm", "--b", "(1+z)/2", "--f", "z^2"], []),
+    (["decay", "--b", "(1+z)/2", "--f", "1-z", "--n", "12"], ["cyclicity"]),
+    (["classify", "--b", "(1+z)/2", "--f", "1+z"], ["cyclicity"]),
+    (["clark", "--b", "z(1+z)/2", "--alpha", "0"], ["clark"]),
+    (["sigma", "--b", "z/2"], ["clark", "sigma"]),
+    (["certify", "--rule", "A", "--b", "(1+z)/2", "--f", "1+z",
+      "--e-arcs", "0.1:6.183", "--f-arcs", "-0.5:0.5"],
+     ["clark", "cyclicity", "sigma"]),
+    (["certify", "--rule", "B", "--b", "z/2", "--f", "1+z"],
+     ["clark", "cyclicity", "sigma"]),
+    (["certify", "--rule", "C", "--b", "z/2", "--g", "1"],
+     ["clark", "cyclicity", "sigma"]),
+    (["dirichlet", "--atoms", "0:1", "--f", "1-z"], ["cyclicity", "models"]),
+    (["theta", "--theta", "z^2", "--f", "2+z"],
+     ["clark", "cyclicity", "models"]),
+]
+
+
+def loaded_modules(code: str, *args: str) -> list:
+    """The hblab submodules, without the package prefix, that are in
+    sys.modules after code runs in a fresh interpreter."""
+    code += ("\nimport json, sys\nprint(json.dumps(sorted("
+             "m[6:] for m in sys.modules if m.startswith('hblab.'))))")
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
 class TestColdImports:
+    """Each check runs in a fresh interpreter: the test process has
+    loaded every module."""
+
     def test_only_verify_imports_acceptance(self):
-        code = ("import sys; from hblab import cli; "
-                "cli.main(['mate', '--b', 'z/2']); "
-                "print('hblab.acceptance' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=str(
-            Path(__file__).resolve().parents[1] / "src"))
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=60)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip().splitlines()[-1] == "False"
+        code = "from hblab import cli; cli.main(['mate', '--b', 'z/2'])"
+        assert "acceptance" not in loaded_modules(code)
+
+    def test_import_loads_the_core(self):
+        assert loaded_modules("import hblab") == CORE
+
+    @pytest.mark.parametrize("argv, extra", COMMAND_MODULES,
+                             ids=[" ".join(a[:3]) for a, _ in
+                                  COMMAND_MODULES])
+    def test_command_loads_only_its_modules(self, argv, extra):
+        code = ("import json, sys\nfrom hblab import cli\n"
+                "assert cli.main(json.loads(sys.argv[1])) == 0")
+        assert loaded_modules(code, json.dumps(argv)) == \
+            sorted(CORE + ["cli"] + extra)
 
     def test_verify_passes_every_criterion(self, capsys):
         code, doc, _ = run_cli(capsys, "verify")

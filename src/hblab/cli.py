@@ -58,18 +58,24 @@ def _exact_mode(args):
     return {"auto": "auto", "on": True, "off": False}[args.exact]
 
 
+def _function(args, flag: str) -> UnitCircleFunction:
+    """--flag's function literal; a malformed one exits 2 naming it."""
+    try:
+        return parse_function(getattr(args, flag))
+    except (ParseError, json.JSONDecodeError) as exc:
+        _fail(f"--{flag} {getattr(args, flag)!r}: {exc}", 2)
+
+
 def _space(args) -> hb.HbSpace:
-    b = parse_function(args.b)
-    return hb.make_space(b, _grid(args), _exact_mode(args))
+    return hb.make_space(_function(args, "b"), _grid(args), _exact_mode(args))
 
 
 def _polynomial(args, flag: str) -> UnitCircleFunction:
     """The function given by --f or --g, which must be a polynomial:
     anything else exits 2 naming the flag."""
-    text = getattr(args, flag)
-    fn = parse_function(text)
+    fn = _function(args, flag)
     if not fn.is_polynomial():
-        _fail(f"--{flag} {text!r} is not a polynomial", 2)
+        _fail(f"--{flag} {getattr(args, flag)!r} is not a polynomial", 2)
     return fn
 
 
@@ -268,7 +274,7 @@ def cmd_dirichlet(args):
 def cmd_theta(args):
     from . import models
     f = _polynomial(args, "f").to_polynomial()
-    model = models.theta_model(parse_function(args.theta))
+    model = models.theta_model(_function(args, "theta"))
     _emit({"atoms": [[config.circle_angle(z), m] for z, m in model.atoms],
            "model_dimension": model.model_dimension,
            "mass_total": model.herglotz_mass,
@@ -376,7 +382,7 @@ def main(argv=None) -> int:
         args.handler(args)
     except SystemExit:
         raise
-    except (HBLabError, ParseError, ValueError, ZeroDivisionError,
+    except (HBLabError, ValueError, ZeroDivisionError,
             ArithmeticError) as exc:
         _fail(f"{type(exc).__name__}: {exc}")
     finally:

@@ -197,10 +197,10 @@ def decay_table(space: HbSpace, f, n_max: int,
     Cholesky, once per space; the conditioning that comes from f stays
     inside Householder QRs.  R0 is upper and T_f lower triangular with
     bandwidth deg f, so B is zero below its (deg f)-th subdiagonal, and
-    its QR is blocked, BLOCK (or deg f) columns at a time, each slab
-    built from rows of R0, a view of the stored factor, as the QR reaches
-    it (_banded_r): B is never formed.  N <= BLOCK is one QR.  Columns
-    whose pivot collapses are flagged as near-dependent.
+    its QR is blocked, BLOCK (or deg f) columns at a time (_banded_r):
+    a slab factors its own columns and hands on deg f rows for the later
+    ones, B is never formed, and N <= BLOCK is one QR.  Columns whose
+    pivot collapses against their closed-form norm are flagged.
     R is at most TABLE_MAX_ROWS.  The exact backend forms the Gram matrix
     of the multiples (exact_entries: one exact mate, the Gram matrix by
     the shift recurrence, one fraction-free elimination over Gaussian
@@ -222,11 +222,11 @@ def decay_table(space: HbSpace, f, n_max: int,
     if rows > TABLE_MAX_ROWS:
         raise ValueError(f"decay table needs deg f + N <= {TABLE_MAX_ROWS}"
                          f" (deg f = {f.size - 1}, N = {n_max})")
-    R0 = space.embedding_factor(rows)
+    R0, c = space.embedding_factor(rows), space.mate_constants(rows)
     # f and the flag rule |pivot| <= 1e-12 max(1, ||column||) scaled by
     # 2^-e, max|f| < 2^e: exact, and no column norm overflows
     e = math.frexp(max(map(abs, f.tolist())))[1]
-    pivots, proj, col_sq = _banded_r(R0, f * 2.0 ** -e, n_max)
+    pivots, proj, col_sq = _banded_r(R0, c, f * 2.0 ** -e, n_max)
     flags = (np.abs(pivots) <= 1e-12 * np.maximum(
         2.0 ** -e, np.sqrt(col_sq))).nonzero()[0] + 1
     # ||w||^2 = ||B[:, N]||^2 = |R0[0, 0]|^2 less |R[i, N]|^2 one at a time
@@ -245,41 +245,54 @@ def decay_table(space: HbSpace, f, n_max: int,
     return table
 
 
-def _banded_r(R0: np.ndarray, f: np.ndarray, n: int):
+def _banded_r(R0: np.ndarray, c: np.ndarray, f: np.ndarray, n: int):
     """diag(R)[:n], R[:n, n] and the squared column norms of B[:, :n] for
     a QR of B = R0 [T_f | e_0], up to a unimodular diagonal, without B.
 
     B is zero below its d-th subdiagonal (d = deg f), so k = max(BLOCK, d)
-    columns at a time reach k + d rows: the d that the previous block's R
-    carries over and k new rows of B, R0[j0+d : j0+k+d, j0:] [T_f | e_0]
-    (rows [0, k+d) for the first block), zero left of column j0.  R0 is
-    the stored factor, read in place.  Each slab is formed in one reused
-    buffer next to its QR; every entry of B is new in exactly one slab,
-    where its column norm is summed.
+    columns at a time reach k + d rows, A: d rows handed on over k new
+    rows of B, R0[j0+d : j0+k+d, j0:] [T_f | e_0] (rows [0, k+d) first),
+    R0 read in place.  Rows k: of A's R are handed on.  While more than
+    k + d columns follow, A is the slab's columns, an identity and w = e_0,
+    so those rows are E = Q[:, k:]^H, the slab's complement, and w's; each
+    later column gets E times A's rows of it, one GEMM on R0's rows, then
+    the d + 1 taps of f.  Else A spans all later columns (N <= BLOCK: one
+    QR).  The mate of z^j f is z^j mate(f) + sum_i f_i c_(i+l) z^(j-l),
+    l = 1..j: column norms are running sums of |f_i|^2, |sum_i f_i c_(i+l)|^2.
     """
     d = f.size - 1
     k = max(BLOCK, d)
-    buf = np.empty((min(k + d, d + n), n + 1), dtype=complex, order="F")
-    (pivots, proj), col_sq = np.empty((2, n), dtype=complex), np.zeros(n)
-    j0 = top = 0                # top: rows carried to the head of buf
+    buf = np.empty((min(k + d, d + n), min(n, 2 * k + d) + 1), complex, "F")
+    pivots, proj = np.empty((2, n), dtype=complex)
+    col_sq = (np.abs(np.concatenate(
+        [f, np.convolve(c, f[::-1])[:d + n]])) ** 2).cumsum()[2 * d + 1:]
+    j0, top, carry = 0, 0, np.empty((0, n + 1))     # top: rows handed on
     while True:
-        r0, r1 = j0 + top, min(j0 + k + d, d + n)      # new rows of B
-        new = buf[top:top + r1 - r0, :n - j0 + 1]
-        np.multiply(R0[r0:r1, j0:n], f[0], out=new[:, :-1])
+        r0, r1, m = j0 + top, min(j0 + k + d, d + n), min(k, n - j0)
+        e = (k + d) * (n - j0 - m > k + d)      # identity columns
+        b = m if e else n - j0                  # B's columns in A
+        A = buf[:top + r1 - r0, :b + e + 1]
+        if top:
+            A[:d, :b], A[:d, -1] = carry[:, :b], carry[:, -1]
+        np.multiply(R0[r0:r1, j0:j0 + b], f[0], out=A[top:, :b])
         for i in range(1, d + 1):
-            new[:, :-1] += f[i] * R0[r0:r1, j0 + i:n + i]
-        new[:, -1] = R0[r0:r1, 0]
-        col_sq[j0:] += (np.abs(new[:, :-1]) ** 2).sum(axis=0)
-        # raw mode: h is the factored slab transposed, R in its lower part
-        h = np.linalg.qr(buf[:top + r1 - r0, :n - j0 + 1], mode="raw")[0]
-        m = min(k, n - j0)
-        pivots[j0:j0 + m] = h.diagonal()[:m]
-        proj[j0:j0 + m] = h[-1, :m]
+            A[top:, :b] += f[i] * R0[r0:r1, j0 + i:j0 + b + i]
+        A[top:, -1] = R0[r0:r1, 0]
+        if e:
+            A[:, b:-1] = np.eye(e)
+        h = np.linalg.qr(A, mode="raw")[0]     # R^T in its lower part
+        pivots[j0:j0 + m], proj[j0:j0 + m] = h.diagonal()[:m], h[-1, :m]
         if j0 + m == n:
             return pivots, proj, col_sq
-        top = d
-        buf[:d, :n - j0 + 1 - k] = np.triu(h[k:, k:k + d].T)
-        j0 += k
+        h = np.triu(h[m:, m:].T)                # R[m:, m:], handed on
+        if e:
+            X = h[:, top:e] @ R0[r0:r1, j0 + m:n + d]
+            nxt = f[0] * X[:, :n - j0 - m]
+            for i in range(1, d + 1):
+                nxt += f[i] * X[:, i:i + n - j0 - m]
+            nxt += h[:, :top] @ carry[:, m:-1]
+            h = np.column_stack((nxt, h[:, -1]))
+        carry, top, j0 = h, d, j0 + m
 
 
 def _exact_decay(space: HbSpace, f, n: int):

@@ -59,6 +59,7 @@ class HbSpace:
         self._defect: Optional[tuple] = None   # defect_spectrum
         self._sweep: Optional[tuple] = None    # clark.clark_sweep's default
         self._factor = np.zeros((0, 0), dtype=complex)  # embedding_factor
+        self._consts = np.zeros(0, dtype=complex)       # mate_constants
         self._exact_pA: Optional[tuple] = None      # see gaussian_mate
 
     def __repr__(self):
@@ -91,8 +92,13 @@ class HbSpace:
         block as a view: no table copies it.
         """
         if self._factor.shape[0] < rows:
-            self._factor = _embedding_factor(self, rows)
+            self._factor, self._consts = _embedding_factor(self, rows)
         return self._factor[:rows, :rows]
+
+    def mate_constants(self, rows: int) -> np.ndarray:
+        """c_0, ..., c_(rows-1), K's diagonals, kept beside the factor."""
+        self.embedding_factor(rows)
+        return self._consts[:rows]
 
     def a_circle_zeros(self) -> tuple:
         """Unimodular zeros of A, hence of a, in root order."""
@@ -300,8 +306,8 @@ def _float_mate(space: HbSpace, h: np.ndarray) -> np.ndarray:
     return g
 
 
-def _embedding_factor(space: HbSpace, rows: int) -> np.ndarray:
-    """HbSpace.embedding_factor(rows), built and marked read-only.
+def _embedding_factor(space: HbSpace, rows: int) -> tuple:
+    """HbSpace.embedding_factor(rows) and the c_k, both read-only.
 
     mate(z h) = z mate(h) + a constant, so the mate of z^(rows-1), from
     one back substitution, holds every c_k, reversed.  The Gram matrix
@@ -324,8 +330,8 @@ def _embedding_factor(space: HbSpace, rows: int) -> np.ndarray:
         writeable=False).T
     L = np.linalg.cholesky(lower)           # G = L L^H, so R0 = L^H
     R0 = np.conj(L, out=L).T
-    R0.flags.writeable = False
-    return R0
+    R0.flags.writeable = c.flags.writeable = False
+    return R0, c
 
 
 def mate(space: HbSpace, f) -> np.ndarray:

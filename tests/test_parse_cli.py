@@ -128,6 +128,24 @@ class TestCli:
         assert code == 2
         assert doc["error"] == f"{flag} '1/(2+z)' is not a polynomial"
 
+    # a malformed literal is a usage error naming its flag, read before
+    # any space is built
+    @pytest.mark.parametrize("argv, flag, text, why", [
+        (["classify", "--f", "1"], "--b", "(1+z",
+         "missing closing parenthesis"),
+        (["mate"], "--b", '{"type":', "Expecting value"),
+        (["classify", "--b", "(1+z)/2"], "--f", "1+", "unexpected token"),
+        (["norm", "--b", "z"], "--f", "z^-1", "nonnegative integer"),
+        (["certify", "--rule", "C", "--b", "z"], "--g", "2..z",
+         "bad number"),
+        (["theta", "--f", "1"], "--theta", "z^", "nonnegative integer"),
+    ])
+    def test_malformed_literal_exit_two(self, capsys, argv, flag, text, why):
+        code, doc, _ = run_cli(capsys, *argv, flag, text)
+        assert code == 2
+        assert doc["error"].startswith(f"{flag} {text!r}: ")
+        assert why in doc["error"]
+
     def test_clark_atom(self, capsys):
         code, doc, _ = run_cli(capsys, "clark", "--b", "z(1+z)/2",
                                "--alpha", "0")
@@ -251,6 +269,9 @@ class TestCli:
         assert code == 0 and config.POINT_ZERO_TOL == before
         code, doc, _ = run_cli(capsys, "--tol", "0.5", "classify",
                                "--b", "(1+z)/2", "--f", "(")
+        assert code == 2 and config.POINT_ZERO_TOL == before
+        code, doc, _ = run_cli(capsys, "--tol", "0.5", "classify",
+                               "--b", "z", "--f", "1-z")       # extreme b
         assert code == 1 and config.POINT_ZERO_TOL == before
 
     def test_certify_rules(self, capsys):

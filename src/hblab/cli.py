@@ -3,7 +3,8 @@
 Every subcommand reads function literals (infix or structured JSON),
 writes one JSON document to stdout, and optionally CSV tables to files.
 Exit codes: 0 success, 1 domain error or failed certificate (with a
-machine-readable reason), 2 usage error.
+machine-readable reason), 2 usage error, 141 stdout closed before the
+output was written.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -24,7 +26,7 @@ from .parse import ParseError, parse_function
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, default=_default))
+    print(json.dumps(obj, sort_keys=True, default=_default), flush=True)
 
 
 def _default(x):
@@ -161,7 +163,16 @@ def cmd_norm(args):
     ex = el.norm2_exact
     if ex is not None:
         out["norm_sq_exact"] = str(ex)
+    if sp.exact is not None:
+        out["f_rational_error"] = _rational_error(el.f)
     _emit(out)
+
+
+def _rational_error(f) -> dict:
+    """How far f's coefficients are from the rationals an exact read
+    takes for them, and the bound that decides whether it takes them."""
+    _ints, error, bound = hb.rationalize(f)
+    return {"max": error, "bound": bound}
 
 
 def cmd_decay(args):
@@ -191,6 +202,8 @@ def cmd_decay(args):
         out["entries_exact"] = [[n, str(d)] for n, d in table.exact_entries]
     elif sp.exact is not None:
         out["exact_declined"] = "f is not exactly representable"
+    if sp.exact is not None:
+        out["f_rational_error"] = _rational_error(table.f)
     if args.csv:
         _write_csv(args.csv, ["N", "d2"], table.csv_rows())
     _emit(out)
@@ -364,7 +377,20 @@ def _glue_values(argv: list) -> list:
     return out
 
 
+EXIT_BROKEN_PIPE = 141      # 128 + SIGPIPE, as a shell reports it
+
+
 def main(argv=None) -> int:
+    try:
+        return _run(argv)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): end quietly, and let
+        # the flush at exit write what is left to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(EXIT_BROKEN_PIPE) from None
+
+
+def _run(argv) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(_glue_values(

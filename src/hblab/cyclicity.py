@@ -300,50 +300,84 @@ def _exact_decay(space: HbSpace, f, n: int):
 
     mate(z h) = z mate(h) plus a constant, so the exact mate u of
     z^(n-1) f holds every column: mate(z^k f) = u[n-1-k:], with constant
-    term u[n-1-k].  As z g has no constant term, G[j][k] = <z^k f, z^j f>
-    follows from its first row: G[j][k] = G[j-1][k-1] + u[n-1-k]
-    conj(u[n-1-j]) / s2.  G is positive definite (f, zf, ... are
+    term c_k = u[n-1-k].  As z g has no constant term, the Gram matrix
+    G[j][k] = <z^k f, z^j f> follows from its first row by G[j][k] =
+    G[j-1][k-1] + c_k conj(c_j) / s2, and the first row needs only the
+    deg f + 1 places where f and z^k f, and their mates, overlap.  The
+    mate of 1 is a constant v, so the border <1, z^j f> is
+    v conj(c_j) / s2 for j >= 1.  G is positive definite (f, zf, ... are
     independent), and the corners of [[G, r], [r*, ||1||^2]] are the
-    d_k^2 (exact._bareiss).  With the f-parts over Df and the mate parts
-    over Du, the matrix times Df^2 Du^2 num(s2) is over the Gaussian
-    integers; it is divided by the gcd of its entries before elimination."""
+    d_k^2 (exact._bareiss).
+
+    With f over Df and the mates over Du, the matrix times Df^2 Du^2
+    num(s2) is over the Gaussian integers, and it is handed on divided
+    by the gcd g of its entries.  Its shift terms are wu c_k conj(c_j),
+    wu = Df^2 den(s2), whose gcd is wu |gamma|^2 for gamma the Gaussian
+    gcd of c_1 ... c_(n-1); so g is the gcd of the first row, the
+    border, the corner and wu |gamma|^2.  Only gamma's gcd delta with
+    the first three is formed: it divides every c_k, and the rows follow
+    from the c_k / delta with no division."""
     pair = gaussian_mate(space, f, n - 1)
     if pair is None:
         return None
-    h, u = pair                         # u has h's length
-    one, one_mate = space.one().exact_ints
-    (hr, hi), (er, ei), df = _over_lcm(h, one)
-    (ur, ui), (vr, vi), du = _over_lcm(u, one_mate)
+    (hr, hi, df), (ur, ui, du) = pair   # u has h's length
+    vr, vi, dv = space.one().exact_ints[1]
+    d = len(hr) - n                     # deg f
+    lcm = math.lcm(du, dv)
+    if lcm != du:
+        ur, ui = [x * (lcm // du) for x in ur], [x * (lcm // du) for x in ui]
+    v0, v1 = vr[0] * (lcm // dv), vi[0] * (lcm // dv)
     s2 = space.exact.s2
-    wf, wu = du * du * s2.numerator, df * df * s2.denominator
-    cols = [(hr[k:], hi[k:], ur[k:], ui[k:]) for k in range(n - 1, -1, -1)]
-    cols.append((er, ei, vr, vi))                   # z^k f, then 1
-
-    def ip(x, y):       # wf <x_f, y_f> + wu <x_mate, y_mate>
-        a, b = exact.hardy_dot(x[0], x[1], y[0], y[1])
-        c, d = exact.hardy_dot(x[2], x[3], y[2], y[3])
-        return wf * a + wu * c, wf * b + wu * d
-
-    rows = [[ip(x, cols[0]) for x in cols]]
-    cr, ci = ur[n - 1::-1] + [0], ui[n - 1::-1] + [0]   # u[n-1-k], k <= n
-    for j in range(1, n + 1):
-        a, b = wu * cr[j], -wu * ci[j]          # wu conj(u[n-1-j])
-        rows.append([(0, 0)] * j + [
-            (p + x * a - y * b, q + x * b + y * a) for (p, q), x, y
-            in zip(rows[j - 1][j - 1:], cr[j:n], ci[j:n])] +
-            [ip(cols[n], cols[j])])
-    g = math.gcd(*(x for row in rows for z in row for x in z))
-    re, im = ([[z[t] // g for z in row] for row in rows] for t in (0, 1))
+    wf, wu = lcm * lcm * s2.numerator, df * df * s2.denominator
+    fr, fi = hr[n - 1:], hi[n - 1:]
+    # the first row <z^k f, f>: its f part is conj(P_+(conj(f) f))[k],
+    # k <= deg f, and its mates' part P_+(conj(mate f) u)[n-1-k]
+    sr, si = exact._pplus_conj(fr, fi, fr, fi)
+    mr, mi = exact._pplus_conj(ur[n - 1:], ui[n - 1:], ur, ui)
+    top_r, top_i = [wu * x for x in mr[n - 1::-1]], \
+        [wu * x for x in mi[n - 1::-1]]
+    for k in range(min(d + 1, n)):
+        top_r[k] += wf * sr[k]
+        top_i[k] -= wf * si[k]
+    cr, ci = ur[n - 1::-1], ui[n - 1::-1]           # c_k = u[n-1-k]
+    # the border wu v conj(c_j), f's constant term only in j = 0
+    br = [wu * (v0 * x + v1 * y) for x, y in zip(cr, ci)]
+    bi = [wu * (v1 * x - v0 * y) for x, y in zip(cr, ci)]
+    br[0] += wf * df * fr[0]
+    bi[0] -= wf * df * fi[0]
+    corner = wf * df * df + wu * (v0 * v0 + v1 * v1)
+    g = math.gcd(*top_r, *top_i, *br, *bi, corner)
+    delta = g, 0
+    for x, y in zip(cr[1:], ci[1:]):
+        if delta[0] ** 2 + delta[1] ** 2 == 1:
+            break
+        delta = exact.gaussian_gcd(x, y, *delta)
+    norm = delta[0] ** 2 + delta[1] ** 2
+    g = math.gcd(g, wu * norm)
+    if delta != (1, 0):                 # c_k / delta, k >= 1
+        e, t = delta
+        cr, ci = ([0] + [(x * e + y * t) // norm
+                         for x, y in zip(cr[1:], ci[1:])],
+                  [0] + [(y * e - x * t) // norm
+                         for x, y in zip(cr[1:], ci[1:])])
+    scale = wu * norm // g              # an integer: g divides it
+    if g != 1:
+        top_r, top_i = [x // g for x in top_r], [x // g for x in top_i]
+        br, bi = [x // g for x in br], [x // g for x in bi]
+        corner //= g
+    re, im = [top_r + br[:1]], [top_i + bi[:1]]
+    zeros = [0] * n
+    for j in range(1, n):               # + scale c_k conj(c_j)
+        a, b = scale * cr[j], -scale * ci[j]
+        pr, pi, xr, xi = re[j - 1][j - 1:n - 1], im[j - 1][j - 1:n - 1], \
+            cr[j:], ci[j:]
+        re.append(zeros[:j] + [p + x * a - y * b
+                               for p, x, y in zip(pr, xr, xi)] + [br[j]])
+        im.append(zeros[:j] + [p + x * b + y * a
+                               for p, x, y in zip(pi, xr, xi)] + [bi[j]])
+    re.append(zeros + [corner])
+    im.append(zeros + [0])
     return list(enumerate(exact._bareiss(re, im, g, wf * df * df), 1))
-
-
-def _over_lcm(*polys) -> list:
-    """(re, im, d) triples as (re, im) pairs over the lcm of their d: the
-    pairs, then the lcm (the layout of exact.gaussian_ints)."""
-    d = math.lcm(*(x[2] for x in polys))
-    return [(re, im) if e == d else ([c * (d // e) for c in re],
-                                     [c * (d // e) for c in im])
-            for re, im, e in polys] + [d]
 
 
 def estimate_from_decay(table: DecayTable,

@@ -303,6 +303,18 @@ def _dot(x, y) -> int:
     return sum(map(operator.mul, x, y))
 
 
+def gaussian_gcd(a: int, b: int, c: int, e: int) -> tuple:
+    """(re, im) of a gcd of the Gaussian integers a + bi and c + ei, up
+    to a unit: Euclid's algorithm, each quotient rounded to the nearest
+    Gaussian integer, so the norm at least halves per step."""
+    while c or e:
+        n = c * c + e * e
+        x, y = a * c + b * e, b * c - a * e     # (a + bi) conj(c + ei)
+        qr, qi = (2 * x + n) // (2 * n), (2 * y + n) // (2 * n)
+        a, b, c, e = c, e, a - qr * c + qi * e, b - qr * e - qi * c
+    return a, b
+
+
 def mate_solve(p, A, h) -> tuple:
     """The g of h's length L with P_+(conj(p) h + conj(A) g) = 0, as
     (re, im, d); p, A and h are (re, im, d), A's integer A(0) = a0 > 0.
@@ -379,27 +391,70 @@ def _pplus_conj(xr, xi, yr, yi) -> tuple:
 
 def _bareiss(re, im, num: int, den: int) -> list[Fraction]:
     """num/den times the Schur complements of a Hermitian positive definite
-    Gaussian-integer matrix re + i im, given on and above its diagonal.
-    Fraction-free (Bareiss 1968), in place: each update is divided exactly
-    by the previous pivot, so pivot k is the leading minor P_k and the
-    corner then is P_k times complement k.  A remainder or a non-positive
-    pivot raises ArithmeticError."""
+    Gaussian-integer matrix re + i im, given on and above its diagonal;
+    the last row is the corner.  Fraction-free (Bareiss 1968), in place,
+    two pivots a step: with a = A[k][k], b = A[k][k+1], c = A[k+1][k+1]
+    and p the pivot two before,
+
+        A'[i][j] = (P A[i][j] + u_i A[k][j] + v_i A[k+1][j]) / p,
+        P = (a c - |b|^2) / p,  u_i = conj(b y - c x) / p,
+        v_i = conj(conj(b) x - a y) / p,
+
+    x = A[k][i] and y = A[k+1][i], each division exact: a is the leading
+    minor P_k and P is P_(k+1).  The corner after pivot k is
+    (a corner - |A[k][last]|^2) / p, read before the step, and complement
+    k is the corner over P_k.  A remainder or a non-positive pivot raises
+    ArithmeticError; the first step's divisor is 1, so its updates skip
+    the division."""
     n = len(re)
-    out, prev = [], 1
-    for k in range(n - 1):
-        piv, rk, ik = re[k][k], re[k], im[k]
-        if im[k][k] != 0 or piv <= 0:
+    last = n - 1
+    out, prev, k, cr, ci = [], 1, 0, re[last], im[last]
+    while k < last:
+        a, rk, ik = re[k][k], re[k], im[k]
+        if ik[k] != 0 or a <= 0:
             raise ArithmeticError("Gram pivot is not positive")
-        for i in range(k + 1, n):
-            ar, ai, ri, ii = rk[i], ik[i], re[i], im[i]
-            for j in range(i, n):
-                xr, rr = divmod(piv * ri[j] - ar * rk[j] - ai * ik[j], prev)
-                xi, r2 = divmod(piv * ii[j] - ar * ik[j] + ai * rk[j], prev)
-                if rr or r2:
-                    raise ArithmeticError("inexact Bareiss division")
-                ri[j], ii[j] = xr, xi
-        prev = piv
-        if im[n - 1][n - 1] != 0:
+        x, y = rk[last], ik[last]
+        corner, r = divmod(a * cr[last] - x * x - y * y, prev)
+        if r:
+            raise ArithmeticError("inexact Bareiss division")
+        if ci[last] != 0:
             raise ArithmeticError("exact distance has nonzero imaginary part")
-        out.append(Fraction(re[n - 1][n - 1] * num, piv * den))
+        out.append(Fraction(corner * num, a * den))
+        if k + 1 == last:
+            break
+        rl, il = re[k + 1], im[k + 1]
+        br, bi, c = rk[k + 1], ik[k + 1], rl[k + 1]
+        piv, r = divmod(a * c - br * br - bi * bi, prev)
+        if r:
+            raise ArithmeticError("inexact Bareiss division")
+        if il[k + 1] != 0 or piv <= 0:
+            raise ArithmeticError("Gram pivot is not positive")
+        for i in range(k + 2, n):
+            xr, xi, yr, yi = rk[i], ik[i], rl[i], il[i]
+            ur, r1 = divmod(br * yr - bi * yi - c * xr, prev)
+            ui, r2 = divmod(c * xi - br * yi - bi * yr, prev)
+            vr, r3 = divmod(br * xr + bi * xi - a * yr, prev)
+            vi, r4 = divmod(bi * xr - br * xi + a * yi, prev)
+            if r1 or r2 or r3 or r4:
+                raise ArithmeticError("inexact Bareiss division")
+            ri, ii = re[i], im[i]
+            if prev == 1:
+                for j in range(i, n):
+                    pr, pi, qr, qi = rk[j], ik[j], rl[j], il[j]
+                    ri[j] = piv * ri[j] + ur * pr - ui * pi + vr * qr - vi * qi
+                    ii[j] = piv * ii[j] + ur * pi + ui * pr + vr * qi + vi * qr
+                continue
+            for j in range(i, n):
+                pr, pi, qr, qi = rk[j], ik[j], rl[j], il[j]
+                zr, r1 = divmod(piv * ri[j] + ur * pr - ui * pi +
+                                vr * qr - vi * qi, prev)
+                zi, r2 = divmod(piv * ii[j] + ur * pi + ui * pr +
+                                vr * qi + vi * qr, prev)
+                if r1 or r2:
+                    raise ArithmeticError("inexact Bareiss division")
+                ri[j], ii[j] = zr, zi
+        if ci[last] != 0:
+            raise ArithmeticError("exact distance has nonzero imaginary part")
+        out.append(Fraction(cr[last] * num, piv * den))
+        prev, k = piv, k + 2
     return out

@@ -9,6 +9,7 @@ polynomial convolutions and keeps exact rational arithmetic available.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -173,18 +174,18 @@ class HbElement:
 def _try_exact(b: UnitCircleFunction, A_float: np.ndarray) -> ExactSpaceData:
     """Certify rationalized (p, q, A); NormalizationError names the step."""
     try:
-        p = _rationalize(b.num)
-        q = _rationalize(b.den)
+        (p, ep, bp), (q, eq, bq) = rationalize(b.num), rationalize(b.den)
         # normalize A by its largest coefficient before rationalizing so a
         # common irrational scale s drops out; s2 is then solved exactly
         j0 = int(np.argmax(np.abs(A_float)))
-        A = _rationalize(A_float / A_float[j0])
+        A = rationalize(A_float / A_float[j0])[0]
     except ValueError as exc:
         raise NormalizationError(str(exc)) from None
-    if not (_matches(p, b.num) and _matches(q, b.den)):
+    if not (ep <= bp and eq <= bq):
         raise NormalizationError(
             f"rationalizing p/q to denominators <= {_RATIONALIZE_DEN} "
             "moves a coefficient by more than 1e-12")
+    p, q, A = exact.to_qc(p), exact.to_qc(q), exact.to_qc(A)
     # s2 = (||q||^2 - ||p||^2) / ||A||^2 from the constant Laurent terms
     w, a2 = factor.mate_weight(p, q), factor.modulus_sq_laurent(A)
     s2 = (w[w.size // 2] / a2[a2.size // 2]).re
@@ -204,10 +205,30 @@ def _try_exact(b: UnitCircleFunction, A_float: np.ndarray) -> ExactSpaceData:
     return ExactSpaceData(p=tuple(p), q=tuple(q), A=tuple(A), s2=s2)
 
 
-def _rationalize(coeffs, max_den: int = _RATIONALIZE_DEN):
-    out = [exact.QC.from_complex(c, max_den)
-           for c in poly.finite(coeffs).tolist()]
-    return exact.qtrim(out) or [exact.QZERO]    # zero is [0], as in poly.trim
+def rationalize(coeffs, max_den: int = _RATIONALIZE_DEN) -> tuple:
+    """(ints, error, bound): float coefficients as a Gaussian-integer
+    polynomial ints = (re, im, d), each part the nearest rational p/q
+    with q <= max_den (Fraction.limit_denominator's choice, found on ints
+    by exact._limit_denominator) and d the lcm of the q, without trailing
+    zeros (zero is ([0], [0], 1), as in poly.trim); error is the largest
+    |c_k - (re_k + i im_k)/d| and bound = 1e-12 max(1, max|c_k|), the
+    tolerance an exact read accepts.  ValueError unless every
+    coefficient is finite."""
+    c = poly.finite(coeffs)
+    floats = np.ascontiguousarray(c).view(float).tolist()   # re, im, ...
+    parts = [exact._limit_denominator(x, max_den) for x in floats]
+    vals = [p / q for p, q in parts]
+    error = 0.0 if vals == floats else \
+        float(np.max(np.abs(np.array(vals).view(complex) - c)))
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
+    n = len(parts)
+    while n and parts[n - 1][0] == 0 and parts[n - 2][0] == 0:
+        n -= 2
+    if not n:
+        return ([0], [0], 1), error, bound
+    d = math.lcm(*(q for _p, q in parts[:n]))
+    nums = [p if q == d else p * (d // q) for p, q in parts[:n]]
+    return (nums[::2], nums[1::2], d), error, bound
 
 
 def make_space(b, grid: config.GridConfig = config.DEFAULT_GRID,
@@ -351,23 +372,22 @@ def make_element(space: HbSpace, f) -> HbElement:
 def gaussian_mate(space: HbSpace, f, shift: int = 0) -> Optional[tuple]:
     """(h, s-scaled mate of h) as Gaussian-integer polynomials
     (re, im, d), h = z^shift f and the mate of h's length, or None when
-    the space or f is not exactly representable.  One fraction-free
-    solve (exact.mate_solve), checked by its exact residual: a nonzero
-    one raises ArithmeticError.  The space's p and A are converted on
-    its first exact mate and kept."""
+    the space or f is not exactly representable (rationalize: f's error
+    above its bound).  One fraction-free solve (exact.mate_solve),
+    checked by its exact residual: a nonzero one raises ArithmeticError.
+    The space's p and A are converted on its first exact mate and kept."""
     if space.exact is None:
         return None
     try:
-        fe = _rationalize(f)
+        (hr, hi, dh), error, bound = rationalize(f)
     except ValueError:
         return None
-    if not _matches(fe, f):
+    if not error <= bound:
         return None
     if space._exact_pA is None:
         space._exact_pA = (exact.gaussian_poly(space.exact.p),
                            exact.gaussian_poly(space.exact.A))
     p, A = space._exact_pA
-    hr, hi, dh = exact.gaussian_poly(fe)
     h = ([0] * shift + hr, [0] * shift + hi, dh)
     g = exact.mate_solve(p, A, h)
     exact.mate_residual(p, A, h, g)
@@ -383,14 +403,6 @@ def exact_mate(space: HbSpace, f, shift: int = 0) -> Optional[tuple]:
 
 def _qc_pair(h, g) -> tuple:
     return tuple(exact.to_qc(h)), tuple(exact.qtrim(exact.to_qc(g)))
-
-
-def _matches(fe, f, tol: float = 1e-12) -> bool:
-    vals = np.array([c.to_complex() for c in fe] + [0] * (len(f) - len(fe)))
-    if vals.size < f.size:
-        return False
-    return bool(np.max(np.abs(vals[:f.size] - f)) <= tol *
-                max(1.0, float(np.max(np.abs(f)))))
 
 
 def _check_space(space: HbSpace, F: HbElement, G: HbElement):

@@ -2,13 +2,15 @@
 
 Structured form: {"type":"poly","coeffs":[[re,im],...]}, rational and
 blaschke variants as documented on UnitCircleFunction.  The infix form
-accepts decimal numbers, i, z, + - * / ^, parentheses, and implicit
-multiplication, so "(1+z)/2" and "z(1+z)/2" both parse.
+accepts decimal numbers (with an optional exponent, 2.5e-3), i, z,
++ - * / ^, parentheses, and implicit multiplication, so "(1+z)/2",
+"z(1+z)/2" and "1e-3+2.5E+2z" all parse.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .boundary import UnitCircleFunction
 
@@ -126,10 +128,21 @@ def _lex(text: str):
             j = k
             while j < len(text) and (text[j].isdigit() or text[j] == "."):
                 j += 1
+            if text[j:j + 1] in ("e", "E"):     # an exponent: e[+-]digits
+                j += 1
+                if text[j:j + 1] in ("+", "-"):
+                    j += 1
+                if not text[j:j + 1].isdigit():
+                    raise ParseError(f"bad number {text[k:j]!r}")
+                while j < len(text) and text[j].isdigit():
+                    j += 1
             try:
-                out.append(float(text[k:j]))
+                value = float(text[k:j])
             except ValueError as exc:
                 raise ParseError(f"bad number {text[k:j]!r}") from exc
+            if not math.isfinite(value):
+                raise ParseError(f"number {text[k:j]!r} is not finite")
+            out.append(value)
             k = j
         else:
             raise ParseError(f"unexpected character {c!r}")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_clark import RANDOM_B, _random_b
-from test_exact import bordered_schur
+from test_exact import bordered_schur, qc_matches
 
 from hblab import cli, clark, config, cyclicity as cy, exact, hb, poly, sigma
 from hblab.boundary import Arc, UnitCircleFunction as UCF
@@ -692,10 +692,39 @@ class TestExactDecay:
                                    n) == want, (name, n)
             assert gcds == [1], (name, n)
 
+    def test_generator_fill_matches_reference(self, exact_spaces,
+                                              monkeypatch):
+        # the first row, border and gcd from the generators against the
+        # QC assembly.  On z/(2+z) with 1 + i + 2z the mate constants c_k
+        # share the Gaussian factor 1 + i, and the matrix's gcd is 4; a gcd
+        # taken with the integer content of the c_k in place of |gamma|^2
+        # reads 2 and hands on a matrix that is not primitive
+        gcds, bareiss = [], exact._bareiss
+
+        def primitive(re, im, *scale):
+            gcds.append(math.gcd(*(x for row in re + im for x in row)))
+            return bareiss(re, im, *scale)
+
+        monkeypatch.setattr(exact, "_bareiss", primitive)
+        cases = {"z/2": ([1 + 1j, 1], [2, 0.75 - 0.5j, 0, -0.25j]),
+                 "z/(2+z)": ([1 + 1j, 2], [1, 1j], [0.5, 0.5j, 0.25]),
+                 "(1+z)/2": ([1, 1j], [1, -1]),
+                 "(1+z^2)/2": ([1 + 1j, 1 - 1j],),
+                 "z(1+z)/2": ([1 + 1j, 0.5],)}
+        for name, fs in cases.items():
+            sp = exact_spaces[name]
+            for f in fs:
+                for n in (1, 2, 3, 16, 33):
+                    want = reference_exact_decay(sp, f, n)
+                    gcds.clear()
+                    assert cy._exact_decay(sp, poly.trim(np.asarray(
+                        f, complex)), n) == want, (name, f, n)
+                    assert gcds == [1], (name, f, n)
+
     def test_exact_spaces_reproduce_b(self, exact_spaces):
         for name, sp in exact_spaces.items():
             for exact_c, c in ((sp.exact.p, sp.b.num), (sp.exact.q, sp.b.den)):
-                assert hb._matches(list(exact_c), c), name
+                assert qc_matches(list(exact_c), c), name
 
     @settings(max_examples=30, deadline=None, derandomize=True,
               database=None)

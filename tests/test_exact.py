@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hblab import exact, factor, hb, poly
+from hblab import cyclicity as cy, exact, factor, hb, poly
 from hblab.boundary import UnitCircleFunction as UCF
 from hblab.exact import QC
 
@@ -300,6 +300,133 @@ def _gp(coeffs):
     return exact.gaussian_poly(exact.qpoly(coeffs))
 
 
+def qc_rationalize(coeffs, max_den=10**9):
+    """Float coefficients as a list of QC, QC.from_complex of each,
+    without trailing zeros (zero is [0]): the route hb.rationalize
+    replaced, kept as its reference."""
+    out = [QC.from_complex(c, max_den) for c in poly.finite(coeffs).tolist()]
+    return exact.qtrim(out) or [exact.QZERO]
+
+
+def qc_matches(fe, f, tol=1e-12) -> bool:
+    """Whether the QC list fe is within tol max(1, max|f|) of the float
+    coefficients f: the reference of hb.rationalize's error and bound."""
+    vals = np.array([c.to_complex() for c in fe] + [0] * (len(f) - len(fe)))
+    if vals.size < f.size:
+        return False
+    return bool(np.max(np.abs(vals[:f.size] - f)) <= tol *
+                max(1.0, float(np.max(np.abs(f)))))
+
+
+def _near_ties(max_den):
+    """Floats nearest to, and one ulp either side of, the midpoints of
+    Farey neighbours of order max_den: limit_denominator's closest calls."""
+    out = []
+    for a, b, c, d in ((0, 1, 1, max_den), (1, 3, max_den // 3,
+                       3 * (max_den // 3) + 1), (1, 2, max_den // 2 - 1,
+                       max_den - 1)):
+        x = (Fraction(a, b) + Fraction(c, d)) / 2
+        out += [math.nextafter(float(x), -math.inf), float(x),
+                math.nextafter(float(x), math.inf)]
+    return out
+
+
+# coefficient parts across the exponent range, below the overflow of |z|,
+# with the signed zeros, subnormals and near-ties of _parts and _near_ties
+_rational_parts = st.one_of(
+    _parts.filter(lambda x: abs(x) < 2.0 ** 1000),
+    st.sampled_from(_near_ties(10**9) + [-x for x in _near_ties(10**9)]))
+# trailing coefficients that rationalize to 0 at max_den 10^9 (or not)
+_tails = st.lists(st.tuples(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310,
+                                             4e-10, 6e-10, 1e-300]),
+                            st.sampled_from([0.0, -0.0, 5e-324, 1e-300])),
+                  max_size=3)
+
+
+class TestGaussianGcd:
+    @_PROPERTY
+    @given(st.integers(-50, 50), st.integers(-50, 50),
+           st.integers(-50, 50), st.integers(-50, 50),
+           st.integers(-50, 50), st.integers(-50, 50))
+    def test_common_factor(self, a, b, c, e, s, t):
+        # gcd((s + ti) x, (s + ti) y) is (s + ti) gcd(x, y) up to a unit,
+        # and it divides both
+        x, y = (a + b * 1j) * (s + t * 1j), (c + e * 1j) * (s + t * 1j)
+        gr, gi = exact.gaussian_gcd(int(x.real), int(x.imag),
+                                    int(y.real), int(y.imag))
+        hr, hi = exact.gaussian_gcd(a, b, c, e)
+        assert gr * gr + gi * gi == (hr * hr + hi * hi) * (s * s + t * t)
+        n = gr * gr + gi * gi
+        for z in (x, y):
+            zr, zi = int(z.real), int(z.imag)
+            assert n == 0 and zr == zi == 0 or \
+                (zr * gr + zi * gi) % n == (zi * gr - zr * gi) % n == 0
+
+    def test_examples(self):
+        for args, norm in (((2, 0, 1, 1), 2), ((5, 0, 2, 1), 5),
+                           ((0, 0, 3, 4), 25), ((3, 4, 0, 0), 25),
+                           ((4, 0, 6, 0), 4), ((7, 0, 3, 0), 1)):
+            gr, gi = exact.gaussian_gcd(*args)
+            assert gr * gr + gi * gi == norm, args
+
+
+class TestRationalize:
+    @_PROPERTY
+    @given(st.lists(st.tuples(_rational_parts, _rational_parts), min_size=1,
+                    max_size=5), _tails, st.sampled_from([1, 7, 10**9]))
+    def test_matches_qc_route(self, head, tail, m):
+        f = np.array([complex(x, y) for x, y in head + tail])
+        ints, error, bound = hb.rationalize(f, m)
+        ref = qc_rationalize(f, m)
+        assert ints == exact.gaussian_poly(ref)
+        assert (error <= bound) == qc_matches(ref, f)
+        assert bound == 1e-12 * max(1.0, float(np.max(np.abs(f))))
+
+    def test_examples(self):
+        assert hb.rationalize([0.5, 1 / 3, 0]) == (([3, 2], [0, 0], 6),
+                                                   0.0, 1e-12)
+        assert hb.rationalize([0.0, -0.0, 1e-300])[0] == ([0], [0], 1)
+        # the nearest rational rounds back to the float itself: error 0
+        assert hb.rationalize([3.14159265358979, 1]) == (
+            ([789453460, 251290841], [0, 0], 251290841), 0.0,
+            1e-12 * 3.14159265358979)
+        # a coefficient below 1/(2 10^9) rationalizes to 0 and is dropped
+        assert hb.rationalize([1, 1.5e-11]) == (([1], [0], 1), 1.5e-11,
+                                                1e-12)
+        for bad in ([1, math.nan], [complex(0, math.inf)]):
+            with pytest.raises(ValueError, match="finite"):
+                hb.rationalize(bad)
+
+
+def test_exact_reads_build_no_qc(monkeypatch):
+    """gaussian_mate and the exact decay table run on integer triples:
+    QC is built only where the public API returns it."""
+    built = []
+    new, init = exact._new, QC.__init__
+
+    def counted_new(cls):
+        built.append(cls)
+        return new(cls)
+
+    def counted_init(self, *args):
+        built.append(QC)
+        init(self, *args)
+
+    for b in (UCF.polynomial([0, 0.5, 0.5]), UCF.rational([0, 1], [2, 1]),
+              UCF.polynomial([0, 0.5])):
+        sp = hb.make_space(b, use_exact=True)   # ExactSpaceData holds QC
+        f = np.array([1, -1 / 3, 0.25j])
+        with monkeypatch.context() as m:
+            m.setattr(exact, "_new", counted_new)
+            m.setattr(QC, "__init__", counted_init)
+            assert hb.gaussian_mate(sp, f, 2) is not None
+            assert len(cy._exact_decay(sp, f, 16)) == 16
+            assert built == []
+            hb.exact_mate(sp, f)            # the public boundary does
+            assert built
+        built.clear()
+
+
 def reference_exact_mate(space, f, shift=0):
     """(h, s-scaled mate of h), h = z^shift f, by the QC object-array route:
     P_+(conj(p) h) by np.correlate with an explicit conj, the back
@@ -307,7 +434,7 @@ def reference_exact_mate(space, f, shift=0):
     the mate relation checked exactly."""
     e = space.exact
     p, A = (np.array(c, dtype=object) for c in (e.p, e.A))
-    h = np.array([exact.QZERO] * shift + hb._rationalize(f), dtype=object)
+    h = np.array([exact.QZERO] * shift + qc_rationalize(f), dtype=object)
     rhs = -np.correlate(h, np.conj(p), "full")[p.size - 1:]
     g = poly.series_div(rhs[::-1], np.conj(A), rhs.size)[::-1]
     assert _is_zero(np.correlate(g, np.conj(A), "full")[A.size - 1:] - rhs)

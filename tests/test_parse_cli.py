@@ -46,6 +46,21 @@ class TestParse:
             with pytest.raises(ParseError):
                 parse_function(bad)
 
+    def test_exponents(self):
+        # an exponent belongs to its number, and implicit multiplication
+        # follows it
+        for text, coeffs in (("1e-3+z", [1e-3, 1]), ("2.5E+2z", [0, 250]),
+                             ("1E2 - .5e1i z", [100, -5j]),
+                             ("3e0^2", [9]), ("z(1e1+z)", [0, 10, 1])):
+            assert np.array_equal(parse_function(text).to_polynomial(),
+                                  np.array(coeffs, dtype=complex)), text
+        for bad, msg in (("1e", "bad number '1e'"),
+                         ("1e+z", "bad number '1e\\+'"),
+                         ("2.5E-", "bad number"), ("e2", "character 'e'"),
+                         ("1e999", "not finite")):
+            with pytest.raises(ParseError, match=msg):
+                parse_function(bad)
+
 
 def run_cli(capsys, *argv):
     code = 0
@@ -59,6 +74,53 @@ def run_cli(capsys, *argv):
 
 
 class TestCli:
+    def test_exponent_literals(self, capsys):
+        code, doc, _ = run_cli(capsys, "norm", "--b", "(1+z)/2",
+                               "--f", "1e-3+z")
+        assert code == 0 and doc["norm_sq_exact"] == "3002001/500000"
+        for bad in ("1e", "1e+z", "1e999"):
+            code, doc, _ = run_cli(capsys, "norm", "--b", "(1+z)/2",
+                                   "--f", bad)
+            assert code == 2 and doc["error"].startswith(f"--f {bad!r}")
+
+    def test_rational_error(self, capsys):
+        # beside every exact read, and beside its refusal: the largest
+        # |f_k - p_k/q_k| of the rationals taken for f, and the bound
+        code, doc, _ = run_cli(capsys, "norm", "--b", "(1+z)/2",
+                               "--f", "3.14159265358979+z")
+        assert code == 0 and "norm_sq_exact" in doc
+        assert doc["f_rational_error"] == {"max": 0.0,
+                                           "bound": 3.14159265358979e-12}
+        code, doc, _ = run_cli(capsys, "decay", "--b", "(1+z)/2",
+                               "--f", "0.10000000000001 - z/3", "--n", "4")
+        err = doc["f_rational_error"]
+        assert "entries_exact" in doc and 0 < err["max"] <= err["bound"]
+        code, doc, _ = run_cli(capsys, "decay", "--b", "(1+z)/2",
+                               "--f", "1+1.5e-11z", "--n", "4")
+        assert "entries_exact" not in doc and \
+            doc["f_rational_error"] == {"max": 1.5e-11, "bound": 1e-12}
+        for argv in (("--exact", "off", "norm", "--f", "z"),
+                     ("norm", "--f", "z"), ("decay", "--f", "z")):
+            i = argv.index("--f")
+            code, doc, _ = run_cli(capsys, *argv[:i], "--b",
+                                   "(1+z)/(3+z)" if "off" not in argv
+                                   else "z/2", *argv[i:])
+            assert code == 0 and "f_rational_error" not in doc, argv
+
+    def test_closed_stdout_ends_quietly(self):
+        # the reader is gone before the table is written
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hblab.cli", "decay", "--b", "(1+z)/2",
+             "--f", "1-z", "--n", "200"], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+        assert err == b""
+
     def test_classify(self, capsys):
         code, doc, _ = run_cli(capsys, "classify", "--b", "(1+z)/2",
                                "--f", "1+z")

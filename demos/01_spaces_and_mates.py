@@ -14,7 +14,7 @@ arithmetic, in floating point and in certified exact rational form.
 
 import numpy as np
 
-from hblab import UnitCircleFunction as UCF, make_element, make_space
+from hblab import UnitCircleFunction as UCF, exact, make_element, make_space
 
 # ---------------------------------------------------------------------------
 # The classic example b = (1+z)/2: the mate is a = (1-z)/2.
@@ -41,7 +41,8 @@ for k in range(5):
 space2 = make_space(UCF.polynomial([0.0, 0.5]))
 print("\nb = z/2")
 print("  a =", space2.a.to_polynomial())
-print("  exact scaled form: A =", [str(c.re) for c in space2.exact.A],
+print("  exact scaled form: A =",
+      [str(c.re) for c in exact.to_qc(space2.exact.A)],
       " s^2 =", space2.exact.s2)
 ez = make_element(space2, [0.0, 1.0])
 print("  mate(z) =", np.round(ez.mate, 12),

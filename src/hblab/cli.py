@@ -351,26 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _is_numbers(text: str) -> bool:
-    try:
-        for x in text.replace(",", ":").split(":"):
-            float(x)
-    except ValueError:
-        return False
-    return True
-
-
 def _glue_values(argv: list) -> list:
-    """argv with `--flag -1e-3` written `--flag=-1e-3`.  argparse takes
+    """argv with `--flag -value` written `--flag=-value`.  argparse takes
     a value that starts with '-' for an option unless it is a plain
-    negative decimal, so `--alpha -1e-3` or `--f-arcs -0.5:0.5` would be
-    a usage error; a value that reads as numbers (comma-separated colon
-    lists, as _numbers reads them) is joined to its flag instead."""
+    negative decimal, so `--alpha -1e-3`, `--f-arcs -0.5:0.5` or
+    `--f -1+z` would be a usage error; every hblab flag takes a value, so
+    an argument that starts with a single '-' is joined to the flag
+    before it instead."""
     out = []
     for arg in argv:
         if out and out[-1].startswith("--") and len(out[-1]) > 2 and \
                 "=" not in out[-1] and arg.startswith("-") and \
-                _is_numbers(arg):
+                not arg.startswith("--"):
             out[-1] += "=" + arg
         else:
             out.append(arg)

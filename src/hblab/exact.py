@@ -1,18 +1,18 @@
 """Exact complex-rational scalars, exact mates, the Pythagorean
 certificate and the Bareiss elimination.
 
-Scalars (QC) are Gaussian integers over one positive denominator,
-(a + bi)/d in lowest terms, with Fraction views .re and .im.  Exact
-polynomials are either lists of them or, where a read does arithmetic,
-Gaussian-integer polynomials: a triple (re, im, d) of two integer lists
-over one positive denominator, which carry no gcd per operation.  Exact
-mates are solved on such triples (mate_solve, fraction-free) and every
-solve is checked by its own exact residual (mate_residual); the float
-pipeline keeps its own solve in hb.  The backend certifies identities
-(Pythagorean mate relation, mate residuals, norms, Gram eliminations)
-that the floating pipeline can only check to tolerance.  Mates whose
-outer factor carries an irrational positive constant s are handled in
-scaled form a = s*A with s^2 rational.
+Exact polynomials are Gaussian-integer polynomials: a triple
+(re, im, d) of two integer lists over one positive denominator, which
+carry no gcd per operation.  Exact mates are solved on such triples
+(mate_solve, fraction-free) and every solve is checked by its own exact
+residual (mate_residual); the float pipeline keeps its own solve in hb.
+The backend certifies identities (Pythagorean mate relation, mate
+residuals, norms, Gram eliminations) that the floating pipeline can
+only check to tolerance.  Mates whose outer factor carries an
+irrational positive constant s are handled in scaled form a = s*A with
+s^2 rational.  Scalars (QC), Gaussian integers over one positive
+denominator in lowest terms, are the values that exact reads return
+(to_qc); the backend does no arithmetic on them.
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
-
-from . import factor
+from typing import Sequence
 
 
 class QC:
@@ -219,6 +215,13 @@ def _coerce_operand(x):
 QZERO = QC(0)
 
 
+def qtrim(p: Sequence[QC]) -> list[QC]:
+    out = list(p)
+    while out and out[-1].is_zero():
+        out.pop()
+    return out
+
+
 def frac_sqrt(x: Fraction):
     """Exact square root of a nonnegative Fraction, or None."""
     if x < 0:
@@ -231,49 +234,38 @@ def frac_sqrt(x: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# polynomials: lists of QC, lowest degree first; as numpy object arrays
-# they run through the float kernels of poly and factor unchanged
+# Gaussian-integer polynomials (re, im, d), the certificate and exact mates
 
-def qpoly(coeffs: Iterable) -> list[QC]:
-    return [_coerce(c) for c in coeffs]
-
-
-def qtrim(p: Sequence[QC]) -> list[QC]:
-    out = list(p)
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
+def scaled(x, c: Fraction) -> tuple:
+    """The triple x = (re, im, d) times c > 0, with gcd(re, im, d) = 1."""
+    k = c.numerator
+    re, im, d = [k * a for a in x[0]], [k * a for a in x[1]], x[2]
+    d *= c.denominator
+    g = math.gcd(*re, *im, d)
+    return [a // g for a in re], [a // g for a in im], d // g
 
 
-def pythagorean_residual(p: Sequence, q: Sequence, A: Sequence,
-                         s2: Fraction) -> list[QC]:
-    """Laurent coefficients of s2|A|^2 minus the weight |q|^2 - |p|^2
-    (empty iff exact).
+def pythagorean_residual(p, q, A, s2: Fraction) -> list[QC]:
+    """Coefficients of z^0, z^1, ... of the Laurent polynomial
+    s2|A|^2 + |p|^2 - |q|^2 on the circle, p, q and A each (re, im, d):
+    empty iff a = s*A/q, s^2 = s2, is the Pythagorean mate of b = p/q,
+    |a|^2 + |b|^2 = 1 on the circle.  The residual is Hermitian, so the
+    coefficient of z^-m is the conjugate of that of z^m.
 
-    The identity says that a = s*A/q, s^2 = s2, is the Pythagorean mate
-    of b = p/q: |a|^2 + |b|^2 = 1 on the circle.  The residual is
-    factor.weight_residual, the one the float backend checks in l1 norm.
+    Each |x|^2 is the integer autocorrelation P_+(conj(x) x) over d^2,
+    and the sum is cleared of its denominators.  The float backend
+    checks the same residual in l1 norm (factor.weight_residual_l1).
     """
-    p, q, A = (np.array(qpoly(c), dtype=object) for c in (p, q, A))
-    resid = factor.weight_residual(A, factor.mate_weight(p, q), s2)
-    return [] if all(c.is_zero() for c in resid) else list(resid)
-
-
-def gaussian_ints(*polys) -> list:
-    """Lists of QC as (re, im) integer lists over their lcm denominator d:
-    the pairs, then d."""
-    d = math.lcm(*(c.d for p in polys for c in p))
-    return [([c.a * (d // c.d) for c in p], [c.b * (d // c.d) for c in p])
-            for p in polys] + [d]
-
-
-# ---------------------------------------------------------------------------
-# Gaussian-integer polynomials (re, im, d) and exact mates on them
-
-def gaussian_poly(coeffs: Sequence[QC]) -> tuple:
-    """A list of QC as (re, im, d) over its lcm denominator d."""
-    (re, im), d = gaussian_ints(coeffs)
-    return re, im, d
+    n = max(len(x[0]) for x in (p, q, A))
+    dp2, dq2, da2 = p[2] ** 2, q[2] ** 2, A[2] ** 2
+    u, v = s2.numerator * dp2 * dq2, s2.denominator * da2
+    re, im = [0] * n, [0] * n
+    for (xr, xi, _d), k in ((A, u), (p, v * dq2), (q, -v * dp2)):
+        pad = [0] * (n - len(xr))
+        cr, ci = _pplus_conj(xr, xi, xr + pad, xi + pad)
+        re = [a + k * c for a, c in zip(re, cr)]
+        im = [a + k * c for a, c in zip(im, ci)]
+    return to_qc((re, im, v * dp2 * dq2)) if any(re) or any(im) else []
 
 
 def to_qc(x) -> list[QC]:

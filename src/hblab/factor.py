@@ -109,7 +109,7 @@ def _laurent_center_sub(x, y) -> np.ndarray:
     x, y = poly.aspoly(x), poly.aspoly(y)
     dx, dy = (x.size - 1) // 2, (y.size - 1) // 2
     d = max(dx, dy)
-    out = np.zeros(2 * d + 1, dtype=np.result_type(x, y))
+    out = np.zeros(2 * d + 1, dtype=complex)
     out[d - dx: d + dx + 1] += x
     out[d - dy: d + dy + 1] -= y
     return out
@@ -121,10 +121,10 @@ def mate_weight(p, q) -> np.ndarray:
     return _laurent_center_sub(modulus_sq_laurent(q), modulus_sq_laurent(p))
 
 
-def weight_residual(A, w, s2=1) -> np.ndarray:
-    """Centered Laurent coefficients of s2|A|^2 - w, complex or exact.  For
-    w = mate_weight(p, q) it is (|a|^2 + |b|^2 - 1)|q|^2, a = s*A/q."""
-    return _laurent_center_sub(s2 * modulus_sq_laurent(A), w)
+def weight_residual(A, w) -> np.ndarray:
+    """Centered Laurent coefficients of |A|^2 - w.  For w = mate_weight(p, q)
+    it is (|a|^2 + |b|^2 - 1)|q|^2, a = A/q."""
+    return _laurent_center_sub(modulus_sq_laurent(A), w)
 
 
 def weight_residual_l1(A, w) -> float:

@@ -30,8 +30,11 @@ _RATIONALIZE_DEN = 10**9
 class ExactSpaceData:
     """Certified exact data: b = p/q and the scaled mate a = s*A/q.
 
-    s2 = s^2 is rational; the certificate is the coefficient identity
-    s2*|A|^2 + |p|^2 = |q|^2 on the circle, checked in exact arithmetic.
+    p, q and A are Gaussian-integer polynomials (re, im, d) in canonical
+    form: gcd(re, im, d) = 1 and no trailing zero pair (zero is
+    ([0], [0], 1)); exact.to_qc reads them as QC.  s2 = s^2 is rational;
+    the certificate is the coefficient identity s2*|A|^2 + |p|^2 = |q|^2
+    on the circle, checked in exact arithmetic.
     """
 
     p: tuple
@@ -61,7 +64,6 @@ class HbSpace:
         self._sweep: Optional[tuple] = None    # clark.clark_sweep's default
         self._factor = np.zeros((0, 0), dtype=complex)  # embedding_factor
         self._consts = np.zeros(0, dtype=complex)       # mate_constants
-        self._exact_pA: Optional[tuple] = None      # see gaussian_mate
 
     def __repr__(self):
         tag = "exact" if self.exact else "float"
@@ -112,7 +114,9 @@ class HbSpace:
             self.A, factor.mate_weight(self.p, self.q))
 
     def pythagorean_exact_residual(self):
-        """Exact Laurent residual of s2|A|^2 + |p|^2 - |q|^2 (None if float)."""
+        """exact.pythagorean_residual of the certified data: the exact
+        coefficients of z^0, z^1, ... of s2|A|^2 + |p|^2 - |q|^2, empty
+        when certified (None if float)."""
         if self.exact is None:
             return None
         e = self.exact
@@ -185,24 +189,23 @@ def _try_exact(b: UnitCircleFunction, A_float: np.ndarray) -> ExactSpaceData:
         raise NormalizationError(
             f"rationalizing p/q to denominators <= {_RATIONALIZE_DEN} "
             "moves a coefficient by more than 1e-12")
-    p, q, A = exact.to_qc(p), exact.to_qc(q), exact.to_qc(A)
-    # s2 = (||q||^2 - ||p||^2) / ||A||^2 from the constant Laurent terms
-    w, a2 = factor.mate_weight(p, q), factor.modulus_sq_laurent(A)
-    s2 = (w[w.size // 2] / a2[a2.size // 2]).re
+    # s2 = (||q||^2 - ||p||^2) / ||A||^2, each ||x||^2 = sum of squares / d^2
+    (np2, dp), (nq2, dq), (na2, da) = ((sum(c * c for c in x[0] + x[1]), x[2])
+                                       for x in (p, q, A))
+    s2 = Fraction((nq2 * dp * dp - np2 * dq * dq) * da * da,
+                  na2 * (dp * dq) ** 2)
     if s2 <= 0:
         raise NormalizationError(f"s2 = {s2} is not positive")
-    root = exact.frac_sqrt(s2)
-    if root is not None:
-        A = [exact.QC(root) * c for c in A]
-        s2 = Fraction(1)
     if exact.pythagorean_residual(p, q, A, s2):
         raise NormalizationError(
             "the rationalized data fail s2|A|^2 + |p|^2 = |q|^2 "
             "(irrational factor)")
-    a0 = A[0]
-    if a0.im != 0 or a0.re <= 0:
+    root = exact.frac_sqrt(s2)
+    if root is not None:
+        A, s2 = exact.scaled(A, root), Fraction(1)
+    if A[1][0] or A[0][0] <= 0:
         raise NormalizationError("A(0) is not positive")
-    return ExactSpaceData(p=tuple(p), q=tuple(q), A=tuple(A), s2=s2)
+    return ExactSpaceData(p=p, q=q, A=A, s2=s2)
 
 
 def rationalize(coeffs, max_den: int = _RATIONALIZE_DEN) -> tuple:
@@ -373,9 +376,9 @@ def gaussian_mate(space: HbSpace, f, shift: int = 0) -> Optional[tuple]:
     """(h, s-scaled mate of h) as Gaussian-integer polynomials
     (re, im, d), h = z^shift f and the mate of h's length, or None when
     the space or f is not exactly representable (rationalize: f's error
-    above its bound).  One fraction-free solve (exact.mate_solve),
-    checked by its exact residual: a nonzero one raises ArithmeticError.
-    The space's p and A are converted on its first exact mate and kept."""
+    above its bound).  One fraction-free solve (exact.mate_solve) on the
+    space's p and A, checked by its exact residual: a nonzero one raises
+    ArithmeticError."""
     if space.exact is None:
         return None
     try:
@@ -384,10 +387,7 @@ def gaussian_mate(space: HbSpace, f, shift: int = 0) -> Optional[tuple]:
         return None
     if not error <= bound:
         return None
-    if space._exact_pA is None:
-        space._exact_pA = (exact.gaussian_poly(space.exact.p),
-                           exact.gaussian_poly(space.exact.A))
-    p, A = space._exact_pA
+    p, A = space.exact.p, space.exact.A
     h = ([0] * shift + hr, [0] * shift + hi, dh)
     g = exact.mate_solve(p, A, h)
     exact.mate_residual(p, A, h, g)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import config, cyclicity, exact, factor, poly
+from . import config, cyclicity, factor, hb, poly
 from .boundary import UnitCircleFunction
 from .errors import DomainError
 from .hb import HbSpace, kernel_element, element_from_rational
@@ -68,24 +68,37 @@ def dirichlet_norm(spec: DirichletSpec, f) -> float:
 
 
 def dirichlet_norm_exact(spec: DirichletSpec, f) -> Optional[Fraction]:
-    """Exact rational norm when atoms and coefficients allow it."""
+    """Exact rational norm, or None unless f, every atom and every weight
+    pass hb.rationalize's error bound and every rationalized atom lies
+    exactly on the circle (re^2 + im^2 = d^2).
+
+    Each local integral is one Horner pass on Gaussian integers: for
+    f = F/d of degree n and zeta = Z/e, the quotient of f by z - zeta
+    has the coefficient Q_k/(d e^(n-1-k)) at z^k, with Q_(n-1) = F_n and
+    Q_(k-1) = F_k e^(n-k) + Z Q_k.
+    """
     try:
-        fe = np.array([exact.QC.from_complex(complex(c), 10**12)
-                       for c in np.atleast_1d(np.asarray(f, dtype=complex))],
-                      dtype=object)
-        atoms = [(exact.QC.from_complex(z, 10**12), Fraction(w))
-                 for z, w in spec.atoms]
+        (fr, fi, d), error, bound = hb.rationalize(f)
     except (ValueError, TypeError):
         return None
-    check = np.max(np.abs([a.to_complex() - z
-                           for (a, _), (z, _) in zip(atoms, spec.atoms)]))
-    if check > 1e-12:
+    if not error <= bound:
         return None
-    total = poly.hardy_inner(fe, fe)
-    for zeta, w in atoms:
-        quot = poly.synthetic_div(fe, zeta)[0]
-        total = total + w * poly.hardy_inner(quot, quot)
-    return total.re
+    n = len(fr) - 1
+    total = Fraction(sum(a * a + b * b for a, b in zip(fr, fi)), d * d)
+    for zeta, w in spec.atoms:
+        ((zr,), (zi,), e), zeta_error, zeta_bound = hb.rationalize([zeta])
+        ((wn,), _zero, wd), w_error, w_bound = hb.rationalize([w])
+        if not (zeta_error <= zeta_bound and w_error <= w_bound and
+                zr * zr + zi * zi == e * e):
+            return None
+        pw = [e ** j for j in range(2 * n + 1)]
+        qr, qi, local = fr[n], fi[n], 0         # Q_(n-1)
+        for k in range(n - 1, -1, -1):          # |Q_k|^2 e^(2k+2), Q_(k-1)
+            local += (qr * qr + qi * qi) * pw[2 * k + 2]
+            qr, qi = (fr[k] * pw[n - k] + zr * qr - zi * qi,
+                      fi[k] * pw[n - k] + zr * qi + zi * qr)
+        total += Fraction(wn * local, wd * d * d * pw[2 * n])
+    return total
 
 
 def dirichlet_cyclic(spec: DirichletSpec, f) -> cyclicity.CyclicityReport:

@@ -1,11 +1,9 @@
 """Dense complex polynomial helpers.
 
 Coefficients are 1-D complex arrays, lowest degree first, so [1, 2, 3]
-is 1 + 2z + 3z^2.  Object arrays of exact scalars (exact.QC) keep their
-dtype through aspoly, hardy_inner, synthetic_div and series_div, so the
-exact backend runs the same code.  Root finding is companion-matrix
-eigenvalues followed by multiplicity clustering and modified Newton
-polishing.
+is 1 + 2z + 3z^2.  The exact backend has its own polynomials, integer
+triples (hblab.exact).  Root finding is companion-matrix eigenvalues
+followed by multiplicity clustering and modified Newton polishing.
 """
 
 from __future__ import annotations
@@ -19,11 +17,7 @@ from . import config
 
 
 def aspoly(c) -> np.ndarray:
-    if getattr(c, "dtype", None) != object:
-        try:
-            c = np.asarray(c, dtype=complex)
-        except TypeError:       # exact scalars have no complex(): keep them
-            c = np.asarray(c, dtype=object)
+    c = np.asarray(c, dtype=complex)
     if c.ndim != 1:
         if c.ndim:
             raise ValueError("polynomial coefficients must be one-dimensional")
@@ -118,20 +112,18 @@ def hardy_inner(p, q):
     """sum_k p_k conj(q_k)."""
     p, q = aspoly(p), aspoly(q)
     n = min(p.size, q.size)
-    if p.dtype == object:       # exact: np.dot builds no product array
-        return np.dot(p[:n], np.conj(q[:n]))
     return complex(np.sum(p[:n] * np.conj(q[:n])))
 
 
 def synthetic_div(c, root):
     """Divide by (z - root); returns (quotient, remainder)."""
     arr = aspoly(c)
-    out = np.zeros(max(arr.size - 1, 1), dtype=arr.dtype)
+    out = np.zeros(max(arr.size - 1, 1), dtype=complex)
     acc = arr[-1]
     for k in range(arr.size - 2, -1, -1):
         out[k] = acc
         acc = arr[k] + acc * root
-    return out, acc if arr.dtype == object else complex(acc)
+    return out, complex(acc)
 
 
 def series_div(num, den, n: int) -> np.ndarray:
@@ -144,7 +136,7 @@ def series_div(num, den, n: int) -> np.ndarray:
     num, den = aspoly(num), aspoly(den)
     if den[0] == 0:
         raise ZeroDivisionError("series division needs den(0) != 0")
-    rev = np.zeros(n, dtype=np.result_type(num, den))
+    rev = np.zeros(n, dtype=complex)
     m = min(n, num.size)
     rev[n - m:] = num[:m][::-1]
     tail, d, d0 = den[1:], den.size - 1, den[0]

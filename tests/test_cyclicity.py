@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_clark import RANDOM_B, _random_b
-from test_exact import bordered_schur, qc_matches
+from test_exact import bordered_schur, qc_inner, qc_matches
 
 from hblab import cli, clark, config, cyclicity as cy, exact, hb, poly, sigma
 from hblab.boundary import Arc, UnitCircleFunction as UCF
@@ -618,15 +618,13 @@ def reference_exact_decay(space, f, n):
     matrix of the z^k f by the shift recurrence, bordered_schur."""
     h, u = hb.exact_mate(space, poly.trim(np.asarray(f, dtype=complex)),
                          n - 1)
-    h = np.array(h, dtype=object)
-    u = np.array(u + (exact.QZERO,) * (h.size - len(u)), dtype=object)
+    u = u + (exact.QZERO,) * (len(h) - len(u))
     inv_s2 = exact.QC(1 / space.exact.s2)
     cols = [(h[k:], u[k:]) for k in range(n - 1, -1, -1)]
-    cols.append(tuple(np.array(x, dtype=object) for x in space.one().exact))
+    cols.append(space.one().exact)
 
     def ip(x, y):
-        return poly.hardy_inner(x[0], y[0]) + \
-            poly.hardy_inner(x[1], y[1]) * inv_s2
+        return qc_inner(x[0], y[0]) + qc_inner(x[1], y[1]) * inv_s2
 
     m = [[ip(x, cols[0]) for x in cols]]
     for j in range(1, n):
@@ -724,7 +722,7 @@ class TestExactDecay:
     def test_exact_spaces_reproduce_b(self, exact_spaces):
         for name, sp in exact_spaces.items():
             for exact_c, c in ((sp.exact.p, sp.b.num), (sp.exact.q, sp.b.den)):
-                assert qc_matches(list(exact_c), c), name
+                assert qc_matches(exact.to_qc(exact_c), c), name
 
     @settings(max_examples=30, deadline=None, derandomize=True,
               database=None)

@@ -7,9 +7,36 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hblab import cyclicity as cy, exact, factor, hb, poly
+from hblab import cyclicity as cy, exact, factor, hb, models, poly
 from hblab.boundary import UnitCircleFunction as UCF
+from hblab.errors import NormalizationError
 from hblab.exact import QC
+
+
+def qpoly(coeffs) -> list:
+    """Numbers as a list of QC."""
+    return [exact._coerce(c) for c in coeffs]
+
+
+def gaussian_ints(*polys) -> list:
+    """Lists of QC as (re, im) integer lists over their lcm denominator d:
+    the pairs, then d."""
+    d = math.lcm(*(c.d for p in polys for c in p))
+    return [([c.a * (d // c.d) for c in p], [c.b * (d // c.d) for c in p])
+            for p in polys] + [d]
+
+
+def gaussian_poly(coeffs) -> tuple:
+    """A list of QC as (re, im, d) over its lcm denominator d."""
+    (re, im), d = gaussian_ints(coeffs)
+    return re, im, d
+
+
+def qc_inner(p, q):
+    """sum_k p_k conj(q_k) of two sequences of QC, as a QC."""
+    n = min(len(p), len(q))
+    return np.dot(np.array(p[:n], dtype=object),
+                  np.conj(np.array(q[:n], dtype=object))) if n else QC(0)
 
 
 class TestQC:
@@ -155,7 +182,7 @@ class TestQCProperties:
     @_PROPERTY
     @given(_others)
     def test_division_by_zero(self, y):
-        x = exact.qpoly([y])[0]
+        x = qpoly([y])[0]
         with pytest.raises(ZeroDivisionError):
             y / QC(0)
         for zero in (QC(0), 0, Fraction(0), 0.0, 0j):
@@ -165,7 +192,7 @@ class TestQCProperties:
     @_PROPERTY
     @given(_others)
     def test_hash_agrees_with_equal_numbers(self, y):
-        x = exact.qpoly([y])[0]
+        x = qpoly([y])[0]
         assert x == y and y == x and hash(x) == hash(y)
         assert len({x, y}) == 1
 
@@ -207,7 +234,7 @@ def bordered_schur(m) -> list:
     definite and G_k its leading k x k block, by exact._bareiss of the
     matrix times the lcm D of its denominators: the reference that exact
     decay tables are checked against."""
-    *rows, scale = exact.gaussian_ints(*(row[j:] for j, row in enumerate(m)))
+    *rows, scale = gaussian_ints(*(row[j:] for j, row in enumerate(m)))
     re, im = ([[0] * j + r[t] for j, r in enumerate(rows)] for t in (0, 1))
     return exact._bareiss(re, im, 1, scale)
 
@@ -253,30 +280,8 @@ class TestBorderedSchur:
         assert bordered_schur(m) == _ref_schur(M)
 
 
-class TestPolynomials:
-    """Exact polynomials are object arrays through the float helpers."""
-
-    def test_mul_eval(self):
-        p = exact.qpoly([1, 1])
-        q = poly.pmul(p, p)
-        assert list(q) == exact.qpoly([1, 2, 1])
-        assert poly.synthetic_div(q, QC(2))[1] == QC(9)
-
-    def test_inner_and_norm(self):
-        p = exact.qpoly([1, QC(0, 1)])
-        assert poly.hardy_inner(p, p).re == 2
-        assert poly.hardy_inner(p, p) == QC(2)
-
-    def test_modulus_sq_coeffs(self):
-        # |1 + z/2|^2 has Laurent coefficients (1/2, 5/4, 1/2)
-        p = exact.qpoly([1, Fraction(1, 2)])
-        c = factor.modulus_sq_laurent(p)
-        assert list(c) == exact.qpoly([Fraction(1, 2), Fraction(5, 4),
-                                       Fraction(1, 2)])
-
-
 def _obj(coeffs):
-    return np.array(exact.qpoly(coeffs), dtype=object)
+    return np.array(qpoly(coeffs), dtype=object)
 
 
 def _is_zero(arr):
@@ -297,7 +302,7 @@ def reference_back_substitution(A, rhs):
 
 def _gp(coeffs):
     """Coefficients as a Gaussian-integer polynomial (re, im, d)."""
-    return exact.gaussian_poly(exact.qpoly(coeffs))
+    return gaussian_poly(qpoly(coeffs))
 
 
 def qc_rationalize(coeffs, max_den=10**9):
@@ -378,7 +383,7 @@ class TestRationalize:
         f = np.array([complex(x, y) for x, y in head + tail])
         ints, error, bound = hb.rationalize(f, m)
         ref = qc_rationalize(f, m)
-        assert ints == exact.gaussian_poly(ref)
+        assert ints == gaussian_poly(ref)
         assert (error <= bound) == qc_matches(ref, f)
         assert bound == 1e-12 * max(1.0, float(np.max(np.abs(f))))
 
@@ -399,8 +404,9 @@ class TestRationalize:
 
 
 def test_exact_reads_build_no_qc(monkeypatch):
-    """gaussian_mate and the exact decay table run on integer triples:
-    QC is built only where the public API returns it."""
+    """The space certificate, gaussian_mate, the exact decay table and
+    exact Dirichlet norms run on integer triples: QC is built only where
+    the public API returns it."""
     built = []
     new, init = exact._new, QC.__init__
 
@@ -412,15 +418,17 @@ def test_exact_reads_build_no_qc(monkeypatch):
         built.append(QC)
         init(self, *args)
 
+    spec = models.DirichletSpec([(1, 1), (-1, 0.5), (0.6 + 0.8j, 0.25)])
     for b in (UCF.polynomial([0, 0.5, 0.5]), UCF.rational([0, 1], [2, 1]),
               UCF.polynomial([0, 0.5])):
-        sp = hb.make_space(b, use_exact=True)   # ExactSpaceData holds QC
         f = np.array([1, -1 / 3, 0.25j])
         with monkeypatch.context() as m:
             m.setattr(exact, "_new", counted_new)
             m.setattr(QC, "__init__", counted_init)
+            sp = hb.make_space(b, use_exact=True)
             assert hb.gaussian_mate(sp, f, 2) is not None
             assert len(cy._exact_decay(sp, f, 16)) == 16
+            assert models.dirichlet_norm_exact(spec, f) is not None
             assert built == []
             hb.exact_mate(sp, f)            # the public boundary does
             assert built
@@ -430,15 +438,55 @@ def test_exact_reads_build_no_qc(monkeypatch):
 def reference_exact_mate(space, f, shift=0):
     """(h, s-scaled mate of h), h = z^shift f, by the QC object-array route:
     P_+(conj(p) h) by np.correlate with an explicit conj, the back
-    substitution as poly.series_div on exact scalars, and the residual of
-    the mate relation checked exactly."""
+    substitution on exact scalars, and the residual of the mate relation
+    checked exactly."""
     e = space.exact
-    p, A = (np.array(c, dtype=object) for c in (e.p, e.A))
+    p, A = (np.array(exact.to_qc(c), dtype=object) for c in (e.p, e.A))
     h = np.array([exact.QZERO] * shift + qc_rationalize(f), dtype=object)
     rhs = -np.correlate(h, np.conj(p), "full")[p.size - 1:]
-    g = poly.series_div(rhs[::-1], np.conj(A), rhs.size)[::-1]
+    g = np.array(reference_back_substitution(A, rhs), dtype=object)
     assert _is_zero(np.correlate(g, np.conj(A), "full")[A.size - 1:] - rhs)
     return tuple(h), tuple(exact.qtrim(g))
+
+
+def reference_try_exact(b, A_float):
+    """hb._try_exact's certificate on QC object arrays, the route it
+    replaced: (p, q, A, s2), p, q and A tuples of QC, or
+    NormalizationError with the same text.  Each |x|^2 is np.convolve of
+    x, zero-padded to the longest of the three, with its reversed
+    conjugate; the whole Laurent residual is checked."""
+    try:
+        (p, ep, bp), (q, eq, bq) = hb.rationalize(b.num), \
+            hb.rationalize(b.den)
+        j0 = int(np.argmax(np.abs(A_float)))
+        A = hb.rationalize(A_float / A_float[j0])[0]
+    except ValueError as exc:
+        raise NormalizationError(str(exc)) from None
+    if not (ep <= bp and eq <= bq):
+        raise NormalizationError(
+            "rationalizing p/q to denominators <= 1000000000 "
+            "moves a coefficient by more than 1e-12")
+    p, q, A = (exact.to_qc(x) for x in (p, q, A))
+    n = max(len(p), len(q), len(A))
+
+    def modulus_sq(x):
+        x = np.array(x + [exact.QZERO] * (n - len(x)), dtype=object)
+        return np.convolve(x, np.conj(x)[::-1])
+
+    w, a2 = modulus_sq(q) - modulus_sq(p), modulus_sq(A)
+    s2 = (w[n - 1] / a2[n - 1]).re
+    if s2 <= 0:
+        raise NormalizationError(f"s2 = {s2} is not positive")
+    root = exact.frac_sqrt(s2)
+    if root is not None:
+        A, s2 = [QC(root) * c for c in A], Fraction(1)
+    if not _is_zero(QC(s2) * modulus_sq(A) - w):
+        raise NormalizationError(
+            "the rationalized data fail s2|A|^2 + |p|^2 = |q|^2 "
+            "(irrational factor)")
+    if A[0].im != 0 or A[0].re <= 0:
+        raise NormalizationError("A(0) is not positive")
+    return tuple(p), tuple(q), tuple(A), s2
 
 
 # the five exact_auto spaces, z/(2+z), and spaces whose integer pivot
@@ -478,7 +526,7 @@ class TestMateSolve:
         p = _gp([Fraction(1, 2), Fraction(1, 2)])
         A = _gp([Fraction(1, 2), Fraction(-1, 2)])
         g = exact.mate_solve(p, A, _gp([1]))
-        assert exact.to_qc(g) == exact.qpoly([-1])
+        assert exact.to_qc(g) == qpoly([-1])
         exact.mate_residual(p, A, _gp([1]), g)
 
     def test_prebuilt_projection(self):
@@ -525,7 +573,7 @@ class TestMateSolve:
                 exact.mate_solve(_gp([1]), _gp(A), _gp([1, 2]))
 
     def test_integer_pivots(self, mate_spaces):
-        pivots = {name: exact.gaussian_poly(sp.exact.A)[0][0]
+        pivots = {name: sp.exact.A[0][0]
                   for name, sp in mate_spaces.items()}
         assert {name for name, a0 in pivots.items() if a0 != 1} == \
             {"3z/5", "(7+z)/10", "(7+iz)/10", "(7+z^2)/10"}
@@ -543,21 +591,88 @@ class TestMateSolve:
         gh, g1 = reference_exact_mate(sp, g)
         F = hb.make_element(sp, np.concatenate([np.zeros(shift), f]))
         G = hb.make_element(sp, g)
-        want = poly.hardy_inner(_obj(fh), _obj(gh)) + \
-            poly.hardy_inner(_obj(f1), _obj(g1)) / QC(sp.exact.s2)
+        want = qc_inner(fh, gh) + qc_inner(f1, g1) / QC(sp.exact.s2)
         assert hb.inner_product_exact(sp, F, G) == want
-        assert F.norm2_exact == (poly.hardy_inner(_obj(fh), _obj(fh)) +
-                                 poly.hardy_inner(_obj(f1), _obj(f1)) /
+        assert F.norm2_exact == (qc_inner(fh, fh) + qc_inner(f1, f1) /
                                  QC(sp.exact.s2)).re
 
     def test_pythagorean_residual(self):
-        b = exact.qpoly([Fraction(1, 2), Fraction(1, 2)])
-        A = exact.qpoly([Fraction(1, 2), Fraction(-1, 2)])
-        assert exact.pythagorean_residual(b, [1], A, Fraction(1)) == []
-        assert exact.pythagorean_residual(b, [1], A, Fraction(2)) != []
+        b = _gp([Fraction(1, 2), Fraction(1, 2)])
+        A = _gp([Fraction(1, 2), Fraction(-1, 2)])
+        assert exact.pythagorean_residual(b, _gp([1]), A, Fraction(1)) == []
+        # 2|A|^2 + |b|^2 - 1 = 1/2 - z/4 - conj(z)/4 on the circle
+        assert exact.pythagorean_residual(b, _gp([1]), A, Fraction(2)) == \
+            qpoly([Fraction(1, 2), Fraction(-1, 4)])
 
     def test_scaled_backend(self):
         # b = z/2: A = 1, s^2 = 3/4
-        b = exact.qpoly([0, Fraction(1, 2)])
-        A = exact.qpoly([1])
-        assert exact.pythagorean_residual(b, [1], A, Fraction(3, 4)) == []
+        b = _gp([0, Fraction(1, 2)])
+        assert exact.pythagorean_residual(b, _gp([1]), _gp([1]),
+                                          Fraction(3, 4)) == []
+
+
+def _canonical(x) -> bool:
+    """(re, im, d) with gcd(re, im, d) = 1, d > 0 and no trailing zero
+    pair unless it is zero, ([0], [0], 1)."""
+    re, im, d = x
+    return d > 0 and math.gcd(*re, *im, d) == 1 and len(re) == len(im) and \
+        (re[-1] != 0 or im[-1] != 0 or (re, im, d) == ([0], [0], 1))
+
+
+def _rational_b(nums, t, extra):
+    """b = p/(1 + t z) with Gaussian-integer p over a denominator that
+    keeps sum |p_k| + |t| below 1, so b maps the disk into itself."""
+    den = sum(abs(a) + abs(c) for a, c in nums) + extra
+    scale = 1 - abs(t.real) - abs(t.imag)
+    p = [complex(a, c) * scale / den for a, c in nums]
+    return UCF.polynomial(p) if t == 0 else UCF.rational(p, [1, t])
+
+
+RATIONAL_B = st.builds(
+    _rational_b,
+    st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1,
+             max_size=5),
+    st.sampled_from([0, 0.5, -1 / 3, 0.25j, 0.2 - 0.4j]),
+    st.sampled_from([1, 2, 5, 31]))
+
+
+class TestCertificate:
+    """hb._try_exact on integer triples against the object-array route."""
+
+    @staticmethod
+    def check(b):
+        try:
+            A = factor.mate_and_factor(b)[1]
+        except ValueError:
+            return None                 # no mate: nothing to certify
+        try:
+            want = reference_try_exact(b, A)
+        except NormalizationError as exc:
+            with pytest.raises(NormalizationError) as got:
+                hb._try_exact(b, A)
+            assert str(got.value) == str(exc)
+            return str(exc)
+        got = hb._try_exact(b, A)
+        assert all(map(_canonical, (got.p, got.q, got.A)))
+        assert (tuple(exact.to_qc(got.p)), tuple(exact.to_qc(got.q)),
+                tuple(exact.to_qc(got.A)), got.s2) == want
+        return None
+
+    def test_mate_spaces(self):
+        for name, b in MATE_SPACES.items():
+            assert self.check(b) is None, name
+
+    def test_refusals(self):
+        # an irrational factor, irrational data and a p/q that moves
+        assert "irrational factor" in self.check(
+            UCF.rational([1.0, 1.0], [3.0, 1.0]))
+        assert "irrational factor" in self.check(
+            UCF.polynomial([0.5, 0.5 / math.sqrt(2)]))
+        assert self.check(UCF.polynomial([9e-11, 0.9])).startswith(
+            "rationalizing p/q")
+
+    @_PROPERTY
+    @given(st.one_of(st.sampled_from(sorted(MATE_SPACES)).map(
+        MATE_SPACES.get), RATIONAL_B))
+    def test_matches_object_array_route(self, b):
+        self.check(b)

@@ -31,6 +31,46 @@ class TestDirichlet:
             assert ex is not None
             assert abs(models.dirichlet_norm(spec, f) - float(ex)) < 1e-12
 
+    def test_exact_four_atoms(self):
+        # atoms at 1, -1, i and (3 + 4i)/5, each given as a float (-1 as
+        # exp(i pi), whose imaginary part is 1.2e-16): the local integral
+        # at zeta is ||quotient of f by z - zeta||^2, summed here on
+        # Fractions from its coefficients sum_(j>k) f_j zeta^(j-1-k)
+        zetas = [(1, 0), (-1, 0), (0, 1), (Fraction(3, 5), Fraction(4, 5))]
+        weights = [Fraction(1), Fraction(1, 10), Fraction(3), Fraction(1, 4)]
+        spec = models.DirichletSpec([(1.0, 1.0), (np.exp(1j * np.pi), 0.1),
+                                     (1j, 3.0), (0.6 + 0.8j, 0.25)])
+        f = [Fraction(1, 2), -1, 0, Fraction(2, 3), Fraction(-1, 7)]
+        want = sum(c * c for c in f)
+        for (zr, zi), w in zip(zetas, weights):
+            for k in range(len(f) - 1):
+                re = im = Fraction(0)
+                pr, pi = Fraction(1), Fraction(0)       # zeta^(j-1-k)
+                for j in range(k + 1, len(f)):
+                    re, im = re + f[j] * pr, im + f[j] * pi
+                    pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
+                want += w * (re * re + im * im)
+        got = models.dirichlet_norm_exact(spec, [float(c) for c in f])
+        assert got == want
+        assert abs(float(want) - models.dirichlet_norm(spec, f)) < 1e-12
+
+    def test_exact_needs_rational_data(self):
+        # an atom off the rational points of the circle gives no exact
+        # norm, though ||1 + z^2||^2 = 4 for every atom of weight 1
+        spec = models.DirichletSpec([(np.exp(0.5j), 1.0)])
+        assert models.dirichlet_norm(spec, [1, 0, 1]) == pytest.approx(4)
+        assert models.dirichlet_norm_exact(spec, [1, 0, 1]) is None
+        # weights and coefficients are read as the rationals they round
+        # to: 0.1 is 1/10, not the binary float
+        spec = models.DirichletSpec([(1.0, 0.1)])
+        assert models.dirichlet_norm_exact(spec, [1, -1]) == \
+            Fraction(21, 10)
+        # f's coefficients must pass the same bound as any exact read
+        spec = models.DirichletSpec([(1.0, 1.0)])
+        assert models.dirichlet_norm_exact(spec, [1, 1.5e-11]) is None
+        assert models.dirichlet_norm_exact(spec, [1, np.nan]) is None
+        assert models.dirichlet_norm_exact(spec, [2.5]) == Fraction(25, 4)
+
     def test_verdicts(self):
         spec = models.DirichletSpec([(1.0, 1.0)])
         assert models.dirichlet_cyclic(spec, [1, 1]).verdict == cy.CYCLIC

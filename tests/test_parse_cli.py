@@ -395,12 +395,15 @@ NEGATIVE_VALUES = [
     (["certify", "--rule", "B", "--b", "z/2", "--f", "1+z"], "--cover",
      "-0.5:0.5:1e-3,1:2:0.5"),
     (["dirichlet", "--f", "1-z"], "--atoms", "-1e-1:1,2:0.5"),
+    (["norm", "--b", "z/2"], "--f", "-1+z"),
+    (["norm", "--b", "z/2"], "--f", "-z"),
+    (["decay", "--b", "(1+z)/2", "--n", "4"], "--f", "-1+z/2"),
 ]
 
 
 class TestNegativeValues:
-    """A flag value that starts with '-' and reads as numbers is the
-    value, not an option."""
+    """A flag value that starts with a single '-' is the value, not an
+    option: every hblab flag takes a value."""
 
     @pytest.mark.parametrize("argv, flag, value", NEGATIVE_VALUES)
     def test_space_form_is_the_equals_form(self, capsys, argv, flag, value):
@@ -409,6 +412,10 @@ class TestNegativeValues:
         assert code in (0, 1)
         code_eq, _doc, out_eq = run_cli(capsys, *argv, f"{flag}={value}")
         assert (code, out) == (code_eq, out_eq)
+
+    def test_function_literal(self, capsys):
+        code, doc, _ = run_cli(capsys, "norm", "--b", "z/2", "--f", "-1+z")
+        assert code == 0 and doc["norm_sq_exact"] == "7/3"
 
     def test_readme_certify_example(self, capsys):
         code, doc, _ = run_cli(capsys, "certify", "--rule", "A",
@@ -423,14 +430,23 @@ class TestNegativeValues:
         assert code == 2 and "--alpha" in doc["error"]
 
     def test_unknown_option_still_exits_two(self, capsys):
-        for argv in (["clark", "--b", "z/2", "--alpha", "0", "--bogus",
-                      "-1e-3"],
-                     ["clark", "--b", "z/2", "--alpha", "-x"],
-                     ["clark", "--b", "z/2", "--alpha", "-e-3"]):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(argv)
-            assert exc.value.code == 2, argv
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["clark", "--b", "z/2", "--alpha", "0", "--bogus",
+                      "-1e-3"])
+        assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_bad_value_is_a_usage_error_naming_the_flag(self, capsys):
+        # a value that starts with '-' but is no valid value is refused as
+        # that flag's value, as its '=' form is
+        for argv, flag, value in (
+                (["clark", "--b", "z/2"], "--alpha", "-x"),
+                (["clark", "--b", "z/2"], "--alpha", "-e-3"),
+                (["norm", "--b", "z/2"], "--f", "-h")):
+            code, doc, out = run_cli(capsys, *argv, flag, value)
+            assert code == 2 and flag in doc["error"], (flag, value)
+            assert run_cli(capsys, *argv, f"{flag}={value}") == \
+                (code, doc, out)
 
 
 CORE = ["boundary", "config", "errors", "exact", "factor", "hb", "parse",

@@ -16,7 +16,6 @@ import importlib
 from .boundary import (Arc, CircleMeasure, UnitCircleFunction,
                        analytic_projection, cauchy, evaluate, fourier_coeffs,
                        herglotz, roots)
-from .config import DEFAULT_GRID, GridConfig
 from .errors import (DomainError, ExtremeFunctionError, FactorizationError,
                      HBLabError, MembershipError, NormalizationError,
                      PoleError, SpaceMismatchError, UnitBallError)
@@ -30,8 +29,8 @@ from .parse import parse_function
 _ON_FIRST_USE = {
     "clark": ("ClarkMeasure", "clark_measure", "normalized_cauchy",
               "normalized_cauchy_rational", "poltoratski_limit"),
-    "cyclicity": ("CyclicityReport", "DecayTable", "DecayThresholds",
-                  "assess", "classify_finite_defect", "decay_table",
+    "cyclicity": ("CyclicityReport", "DecayTable", "assess",
+                  "classify_finite_defect", "decay_table",
                   "estimate_from_decay", "necessity_check",
                   "theorem_a_check", "theorem_b_check", "theorem_c_check"),
     "models": ("DirichletSpec", "ThetaModel", "dirichlet_cyclic",
@@ -68,8 +67,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arc", "CircleMeasure", "ClarkMeasure", "CyclicityReport", "DecayTable",
-    "DecayThresholds", "DEFAULT_GRID", "DirichletSpec", "DomainError",
-    "ExtremeFunctionError", "FactorizationError", "GridConfig", "HBLabError",
+    "DirichletSpec", "DomainError", "ExtremeFunctionError",
+    "FactorizationError", "HBLabError",
     "HbElement", "HbSpace", "MembershipError", "NormalizationError",
     "PoleError", "SigmaBounds", "SpaceMismatchError", "ThetaModel",
     "ToeplitzSectionReport", "UnitBallError", "UnitCircleFunction",

@@ -46,12 +46,10 @@ class UnitCircleFunction:
                 raise ValueError("Blaschke phase must be unimodular")
             self.zeros = zs
             self.phase = ph / abs(ph)
-            self.num = poly.trim(self.phase * poly.from_roots(
-                [(z, 1) for z in zs]))
-            self.den = poly.trim(poly.from_roots(
-                [(1 / np.conj(z), 1) for z in zs if z != 0],
-                lead=np.prod([-np.conj(z) for z in zs if z != 0])
-                if any(z != 0 for z in zs) else 1.0))
+            # prod (z - z_k) over prod (1 - conj(z_k) z), its reversal
+            monic = poly.from_roots([(z, 1) for z in zs])
+            self.num = poly.trim(self.phase * monic)
+            self.den = poly.trim(poly.reverse_conj(monic))
         else:
             raise ValueError(f"unknown representation kind {kind!r}")
         self._samples: dict[int, np.ndarray] = {}
@@ -141,8 +139,9 @@ class UnitCircleFunction:
         return complex(out[0]) if scalar else out
 
     def boundary_values(self, n: Optional[int] = None) -> np.ndarray:
-        """Samples at the n-th roots of unity (cached)."""
-        n = int(n or config.DEFAULT_GRID.n)
+        """Samples at the n-th roots of unity, by default
+        config.QUADRATURE_POINTS of them (cached)."""
+        n = int(n or config.QUADRATURE_POINTS)
         if n not in self._samples:
             pts = config.unit_circle_points(n)
             nv = poly.horner(self.num, pts)
@@ -398,13 +397,13 @@ class Arc:
         return self.contains_angle(float(np.angle(zeta)) % (2 * np.pi),
                                    closed=closed, tol=tol)
 
-    def grid_mask(self, n: int) -> np.ndarray:
-        thetas = 2 * np.pi * np.arange(n) / n
+    def distance(self, zeta: complex) -> float:
+        """Angular distance from the point zeta to the closed arc."""
         tau = 2 * np.pi
-        if self.length >= tau:
-            return np.ones(n, dtype=bool)
-        off = (thetas - self.start) % tau
-        return off <= self.length
+        off = (float(np.angle(zeta)) - self.start) % tau
+        if self.length >= tau or off <= self.length:
+            return 0.0
+        return min(off - self.length, tau - off)
 
 
 def arcs_cover_circle(arcs: Sequence[Arc], gap_tol: float = 1e-9) -> bool:
@@ -488,43 +487,21 @@ def evaluate(fn: UnitCircleFunction, z) -> complex:
     return fn(z)
 
 
-def fourier_coeffs(fn: UnitCircleFunction, n0: int, n1: int,
-                   grid: config.GridConfig = config.DEFAULT_GRID,
-                   return_error: bool = False):
+def fourier_coeffs(fn: UnitCircleFunction, n0: int, n1: int):
     """Taylor/Fourier coefficients of fn for indices n0..n1 inclusive.
 
-    Exact (to roundoff) for polynomials and for rational functions with a
-    disk-free denominator; finite Blaschke data falls back to a discrete
-    transform with a reported aliasing estimate.
+    The power series of num/den, exact to roundoff: every representation
+    but a boundary-singular one has its poles outside the closed disk (a
+    finite Blaschke product's at the reflected zeros 1/conj(z_k)).
     """
     if n1 < n0:
         raise ValueError("empty index range")
-    err = 0.0
-    if fn.kind == "poly":
-        c = fn.to_polynomial()
-        out = np.array([c[k] if 0 <= k < c.size else 0.0
-                        for k in range(n0, n1 + 1)], dtype=complex)
-    elif fn.kind == "rational" and not fn.boundary_singular:
-        top = max(n1 + 1, 1)
-        series = poly.series_div(fn.num, fn.den, top)
-        out = np.array([series[k] if 0 <= k <= n1 else 0.0
-                        for k in range(n0, n1 + 1)], dtype=complex)
-    elif fn.kind == "blaschke":
-        n = grid.n
-        vals = fn.boundary_values(n)
-        coeffs = np.fft.fft(vals) / n
-        if n1 >= n // 2:
-            raise ValueError("index range exceeds half the grid size")
-        out = np.array([coeffs[k % n] if k >= 0 else 0.0
-                        for k in range(n0, n1 + 1)], dtype=complex)
-        tail = np.abs(coeffs[n // 4: n // 2])
-        err = float(tail.max()) * n / 2 if tail.size else 0.0
-    else:
+    if fn.boundary_singular:
         raise PoleError("Fourier expansion requires a boundary-pole-free "
                         "representation")
-    if return_error:
-        return out, err
-    return out
+    series = poly.series_div(fn.num, fn.den, max(n1 + 1, 1))
+    return np.array([series[k] if k >= 0 else 0.0
+                     for k in range(n0, n1 + 1)], dtype=complex)
 
 
 def roots(p, cluster_rtol: float | None = None):
@@ -538,16 +515,16 @@ def roots(p, cluster_rtol: float | None = None):
     return poly.roots_with_multiplicity(p, cluster_rtol)
 
 
-def herglotz(measure, z: complex,
-             grid: config.GridConfig = config.DEFAULT_GRID) -> complex:
-    """Herglotz integral of (zeta + z)/(zeta - z) against the measure."""
+def herglotz(measure, z: complex) -> complex:
+    """Herglotz integral of (zeta + z)/(zeta - z) against the measure, the
+    density by the trapezoid rule on config.QUADRATURE_POINTS points."""
     z = complex(z)
     if abs(z) >= 1:
         raise DomainError("Herglotz integral requires |z| < 1")
     mu = _as_measure(measure)
     total = 0j
     if mu.density is not None:
-        pts = grid.points()
+        pts = config.unit_circle_points(config.QUADRATURE_POINTS)
         total += complex(np.mean(mu.density_values(pts) *
                                  (pts + z) / (pts - z)))
     for zeta, mass in mu.atoms:
@@ -555,16 +532,17 @@ def herglotz(measure, z: complex,
     return total
 
 
-def cauchy(measure, h, z: complex,
-           grid: config.GridConfig = config.DEFAULT_GRID) -> complex:
-    """Cauchy integral of h(zeta)/(1 - z conj(zeta)) against the measure."""
+def cauchy(measure, h, z: complex) -> complex:
+    """Cauchy integral of h(zeta)/(1 - z conj(zeta)) against the measure,
+    the density by the trapezoid rule on config.QUADRATURE_POINTS points
+    (a sample vector h must have that length)."""
     z = complex(z)
     if abs(z) >= 1:
         raise DomainError("Cauchy integral requires |z| < 1")
     mu = _as_measure(measure)
-    pts = grid.points()
+    pts = config.unit_circle_points(config.QUADRATURE_POINTS)
     if isinstance(h, UnitCircleFunction):
-        h_vals = h.boundary_values(grid.n)
+        h_vals = h.boundary_values()
         h_at = h
     elif callable(h):
         h_vals = np.asarray(h(pts), dtype=complex)
@@ -572,7 +550,8 @@ def cauchy(measure, h, z: complex,
     else:
         h_vals = np.asarray(h, dtype=complex)
         if h_vals.shape != pts.shape:
-            raise ValueError("sample vector must match the grid size")
+            raise ValueError(f"sample vector must have "
+                             f"{config.QUADRATURE_POINTS} points")
         h_at = None
     total = 0j
     if mu.density is not None:

@@ -9,17 +9,20 @@ the roots of A (cached on the space; a = A/q up to a unimodular constant)
 its roots give the cancelled density root phi_alpha = a*q / qa, whose
 remaining denominator roots give the ac mass ||phi_alpha||^2 in H^2 by
 partial fractions, the singular flag and the pole checks.  The total mass
-is checked against the Herglotz transform at the origin; its radial limits
-(radial_atom_mass) serve inner functions and cross-checks.  The measures
+is checked against the Herglotz transform at the origin.  The measures
 depend on the space alone, so its default sweep is built once, on first
 use, and reused; sweeps over explicit alphas are built anew and never kept.
+The normalized Cauchy transform is assembled in rational arithmetic
+(normalized_cauchy_rational), whose value at an atom is the Poltoratski
+limit; its quadrature form (normalized_cauchy) integrates any h on
+config.QUADRATURE_POINTS points and checks the rational one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -73,36 +76,6 @@ def herglotz_value(space: HbSpace, alpha: complex, z: complex) -> complex:
     """(1 + conj(alpha) b(z)) / (1 - conj(alpha) b(z))."""
     w = np.conj(alpha) * complex(space.b(z))
     return (1 + w) / (1 - w)
-
-
-def radial_atom_mass(h_fn: Callable[[complex], complex], zeta: complex,
-                     grid: config.GridConfig = config.DEFAULT_GRID):
-    """Atom mass of the measure behind a Herglotz transform.
-
-    Extrapolates (1-r)/(1+r) * Re h(r zeta) along the configured radii;
-    returns (mass, error_estimate).
-    """
-    radii = grid.radii()
-    g = np.array([((1 - r) / (1 + r)) * np.real(h_fn(r * zeta))
-                  for r in radii])
-    mass, err = _richardson(g)
-    return float(mass), err
-
-
-def _richardson(samples: np.ndarray):
-    """(limit, error_estimate) of samples taken at r_k = 1 - 2^-k.
-
-    Two Richardson levels remove the O(1-r) and O((1-r)^2) terms; the
-    error estimate is the gap between the last two extrapolants.  Three
-    samples allow one level, two samples none (infinite error).
-    """
-    t1 = 2 * samples[1:] - samples[:-1]
-    if t1.size < 2:
-        return samples[-1], float("inf")
-    t2 = (4 * t1[1:] - t1[:-1]) / 3
-    if t2.size < 2:
-        return t1[-1], float(abs(t1[-1] - t1[-2]))
-    return t2[-1], float(abs(t2[-1] - t2[-2]))
 
 
 @dataclass(frozen=True)
@@ -248,24 +221,23 @@ class NormalizedCauchyTransform:
     """V_alpha h = C_mu(h)/C_mu(1): analytic on the disk, from cached data.
 
     The absolutely continuous parts contribute the nonnegative Fourier
-    coefficients of h * density (discrete transform, truncated at
-    negligible size); atoms contribute closed-form Cauchy kernels.  For
-    spaces normalized with b(0) = 0 the denominator transform equals
-    1/(1 - conj(alpha) b); the quotient form stays correct without that
-    normalization, where the measure is not a probability measure.
+    coefficients of h * density (discrete transform on
+    config.QUADRATURE_POINTS points, truncated at negligible size); atoms
+    contribute closed-form Cauchy kernels.  For spaces normalized with
+    b(0) = 0 the denominator transform equals 1/(1 - conj(alpha) b); the
+    quotient form stays correct without that normalization, where the
+    measure is not a probability measure.
     """
 
-    def __init__(self, space: HbSpace, measure: ClarkMeasure, h,
-                 grid: Optional[config.GridConfig] = None):
+    def __init__(self, space: HbSpace, measure: ClarkMeasure, h):
         self.space = space
         self.measure = measure
-        grid = grid or space.grid
-        self.grid = grid
-        pts = grid.points()
+        n = config.QUADRATURE_POINTS
+        pts = config.unit_circle_points(n)
         h_fn = self._as_callable(h)
         dens = measure.density_values(pts)
-        self.coeffs = self._plus_coeffs(h_fn(pts) * dens, grid.n)
-        self.den_coeffs = self._plus_coeffs(dens.astype(complex), grid.n)
+        self.coeffs = self._plus_coeffs(h_fn(pts) * dens, n)
+        self.den_coeffs = self._plus_coeffs(dens.astype(complex), n)
         self.atom_data = [(zeta, mass, complex(h_fn(np.array([zeta]))[0]))
                           for zeta, mass in measure.atoms]
         self.alpha = measure.alpha
@@ -273,8 +245,8 @@ class NormalizedCauchyTransform:
     @staticmethod
     def _plus_coeffs(values: np.ndarray, n: int) -> np.ndarray:
         if not np.all(np.isfinite(values)):
-            raise MembershipError("integrand is singular on the grid; "
-                                  "refine or pass a cancelled form")
+            raise MembershipError("integrand is singular at a sample "
+                                  "point; pass a cancelled form")
         coeffs = np.fft.fft(values) / n
         plus = coeffs[: n // 2].copy()
         scale = float(np.max(np.abs(plus))) or 1.0
@@ -316,18 +288,16 @@ class NormalizedCauchyTransform:
 
 
 def normalized_cauchy(space: HbSpace, alpha: complex, h,
-                      measure: Optional[ClarkMeasure] = None,
-                      grid: Optional[config.GridConfig] = None
+                      measure: Optional[ClarkMeasure] = None
                       ) -> NormalizedCauchyTransform:
     """V_alpha h = (1 - conj(alpha) b) * Cauchy integral of h d(mu_alpha)."""
     if measure is None:
         measure = clark_measure(space, alpha)
-    return NormalizedCauchyTransform(space, measure, h, grid)
+    return NormalizedCauchyTransform(space, measure, h)
 
 
 def normalized_cauchy_rational(space: HbSpace, alpha: complex, g,
-                               measure: Optional[ClarkMeasure] = None,
-                               grid: Optional[config.GridConfig] = None
+                               measure: Optional[ClarkMeasure] = None
                                ) -> UnitCircleFunction:
     """Symbolic V_alpha g for polynomial g and rational b.
 
@@ -368,7 +338,7 @@ def normalized_cauchy_rational(space: HbSpace, alpha: complex, g,
     num, den = cancel_common_roots(poly.trim(num, 1e-12),
                                    poly.trim(den, 1e-12), tol=1e-7)
     result = UnitCircleFunction.rational(num, den)
-    transform = normalized_cauchy(space, alpha, g, measure, grid)
+    transform = normalized_cauchy(space, alpha, g, measure)
     zs = 0.7 * config.unit_circle_points(256)
     resid = float(np.max(np.abs(result(zs) - transform(zs))))
     scale = max(1.0, float(np.max(np.abs(transform(zs)))))
@@ -379,20 +349,15 @@ def normalized_cauchy_rational(space: HbSpace, alpha: complex, g,
 
 
 def poltoratski_limit(space: HbSpace, alpha: complex, h, zeta: complex,
-                      measure: Optional[ClarkMeasure] = None,
-                      grid: Optional[config.GridConfig] = None):
-    """Radial limit of V_alpha h at an atom; converges to h there.
+                      measure: Optional[ClarkMeasure] = None) -> complex:
+    """Boundary value of V_alpha h at an atom zeta, which is h(zeta).
 
-    Returns (value, error_estimate) from Richardson extrapolation along
-    the configured radii.
+    h is a polynomial; the value is normalized_cauchy_rational's at zeta,
+    where the atom kernels cancel, so it is finite.
     """
     if measure is None:
         measure = clark_measure(space, alpha)
     zeta = complex(zeta)
     if not any(abs(zeta - za) <= 1e-8 for za, _ in measure.atoms):
         raise DomainError(f"{zeta:.6g} is not an atom of the measure")
-    transform = normalized_cauchy(space, alpha, h, measure, grid)
-    radii = (grid or space.grid).radii()
-    vals = np.array([complex(transform(r * zeta)) for r in radii])
-    value, err = _richardson(vals)
-    return complex(value), err
+    return complex(normalized_cauchy_rational(space, alpha, h, measure)(zeta))

@@ -47,15 +47,6 @@ def _fail(reason: str, code: int = 1):
     raise SystemExit(code)
 
 
-def _grid(args) -> config.GridConfig:
-    if args.grid is None:
-        return config.DEFAULT_GRID
-    try:
-        return config.GridConfig(n=args.grid)
-    except ValueError as exc:
-        _fail(f"--grid: {exc}", 2)
-
-
 def _exact_mode(args):
     return {"auto": "auto", "on": True, "off": False}[args.exact]
 
@@ -69,7 +60,7 @@ def _function(args, flag: str) -> UnitCircleFunction:
 
 
 def _space(args) -> hb.HbSpace:
-    return hb.make_space(_function(args, "b"), _grid(args), _exact_mode(args))
+    return hb.make_space(_function(args, "b"), _exact_mode(args))
 
 
 def _polynomial(args, flag: str) -> UnitCircleFunction:
@@ -311,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hblab",
         description="de Branges-Rovnyak space laboratory: mates, Clark "
                     "measures, kernels, and cyclicity certificates")
-    ap.add_argument("--grid", type=int, default=None,
-                    help="boundary sample count (power of two >= 256)")
     ap.add_argument("--exact", choices=("auto", "on", "off"), default="auto",
                     help="exact rational backend mode")
     ap.add_argument("--tol", type=float, default=None,
@@ -394,7 +383,6 @@ def _run(argv) -> int:
     saved, tol = config.POINT_ZERO_TOL, args.tol
     if tol is not None and not 0 <= tol < float("inf"):
         _fail(f"--tol: {tol} is not a finite nonnegative number", 2)
-    _grid(args)     # an invalid --grid is a usage error for every command
     try:
         config.POINT_ZERO_TOL = saved if tol is None else tol
         args.handler(args)

@@ -1,8 +1,7 @@
-"""Grid configuration and shared tolerances."""
+"""Shared tolerances and the quadrature helpers' fixed sample count."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,38 +27,10 @@ REFIT_RESIDUAL_TOL = 1e-8     # symbolic-vs-quadrature agreement for transforms
 SV_KERNEL_THRESHOLD = 1e-6    # near-kernel singular value threshold
 KERNEL_TAIL_TOL = 1e-12       # Taylor tail bound for kernel truncation
 
-_MAX_GRID = 1 << 20
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """Boundary sampling and radial-limit configuration.
-
-    n is the number of uniformly spaced sample points (roots of unity),
-    quadrature is the uniform trapezoid rule on those points, and the
-    radial sequence used for boundary limits is r_k = 1 - 2^-k for
-    k0 <= k <= k1.
-    """
-
-    n: int = 4096
-    k0: int = 6
-    k1: int = 16
-
-    def __post_init__(self):
-        if self.n < 256 or (self.n & (self.n - 1)) != 0:
-            raise ValueError("sample count must be a power of two >= 256")
-        if not (self.k0 >= 3 and self.k1 > self.k0):
-            raise ValueError("radial sequence needs k1 > k0 >= 3")
-
-    def points(self) -> np.ndarray:
-        return unit_circle_points(self.n)
-
-    def radii(self) -> np.ndarray:
-        ks = np.arange(self.k0, self.k1 + 1)
-        return 1.0 - 0.5 ** ks
-
-
-DEFAULT_GRID = GridConfig()
+# the sample count of the helpers that integrate a caller's callable,
+# sample vector or density on the circle (trapezoid rule on the roots of
+# unity); no verdict and no space construction samples the circle
+QUADRATURE_POINTS = 4096
 
 
 @lru_cache(maxsize=32)

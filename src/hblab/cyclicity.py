@@ -41,6 +41,17 @@ TABLE_MAX_ROWS = 2 * TABLE_MAX_N    # largest deg f + N: caps a stored factor
 EXACT_TABLE_MAX_N = 128
 BLOCK = 64                  # column block of a float table's banded QR
 
+# the decay heuristic's calibration (estimate_from_decay)
+_FINAL_TOL = 1e-3           # last d_N^2 below this: likely_cyclic
+_EXTRAP_TOL = 1e-4          # fitted trend's extrapolation below this too
+_FLAT_WINDOW = 10           # last entries read for a stall
+_FLAT_RTOL = 1e-4           # their relative spread below this is a stall
+_FLAT_FLOOR = 1e-2          # a stall above this: likely_not_cyclic
+_POWER_HORIZON = 1e6        # N a power-law fit extrapolates to
+_EXP_HORIZON_FACTOR = 4.0   # multiple of the last N an exponential fit does
+_MIN_FIT_POINTS = 8         # fewest positive entries a fit takes
+_MIN_R2 = 0.98              # least r^2 of a fit that may decide
+
 
 @dataclass
 class Evidence:
@@ -138,21 +149,6 @@ def _ang(z) -> float:
 
 # ---------------------------------------------------------------------------
 # decay tables
-
-@dataclass
-class DecayThresholds:
-    """Calibration constants for the decay heuristic (overridable)."""
-
-    final_tol: float = 1e-3
-    extrap_tol: float = 1e-4
-    flat_window: int = 10
-    flat_rtol: float = 1e-4
-    flat_floor: float = 1e-2
-    power_horizon: float = 1e6
-    exp_horizon_factor: float = 4.0
-    min_fit_points: int = 8
-    min_r2: float = 0.98
-
 
 @dataclass
 class DecayTable:
@@ -380,39 +376,35 @@ def _exact_decay(space: HbSpace, f, n: int):
     return list(enumerate(exact._bareiss(re, im, g, wf * df * df), 1))
 
 
-def estimate_from_decay(table: DecayTable,
-                        thresholds: DecayThresholds | None = None
-                        ) -> CyclicityReport:
+def estimate_from_decay(table: DecayTable) -> CyclicityReport:
     """Heuristic verdict from the decay trend; never theorem-grade.
 
     likely_cyclic when the table reaches the final tolerance or a clean
     fitted power/exponential trend extrapolates below the target;
     likely_not_cyclic when the table has flattened well above zero.
     """
-    th = thresholds or DecayThresholds()
     if len(table.entries) < 20:
         raise ValueError("estimator needs a table of length >= 20")
     d2 = table.d2()
     last = float(d2[-1])
     numbers = {"last_d2": last, "norm1_sq": table.norm1_sq}
-    if last < th.final_tol:
+    if last < _FINAL_TOL:
         return CyclicityReport(LIKELY_CYCLIC, [Evidence(
             "decay_heuristic", "distance to constants fell below tolerance",
             numbers=numbers)], decay=table)
-    w = th.flat_window
-    window = d2[-w:]
+    window = d2[-_FLAT_WINDOW:]
     rel_change = float((window.max() - window.min()) / max(last, 1e-300))
     numbers["flat_rel_change"] = rel_change
-    if rel_change < th.flat_rtol and last > th.flat_floor:
+    if rel_change < _FLAT_RTOL and last > _FLAT_FLOOR:
         return CyclicityReport(LIKELY_NOT_CYCLIC, [Evidence(
             "decay_heuristic",
             "distances stalled at a level far from zero",
             numbers=numbers)], decay=table)
-    fit = _trend_fit(table.sizes().astype(float), d2, th)
+    fit = _trend_fit(table.sizes().astype(float), d2)
     if fit is not None:
         numbers.update(fit)
-        if fit["extrapolated_d2"] < th.extrap_tol and \
-                fit["r_squared"] >= th.min_r2:
+        if fit["extrapolated_d2"] < _EXTRAP_TOL and \
+                fit["r_squared"] >= _MIN_R2:
             return CyclicityReport(LIKELY_CYCLIC, [Evidence(
                 "decay_heuristic",
                 "fitted decay trend extrapolates below target",
@@ -422,20 +414,20 @@ def estimate_from_decay(table: DecayTable,
         decay=table)
 
 
-def _trend_fit(ns, d2, th: DecayThresholds):
-    half = max(th.min_fit_points, len(d2) // 2)
+def _trend_fit(ns, d2):
+    half = max(_MIN_FIT_POINTS, len(d2) // 2)
     xs = ns[-half:]
     ys = d2[-half:]
     mask = ys > 0
-    if mask.sum() < th.min_fit_points:
+    if mask.sum() < _MIN_FIT_POINTS:
         return None
     xs, ys = xs[mask], ys[mask]
     logy = np.log(ys)
     ss_tot = float(((logy - logy.mean()) ** 2).sum()) or 1e-300
     best = None
     for kind, tx, horizon in (
-            ("power", np.log(xs), np.log(th.power_horizon)),
-            ("exponential", xs, th.exp_horizon_factor * xs[-1])):
+            ("power", np.log(xs), np.log(_POWER_HORIZON)),
+            ("exponential", xs, _EXP_HORIZON_FACTOR * xs[-1])):
         A = np.vstack([tx, np.ones_like(tx)]).T
         sol, *_ = np.linalg.lstsq(A, logy, rcond=None)
         slope, intercept = float(sol[0]), float(sol[1])
@@ -457,8 +449,8 @@ def _trend_fit(ns, d2, th: DecayThresholds):
 class TheoremACertificate:
     e_arcs: list
     f_arcs: list
-    a_inverse_sq_integral: float
-    f_essinf: float
+    a_zero_gap: Optional[float]     # angle from closure(E) to a's circle zeros
+    f_min: Optional[float]          # min |f| on closure(F)
 
 
 @dataclass
@@ -480,8 +472,10 @@ def theorem_a_check(space: HbSpace, f, e_arcs: Sequence[Arc],
     """Certificate: 1/a square-summable on E, 1/f bounded on F, E u F = T.
 
     Sound for rational data through zero locations: a must have no
-    unimodular zero in closure(E) and f none in closure(F); grid integrals
-    are reported as diagnostics only.
+    unimodular zero in closure(E) and f none in closure(F).  The evidence
+    reports the angular gap from closure(E) to the nearest circle zero of
+    a, and the minimum of |f| on closure(F) (_arc_minima); each is None
+    when there is no zero or no arc to measure.
     """
     from . import sigma
     fn = _candidate(f)
@@ -505,33 +499,46 @@ def theorem_a_check(space: HbSpace, f, e_arcs: Sequence[Arc],
     if bad_f:
         reasons.append(f"f vanishes inside closure(F) at angles "
                        f"{[_ang(z) for z in bad_f]}")
-    n = space.grid.n
-    pts = config.unit_circle_points(n)
-    avals = np.abs(space.a.boundary_values(n))
-    fvals = np.abs(poly.horner(f, pts))
-    e_mask = np.zeros(n, dtype=bool)
-    for arc in e_arcs:
-        e_mask |= arc.grid_mask(n)
-    f_mask = np.zeros(n, dtype=bool)
-    for arc in f_arcs:
-        f_mask |= arc.grid_mask(n)
-    with np.errstate(divide="ignore"):
-        a_int = float(np.mean(np.where(e_mask, 1.0 / avals ** 2, 0.0))) \
-            if e_mask.any() else 0.0
-    f_inf = float(fvals[f_mask].min()) if f_mask.any() else float("inf")
+    gap = min((arc.distance(z) for z in a_zeros for arc in e_arcs),
+              default=None)
+    f_min = min(_arc_minima(f, f_arcs), default=None)
     ok = not reasons
-    cert = TheoremACertificate(e_arcs, f_arcs, a_int, f_inf) if ok else None
+    cert = TheoremACertificate(e_arcs, f_arcs, gap, f_min) if ok else None
     ev = Evidence(
         "inverse_integrability_certificate",
         "outer candidate with 1/a in L^2 on E and 1/f bounded on F, "
         "E and F covering the circle",
         inputs={"E": [(a.start, a.end) for a in e_arcs],
                 "F": [(a.start, a.end) for a in f_arcs]},
-        numbers={"a_inverse_sq_integral_on_E": a_int,
-                 "f_grid_min_on_F": f_inf, "reasons": reasons})
+        numbers={"a_zero_gap_to_E": gap, "f_min_on_F": f_min,
+                 "reasons": reasons})
     verdict = CYCLIC if ok else UNDETERMINED
     return CertificateOutcome(ok, "A", CyclicityReport(verdict, [ev]),
                               cert, reasons)
+
+
+def _arc_minima(f: np.ndarray, arcs: Sequence[Arc]) -> list:
+    """min |f| on each closed arc, for a polynomial f.
+
+    The minimum sits at an endpoint or at a critical point of
+    |f(e^it)|^2 = sum_k w_k e^ikt (factor.modulus_sq_laurent), a circle
+    root of sum_k k w_k z^k.  Every root of that polynomial, projected to
+    the circle, is a candidate where it falls in the arc: each is a
+    point of the arc, so the candidates are a superset of the true ones
+    and no circle tolerance chooses among them.  The roots are plain
+    companion eigenvalues: |f| is flat at a critical point, so an error
+    e in its place moves the minimum by O(e^2).
+    """
+    w = factor.modulus_sq_laurent(f)
+    d = w.size // 2
+    crit = [r / abs(r) for r in np.roots(np.arange(d, -d - 1, -1) * w[::-1])
+            if r != 0]
+    minima = []
+    for arc in arcs:
+        pts = [np.exp(1j * arc.start), np.exp(1j * arc.end)] + \
+            [z for z in crit if arc.contains_point(z)]
+        minima.append(float(np.min(np.abs(poly.horner(f, np.array(pts))))))
+    return minima
 
 
 def _require_normalized(space: HbSpace):
@@ -573,12 +580,10 @@ def theorem_b_check(space: HbSpace, f, cover: TheoremBCover | Sequence
     if uncovered:
         reasons.append(f"non-exposure bound points at angles "
                        f"{[_ang(z) for z in uncovered]} are not covered")
-    n = space.grid.n
-    pts = config.unit_circle_points(n)
-    fvals = np.abs(poly.horner(fn.num, pts))
     f_zeros = sigma.sigma_upper(fn) if outer else []
     bounds = []
-    for arc, eta in items:
+    minima = _arc_minima(fn.num, [arc for arc, _eta in items])
+    for (arc, eta), f_min in zip(items, minima):
         if eta <= 0:
             reasons.append(f"arc at {arc.start:.6g} has nonpositive bound")
             continue
@@ -588,13 +593,11 @@ def theorem_b_check(space: HbSpace, f, cover: TheoremBCover | Sequence
                 f"f vanishes on the closed arc at angles "
                 f"{[_ang(z) for z in inside]}")
             continue
-        mask = arc.grid_mask(n)
-        gmin = float(fvals[mask].min()) if mask.any() else float("inf")
-        bounds.append((arc.start, arc.length, eta, gmin))
-        if gmin <= eta:
+        bounds.append((arc.start, arc.length, eta, f_min))
+        if f_min <= eta:
             reasons.append(
-                f"grid minimum {gmin:.6g} on the arc at {arc.start:.6g} "
-                f"does not clear eta = {eta:.6g}")
+                f"minimum {f_min:.6g} of |f| on the closed arc at "
+                f"{arc.start:.6g} does not clear eta = {eta:.6g}")
     ok = not reasons
     ev = Evidence(
         "nonexposure_arc_cover_certificate",
@@ -620,7 +623,7 @@ def theorem_c_check(space: HbSpace, g) -> tuple:
     phi = _require_normalized(space).density_root
     g = _candidate(g).num
     f_image = clark.normalized_cauchy_rational(space, 1.0, g)
-    theta, big_f = factor.inner_outer(f_image, space.grid)
+    theta, big_f = factor.inner_outer(f_image)
     sigma_f = sigma.sigma_upper(big_f)
     sigma_phi = sigma.sigma_upper(phi)
     clash = [z for z in sigma_f
@@ -662,7 +665,7 @@ class NecessityOutcome:
 def necessity_check(space: HbSpace, f, alphas=None) -> NecessityOutcome:
     """Clark-atom necessity: a cyclic f cannot vanish at any atom.
 
-    Sweeps the alpha grid; the first atom where |f| is below tolerance
+    Sweeps the Clark measures; the first atom where |f| is below tolerance
     yields a theorem-grade not_cyclic with the witnessing (alpha, atom).
     Non-outer candidates fail outright.
     """
@@ -700,8 +703,7 @@ def necessity_check(space: HbSpace, f, alphas=None) -> NecessityOutcome:
 # ---------------------------------------------------------------------------
 # merged assessment
 
-def assess(space: HbSpace, f, n_max: int = 32,
-           thresholds: DecayThresholds | None = None) -> CyclicityReport:
+def assess(space: HbSpace, f, n_max: int = 32) -> CyclicityReport:
     """Run classifier, necessity, and decay heuristics; merge the evidence.
 
     The theorem-grade classifier verdict wins; heuristic evidence is
@@ -715,7 +717,7 @@ def assess(space: HbSpace, f, n_max: int = 32,
     table = None
     if fn.num_degree >= 0:
         table = decay_table(space, fn, max(n_max, 20))
-        est = estimate_from_decay(table, thresholds)
+        est = estimate_from_decay(table)
         evidence.extend(est.evidence)
         if report.verdict in _THEOREM_GRADE and est.verdict in (
                 LIKELY_CYCLIC, LIKELY_NOT_CYCLIC):

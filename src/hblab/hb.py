@@ -47,12 +47,10 @@ class HbSpace:
     """A validated non-extreme space: b, its mate a, and working precision."""
 
     def __init__(self, b: UnitCircleFunction, a: UnitCircleFunction,
-                 A: np.ndarray, grid: config.GridConfig,
-                 exact_data: Optional[ExactSpaceData],
+                 A: np.ndarray, exact_data: Optional[ExactSpaceData],
                  exact_declined: Optional[str]):
         self.b = b
         self.a = a
-        self.grid = grid
         self.exact = exact_data
         self.exact_declined = exact_declined    # why exact is None
         self.p = b.num.copy()
@@ -234,8 +232,7 @@ def rationalize(coeffs, max_den: int = _RATIONALIZE_DEN) -> tuple:
     return (nums[::2], nums[1::2], d), error, bound
 
 
-def make_space(b, grid: config.GridConfig = config.DEFAULT_GRID,
-               use_exact: str | bool = "auto") -> HbSpace:
+def make_space(b, use_exact: str | bool = "auto") -> HbSpace:
     """Validate b and construct H(b) with its Pythagorean mate.
 
     use_exact: "auto" certifies an exact rational backend when the data
@@ -258,18 +255,20 @@ def make_space(b, grid: config.GridConfig = config.DEFAULT_GRID,
                     "exact backend requested but the data could not be "
                     f"certified: {exc}") from None
             declined = str(exc)
-    return HbSpace(b, a, A, grid, exact_data, declined)
+    return HbSpace(b, a, A, exact_data, declined)
 
 
 def make_space_from_phi(phi: UnitCircleFunction,
-                        grid: config.GridConfig = config.DEFAULT_GRID,
                         use_exact: str | bool = "auto") -> HbSpace:
     """The space generated by a unit-norm outer function phi.
 
     Inverts the correspondence phi = a/(1-b): the analytic projection C
     of |phi|^2 satisfies C = 1/(1-b), so b = (C-1)/C.  Requires
     ||phi||_2 = 1 (then b(0) = 0 and the base Clark measure of the
-    resulting space is |phi|^2 dm).
+    resulting space is |phi|^2 dm).  The built space must give back
+    |phi|^2 = (1-|b|^2)/|1-b|^2 = 2 Re C - 1, checked as the Laurent
+    identity (|q|^2 - |p|^2)|phi_d|^2 = |phi_n|^2 |q - p|^2 for b = p/q
+    and phi = phi_n/phi_d, to 1e-6 of its terms' l1 norm.
     """
     if not factor.is_outer(phi):
         raise ValueError("phi must be outer")
@@ -280,14 +279,14 @@ def make_space_from_phi(phi: UnitCircleFunction,
         raise NormalizationError(
             f"phi must have unit norm (||phi||^2 = {mass.real:.9g})")
     b = UnitCircleFunction.rational(poly.psub(C.num, C.den), C.num)
-    space = make_space(b, grid, use_exact)
-    # independent check: the factorization route must reproduce |phi| data
-    n = grid.n
-    dens = (1 - np.abs(space.b.boundary_values(n)) ** 2) / \
-        np.abs(1 - space.b.boundary_values(n)) ** 2
-    target = np.abs(phi.boundary_values(n)) ** 2
-    resid = float(np.max(np.abs(dens - target)))
-    if resid > 1e-6 * max(1.0, float(np.max(target))):
+    space = make_space(b, use_exact)
+    lhs = np.convolve(factor.mate_weight(space.p, space.q),
+                      factor.modulus_sq_laurent(phi.den))
+    rhs = np.convolve(factor.modulus_sq_laurent(phi.num),
+                      factor.modulus_sq_laurent(poly.psub(space.q, space.p)))
+    resid = float(np.sum(np.abs(factor._laurent_center_sub(lhs, rhs))))
+    scale = float(np.sum(np.abs(lhs)) + np.sum(np.abs(rhs)))
+    if resid > 1e-6 * max(1.0, scale):
         raise NormalizationError(
             f"generated space disagrees with |phi|^2 (residual {resid:.3e})")
     return space
@@ -504,7 +503,7 @@ def divide_inner(space: HbSpace, element: HbElement) -> HbElement:
     f = element.f
     if poly.degree(f) < 0:
         raise ValueError("cannot divide the zero element")
-    theta, outer = factor.inner_outer(f, space.grid)
+    theta, outer = factor.inner_outer(f)
     if not theta.zeros:
         return element
     return make_element(space, outer.to_polynomial())

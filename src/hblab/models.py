@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import config, cyclicity, factor, hb, poly
+from . import cyclicity, factor, hb, poly
 from .boundary import UnitCircleFunction
 from .errors import DomainError
 from .hb import HbSpace, kernel_element, element_from_rational
@@ -115,24 +115,28 @@ def dirichlet_cyclic(spec: DirichletSpec, f) -> cyclicity.CyclicityReport:
 class ThetaModel:
     """The space of b = (1+theta)/2 with its singular boundary measure.
 
-    The measure sits at the unimodular solutions of theta = 1; the model
-    subspace has dimension equal to the degree of theta, and masses are
-    extracted from radial limits of the Herglotz transform
-    (clark.radial_atom_mass), apart from the closed-form Clark masses.
+    The measure sits at the unimodular solutions of theta = 1, with the
+    masses 1/|theta'(zeta)| of the Clark measure of theta at 1 (for a
+    Blaschke product 1/sum (1-|z_k|^2)/|zeta-z_k|^2); the model subspace
+    has dimension equal to the degree of theta.
     """
 
     theta: UnitCircleFunction
     b: UnitCircleFunction
     a: UnitCircleFunction
     atoms: list
-    atom_errors: list
     herglotz_mass: float
     model_dimension: int
 
 
-def theta_model(theta, grid: config.GridConfig = config.DEFAULT_GRID
-                ) -> ThetaModel:
-    """Build the half-shifted model for a nonconstant finite Blaschke theta."""
+def theta_model(theta) -> ThetaModel:
+    """Build the half-shifted model for a nonconstant finite Blaschke theta.
+
+    theta = tn/td is inner when |tn|^2 = |td|^2 on the circle, checked on
+    Laurent coefficients to 1e-10 of ||td||^2.  At a root zeta of tn - td
+    on the circle, |theta'(zeta)| = |(tn - td)'(zeta)|/|td(zeta)|
+    (clark._atom_mass), and the masses must sum to (1+theta(0))/(1-theta(0)).
+    """
     from . import clark     # the Dirichlet oracles load no Clark code
     if not isinstance(theta, UnitCircleFunction):
         theta = UnitCircleFunction.blaschke(list(theta))
@@ -140,8 +144,8 @@ def theta_model(theta, grid: config.GridConfig = config.DEFAULT_GRID
     deg = max(poly.degree(tn), poly.degree(td))
     if deg < 1:
         raise ValueError("theta must be nonconstant")
-    vals = np.abs(theta.boundary_values(grid.n))
-    if float(np.max(np.abs(vals - 1.0))) > 1e-10:
+    if float(np.sum(np.abs(factor.mate_weight(tn, td)))) > \
+            1e-10 * poly.l2sq(td):
         raise ValueError("theta must be inner (unimodular boundary values)")
     b = UnitCircleFunction.rational(poly.padd(td, tn), 2.0 * td) \
         if poly.degree(td) >= 1 else \
@@ -150,28 +154,22 @@ def theta_model(theta, grid: config.GridConfig = config.DEFAULT_GRID
         if poly.degree(td) >= 1 else \
         UnitCircleFunction.polynomial(poly.psub(td, tn) / (2.0 * td[0]))
 
-    def h_fn(z):
-        tv = complex(theta(z))
-        return (1 + tv) / (1 - tv)
-
-    atoms, errors = [], []
+    atoms = []
     level = poly.psub(tn, td)
     for r, _m in poly.roots_with_multiplicity(level):
         if abs(abs(r) - 1) > 1e-6:
             raise ArithmeticError(
                 f"level-set root {r:.6g} strayed from the circle")
         zeta = r / abs(r)
-        mass, err = clark.radial_atom_mass(h_fn, zeta, grid)
-        if mass <= 0:
-            raise ArithmeticError(f"nonpositive mass at {zeta:.6g}")
-        atoms.append((zeta, mass))
-        errors.append(err)
-    hmass = float(np.real(h_fn(0.0)))
+        atoms.append((zeta, clark._atom_mass(td, poly.derivative(level),
+                                             zeta)[0]))
+    t0 = complex(theta(0.0))
+    hmass = float(np.real((1 + t0) / (1 - t0)))
     total = sum(m for _z, m in atoms)
     if abs(total - hmass) > 1e-6 * max(1.0, abs(hmass)):
         raise ArithmeticError(
             f"masses sum to {total:.9g}, transform value {hmass:.9g}")
-    return ThetaModel(theta=theta, b=b, a=a, atoms=atoms, atom_errors=errors,
+    return ThetaModel(theta=theta, b=b, a=a, atoms=atoms,
                       herglotz_mass=hmass, model_dimension=deg)
 
 

@@ -156,14 +156,15 @@ def unimodular_symbol(phi: UnitCircleFunction):
 
 
 def toeplitz_kernel_sections(phi: UnitCircleFunction, n_section: int,
-                             grid: config.GridConfig = config.DEFAULT_GRID,
                              threshold: float = config.SV_KERNEL_THRESHOLD,
                              doublings: int = 2) -> ToeplitzSectionReport:
     """Finite-section near-kernel trend for the symbol conj(phi)/phi.
 
     Builds the n x n section with entry (m, k) equal to the symbol's
-    Fourier coefficient of index k - m, for n_section and its doublings,
-    and counts singular values below the threshold.  The count is a
+    Fourier coefficient of index k - m (a discrete transform on
+    config.QUADRATURE_POINTS points, doubled until it has 8 n_section),
+    for n_section and its doublings, and counts singular values below the
+    threshold.  The count is a
     trend diagnostic, not a proof of the kernel dimension.  At the cap
     SECTION_MAX_N (sizes 512, 1024, 2048) a call took 4.8-5.8 s and 167 MB
     peak resident memory on a 2-core x86-64 machine with numpy 2.4.
@@ -179,7 +180,7 @@ def toeplitz_kernel_sections(phi: UnitCircleFunction, n_section: int,
         for r, _m in poly.roots_with_multiplicity(uden):
             if abs(abs(r) - 1) <= 1e-9:
                 raise DomainError("symbol has a genuine circle pole")
-    n = grid.n
+    n = config.QUADRATURE_POINTS
     while n < 8 * n_section:
         n *= 2
     pts = config.unit_circle_points(n)
@@ -227,20 +228,21 @@ def _product_samples(phi: UnitCircleFunction, h, n: int,
         return nv / dv
     h_vals = np.asarray(h, dtype=complex)
     if h_vals.shape != pts.shape:
-        raise ValueError("sample vector must match the grid size")
+        raise ValueError(f"sample vector must have {n} points")
     pv = phi.boundary_values(n)
     return (np.conj(pv) if conjugate_phi else pv) * h_vals
 
 
-def jphi_membership_residuals(phi: UnitCircleFunction, h,
-                              grid: config.GridConfig = config.DEFAULT_GRID):
+def jphi_membership_residuals(phi: UnitCircleFunction, h):
     """Two-sided membership residuals (r_minus, r_plus).
 
     r_minus = ||P_-(phi h)||_2 tests phi*h analytic; r_plus =
     ||P_+(conj(phi) h)||_2 tests conj(phi)*h anti-analytic with zero
     mean.  Both must vanish for h to be a pseudocontinuable quotient.
+    Both are discrete transforms on config.QUADRATURE_POINTS samples, the
+    length a sample vector h must have.
     """
-    n = grid.n
+    n = config.QUADRATURE_POINTS
     u = _product_samples(phi, h, n, conjugate_phi=False)
     v = _product_samples(phi, h, n, conjugate_phi=True)
     cu = np.fft.fft(u) / n
@@ -251,7 +253,6 @@ def jphi_membership_residuals(phi: UnitCircleFunction, h,
 
 
 def pseudocontinuation_eval(phi: UnitCircleFunction, h, z: complex,
-                            grid: config.GridConfig = config.DEFAULT_GRID,
                             check_membership: bool = True) -> complex:
     """Two-sided analytic extension of a pseudocontinuable quotient.
 
@@ -263,14 +264,14 @@ def pseudocontinuation_eval(phi: UnitCircleFunction, h, z: complex,
     z = complex(z)
     if abs(abs(z) - 1) <= 1e-12:
         raise DomainError("extension is defined off the circle only")
+    n = config.QUADRATURE_POINTS
     if check_membership:
-        r_minus, r_plus = jphi_membership_residuals(phi, h, grid)
-        scale = max(1.0, _sample_scale(phi, h, grid.n))
+        r_minus, r_plus = jphi_membership_residuals(phi, h)
+        scale = max(1.0, _sample_scale(phi, h, n))
         if max(r_minus, r_plus) > config.MEMBERSHIP_TOL * scale:
             raise MembershipError(
                 f"two-sided membership residuals ({r_minus:.3e}, "
                 f"{r_plus:.3e}) exceed tolerance")
-    n = grid.n
     if abs(z) < 1:
         u = _product_samples(phi, h, n, conjugate_phi=False)
         val = _poisson_from_samples(u, z)

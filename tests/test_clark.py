@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hblab import clark, config, cyclicity, factor, hb, poly, sigma
+from hblab import clark, config, cyclicity, factor, hb, models, poly, sigma
 from hblab.boundary import UnitCircleFunction as UCF
 from hblab.errors import DomainError
 
@@ -319,6 +319,20 @@ class TestCarriedRoots:
         assert len(sigma.sigma_bounds(sp).upper) == left
 
 
+def radial_atom_mass(h_fn, zeta: complex):
+    """Reference atom mass at zeta of the measure whose Herglotz transform
+    is h_fn: (1-r)/(1+r) Re h(r zeta) at r_k = 1 - 2^-k, k = 6..16,
+    extrapolated by two Richardson levels, which remove the O(1-r) and
+    O((1-r)^2) terms.  Returns (mass, gap between the last two
+    extrapolants)."""
+    radii = 1 - 0.5 ** np.arange(6, 17)
+    g = np.array([(1 - r) / (1 + r) * np.real(h_fn(r * zeta))
+                  for r in radii])
+    t1 = 2 * g[1:] - g[:-1]
+    t2 = (4 * t1[1:] - t1[:-1]) / 3
+    return float(t2[-1]), float(abs(t2[-1] - t2[-2]))
+
+
 class TestClosedForm:
     """Closed-form atom and ac masses against independent references."""
 
@@ -339,9 +353,44 @@ class TestClosedForm:
         cm = clark.clark_measure(space_shifted_half, 1.0)
         (zeta, mass), = cm.atoms
         assert abs(mass - 2 / 3) < 1e-14 and cm.atom_errors[0] < 1e-13
-        radial, err = clark.radial_atom_mass(
+        radial, err = radial_atom_mass(
             lambda z: clark.herglotz_value(space_shifted_half, 1.0, z), zeta)
         assert abs(radial - mass) < 1e-6 and err < 1e-6
+
+    def test_theta_masses_closed_form(self):
+        # theta = z^3 puts 1/3 at each cube root of 1; the Blaschke factor
+        # (z - 1/2)/(1 - z/2) puts 1/|theta'(1)| = 0.25/0.75 at 1
+        for theta, n, mass in ((UCF.polynomial([0, 0, 0, 1.0]), 3, 1 / 3),
+                               (UCF.blaschke([0.5]), 1, 1 / 3)):
+            model = models.theta_model(theta)
+            assert len(model.atoms) == n
+            assert all(abs(m - mass) <= 1e-12 for _z, m in model.atoms)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(zeros=st.lists(st.tuples(st.floats(0, 0.9),
+                                    st.floats(0, 2 * np.pi)),
+                          min_size=1, max_size=6))
+    def test_theta_masses_match_radial_limits(self, zeros):
+        # 1/|theta'| = 1/sum (1-|z_k|^2)/|zeta-z_k|^2 on the circle, and
+        # the radial limits of the Herglotz transform (1+theta)/(1-theta),
+        # theta evaluated as the product of its factors; the model reads
+        # theta's coefficients as poly.trim keeps them (to 1e-12 of the
+        # largest), hence 1e-9
+        zs = [r * np.exp(1j * t) for r, t in zeros]
+        model = models.theta_model(UCF.blaschke(zs))
+        assert len(model.atoms) == len(zs)
+
+        def herglotz(w):
+            theta = np.prod([(w - z) / (1 - np.conj(z) * w) for z in zs])
+            return (1 + theta) / (1 - theta)
+
+        for zeta, mass in model.atoms:
+            want = 1 / sum((1 - abs(z) ** 2) / abs(zeta - z) ** 2
+                           for z in zs)
+            assert abs(mass - want) <= 1e-9 * want
+            radial, _err = radial_atom_mass(herglotz, zeta)
+            assert abs(radial - mass) <= 1e-9 * mass
 
     def test_confluent_pole_gram(self):
         r = np.array([1.3 + 0.2j, -1.1 + 0.5j, 0.2 - 1.4j, 1.05j])
@@ -420,8 +469,7 @@ class TestNormalizedCauchy:
                 image = clark.normalized_cauchy_rational(
                     sp, 1.0, [0.0] * k + [1.0], measure=cm)
                 els.append(hb.element_from_rational(sp, image))
-            n = sp.grid.n
-            pts = config.unit_circle_points(n)
+            pts = config.unit_circle_points(config.QUADRATURE_POINTS)
             dens = cm.density_values(pts)
             for j in range(7):
                 for k in range(7):
@@ -438,7 +486,7 @@ class TestNormalizedCauchy:
         sp = space_small_shift
         lam = 0.37 + 0.21j
         cm = clark.clark_measure(sp, 1.0)
-        pts = config.unit_circle_points(sp.grid.n)
+        pts = config.unit_circle_points(config.QUADRATURE_POINTS)
         dens = cm.density_values(pts)
         pref = 1 - 1.0 * np.conj(complex(sp.b(lam)))
         vals = pref / (1 - np.conj(lam) * pts)
@@ -457,30 +505,18 @@ class TestNormalizedCauchy:
 
 class TestPoltoratski:
     def test_constant(self, space_shifted_half):
-        val, err = clark.poltoratski_limit(space_shifted_half, 1.0, [1.0],
-                                           1.0)
-        assert abs(val - 1.0) < 1e-10
+        val = clark.poltoratski_limit(space_shifted_half, 1.0, [1.0], 1.0)
+        assert abs(val - 1.0) < 1e-12
 
     def test_monomial(self, space_shifted_half):
-        val, err = clark.poltoratski_limit(space_shifted_half, 1.0,
-                                           [0.0, 1.0], 1.0)
-        assert abs(val - 1.0) < 1e-3
-        assert err < 1e-3
+        val = clark.poltoratski_limit(space_shifted_half, 1.0, [0.0, 1.0],
+                                      1.0)
+        assert abs(val - 1.0) < 1e-12
 
     def test_square(self, space_half_shift):
-        val, _err = clark.poltoratski_limit(space_half_shift, 1.0,
-                                            [0.0, 0.0, 1.0], 1.0)
-        assert abs(val - 1.0) < 1e-3
-
-    def test_three_radii_give_one_level(self, space_shifted_half):
-        # with three radii only one Richardson level fits; it still
-        # carries a finite error estimate
-        grid = config.GridConfig(k0=6, k1=8)
-        h = [0.0, 1.0]
-        val, err = clark.poltoratski_limit(space_shifted_half, 1.0, h, 1.0,
-                                           grid=grid)
-        assert np.isfinite(err)
-        assert abs(val - complex(poly.horner(h, 1.0))) < 1e-3
+        val = clark.poltoratski_limit(space_half_shift, 1.0,
+                                      [0.0, 0.0, 1.0], 1.0)
+        assert abs(val - 1.0) < 1e-12
 
     def test_non_atom_rejected(self, space_half_shift):
         with pytest.raises(DomainError):

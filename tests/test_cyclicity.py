@@ -806,7 +806,7 @@ class TestCertificates:
             [Arc.from_angles(0.1, 2 * np.pi - 0.1)],
             [Arc.from_angles(-0.5, 0.5)])
         assert out.ok and out.report.verdict == cy.CYCLIC
-        assert out.certificate.a_inverse_sq_integral > 0
+        assert out.certificate.a_zero_gap > 0
 
     def test_rule_a_full_circle_fails(self, space_half_shift):
         out = cy.theorem_a_check(space_half_shift, [1, 1],
@@ -844,6 +844,19 @@ class TestCertificates:
                                  [(Arc.from_angles(-0.2, 0.2), 0.5)])
         rep = cy.classify_finite_defect(sp, [1, 1])
         assert out.ok and rep.verdict == cy.CYCLIC
+
+    def test_rule_b_true_minimum_between_samples(self, space_small_shift):
+        # f's zero 1.0001 e^(i pi/4096) sits between two of the 4096 roots
+        # of unity, where |f| is 7.7e-4; on the arc its minimum is 1e-4
+        f = [1.0001, -np.exp(-1j * np.pi / 4096)]
+        out = cy.theorem_b_check(space_small_shift, f,
+                                 [(Arc.from_angles(-0.1, 0.1), 5e-4)])
+        assert not out.ok and out.report.verdict == cy.UNDETERMINED
+        (reason,) = out.reasons
+        assert "arc at 6.18319" in reason and "eta = 0.0005" in reason
+        (_start, _length, _eta, f_min), = \
+            out.report.evidence[0].numbers["arc_bounds"]
+        assert abs(f_min - 1e-4) <= 1e-12
 
     def test_rule_b_zero_on_arc(self, space_from_one_minus_z):
         out = cy.theorem_b_check(space_from_one_minus_z, [1, -1],

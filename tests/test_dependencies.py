@@ -17,7 +17,6 @@ HOMES = {
     "boundary": ["Arc", "CircleMeasure", "UnitCircleFunction",
                  "analytic_projection", "cauchy", "evaluate",
                  "fourier_coeffs", "herglotz", "roots"],
-    "config": ["DEFAULT_GRID", "GridConfig"],
     "errors": ["DomainError", "ExtremeFunctionError", "FactorizationError",
                "HBLabError", "MembershipError", "NormalizationError",
                "PoleError", "SpaceMismatchError", "UnitBallError"],
@@ -29,8 +28,8 @@ HOMES = {
     "parse": ["parse_function"],
     "clark": ["ClarkMeasure", "clark_measure", "normalized_cauchy",
               "normalized_cauchy_rational", "poltoratski_limit"],
-    "cyclicity": ["CyclicityReport", "DecayTable", "DecayThresholds",
-                  "assess", "classify_finite_defect", "decay_table",
+    "cyclicity": ["CyclicityReport", "DecayTable", "assess",
+                  "classify_finite_defect", "decay_table",
                   "estimate_from_decay", "necessity_check",
                   "theorem_a_check", "theorem_b_check", "theorem_c_check"],
     "models": ["DirichletSpec", "ThetaModel", "dirichlet_cyclic",

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from test_clark import RANDOM_B, _random_b
 
-from hblab import boundary, config, factor, hb, poly
-from hblab.boundary import UnitCircleFunction as UCF
+from hblab import boundary, config, cyclicity, factor, hb, models, poly
+from hblab.boundary import Arc, UnitCircleFunction as UCF
 from hblab.errors import (ExtremeFunctionError, FactorizationError,
                           UnitBallError)
 from hblab.factor import fejer_riesz, inner_outer, is_outer, mate_of_b
@@ -191,7 +191,8 @@ class TestUnitBall:
 
 
 class TestNoGrid:
-    """Space construction evaluates nothing on the circle."""
+    """Space construction, the verdicts and the models evaluate nothing on
+    the circle."""
 
     @pytest.fixture
     def no_grid(self, monkeypatch):
@@ -204,7 +205,7 @@ class TestNoGrid:
     @pytest.mark.parametrize("use_exact", [False, "auto"])
     def test_make_space_builds(self, no_grid, use_exact):
         with pytest.raises(AssertionError):
-            config.DEFAULT_GRID.points()
+            config.unit_circle_points(config.QUADRATURE_POINTS)
         rng = np.random.default_rng(8)
         c = rng.normal(size=9) + 1j * rng.normal(size=9)
         degree_8 = UCF.polynomial(0.5 * c / np.sum(np.abs(c)))
@@ -214,6 +215,20 @@ class TestNoGrid:
             assert sp.pythagorean_residual() < config.PYTHAGOREAN_TOL
             assert (sp.exact is not None) == (use_exact == "auto" and
                                                b is not degree_8)
+
+    def test_verdicts_and_models_build(self, no_grid):
+        sp = hb.make_space(UCF.polynomial([0.5, 0.5]))
+        assert cyclicity.assess(sp, [1, 1]).verdict == cyclicity.CYCLIC
+        assert cyclicity.theorem_a_check(
+            sp, [1, 1], [Arc.from_angles(0.1, 6.183)],
+            [Arc.from_angles(-0.5, 0.5)]).ok
+        spz = hb.make_space(UCF.polynomial([0.0, 0.5]))
+        assert cyclicity.theorem_b_check(
+            spz, [1, 1], [(Arc.from_angles(-0.1, 0.1), 0.5)]).ok
+        divided = hb.divide_inner(spz, hb.make_element(spz, [-0.5, 1.0]))
+        assert np.allclose(divided.f, [1.0, -0.5])
+        hb.make_space_from_phi(UCF.polynomial([0.8, 0.6]))
+        assert len(models.theta_model(UCF.blaschke([0.5, 0.0])).atoms) == 2
 
 
 class TestIsOuter:

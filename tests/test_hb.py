@@ -308,8 +308,7 @@ class TestInnerProduct:
             fn = clark.normalized_cauchy_rational(sp, 1.0, [0.0] * k + [1.0],
                                                   measure=cm)
             images.append(hb.element_from_rational(sp, fn))
-        n = sp.grid.n
-        pts = config.unit_circle_points(n)
+        pts = config.unit_circle_points(config.QUADRATURE_POINTS)
         dens = cm.density_values(pts)
         for j in range(4):
             for k in range(4):

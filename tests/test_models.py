@@ -166,9 +166,9 @@ class TestTriangulation:
                 assert est != cy.LIKELY_CYCLIC
 
     def test_poltoratski_in_model(self, space_half_shift):
-        val, _ = clark.poltoratski_limit(space_half_shift, 1.0,
-                                         [0.5, 0.25], 1.0)
-        assert abs(val - 0.75) < 1e-3
+        val = clark.poltoratski_limit(space_half_shift, 1.0, [0.5, 0.25],
+                                      1.0)
+        assert abs(val - 0.75) < 1e-12
 
 
 class TestUniversal:

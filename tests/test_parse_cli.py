@@ -142,14 +142,6 @@ class TestCli:
                                "--b", "z/(2+z)")
         assert doc["exact_declined"] == "not requested"
 
-    @pytest.mark.parametrize("cmd", ["mate", "validate"])
-    @pytest.mark.parametrize("b", ["z(1+z)/2", "z/(2+z)"])
-    def test_space_output_ignores_grid(self, capsys, cmd, b):
-        # space construction uses no grid: --grid changes no byte
-        runs = [run_cli(capsys, "--grid", n, cmd, "--b", b)
-                for n in ("256", "65536")]
-        assert runs[0][0] == 0 and runs[0][2] == runs[1][2]
-
     def test_decay_constant_column(self, capsys):
         code, doc, _ = run_cli(capsys, "decay", "--b", "(1+z)/2",
                                "--f", "1-z", "--n", "12")
@@ -278,10 +270,12 @@ class TestCli:
         assert doc["exact_declined"] == "not requested"
 
     def test_invalid_grid_exit_two(self, capsys):
+        # there is no sample count to set: --grid is an unknown option
         for argv in (["mate", "--b", "z/2"], ["theta", "--theta", "z^2",
                                                  "--f", "2+z"]):
-            code, doc, _ = run_cli(capsys, "--grid", "100", *argv)
-            assert code == 2 and "grid" in doc["error"], argv
+            for n in ("100", "4096"):
+                code, _doc, _ = run_cli(capsys, "--grid", n, *argv)
+                assert code == 2, argv
 
     def test_invalid_tol_exit_two(self, capsys):
         argv = ["classify", "--b", "(1+z)/2", "--f", "1-z"]
@@ -363,6 +357,12 @@ class TestCli:
         assert code == 0 and doc["verdict"] == "cyclic"
         assert len(doc["atoms"]) == 2
 
+    def test_theta_masses_closed_form(self, capsys):
+        code, doc, _ = run_cli(capsys, "theta", "--theta", "z^3",
+                               "--f", "2+z")
+        assert code == 0 and len(doc["atoms"]) == 3
+        assert all(abs(m - 1 / 3) <= 1e-12 for _a, m in doc["atoms"])
+
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["certify", "--rule", "D", "--b", "z/2"])
@@ -423,6 +423,12 @@ class TestNegativeValues:
                                "--e-arcs", "0.1:6.183",
                                "--f-arcs", "-0.5:0.5")
         assert code == 0 and doc["certified"]
+        # |1 + e^it| = 2 cos(t/2) is least at the ends of F = [-0.5, 0.5],
+        # and a's zero at 1 is 0.1 from E = [0.1, 6.183]
+        numbers = doc["report"]["evidence"][0]["numbers"]
+        assert abs(numbers["f_min_on_F"] - 2 * np.cos(0.25)) <= 1e-12
+        assert abs(numbers["a_zero_gap_to_E"] - 0.1) <= 1e-12
+        assert "a_inverse_sq_integral_on_E" not in numbers
 
     def test_nonfinite_negative_names_the_flag(self, capsys):
         code, doc, _ = run_cli(capsys, "clark", "--b", "z/2",

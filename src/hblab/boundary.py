@@ -46,16 +46,22 @@ class UnitCircleFunction:
                 raise ValueError("Blaschke phase must be unimodular")
             self.zeros = zs
             self.phase = ph / abs(ph)
-            # prod (z - z_k) over prod (1 - conj(z_k) z), its reversal
+            # prod (z - z_k) over prod (1 - conj(z_k) z), its reversal, kept
+            # as built: trim's relative rule would drop small top terms of
+            # den that matter where den is small.  Only the zero zeros
+            # leave exact zeros on top of den.
             monic = poly.from_roots([(z, 1) for z in zs])
-            self.num = poly.trim(self.phase * monic)
-            self.den = poly.trim(poly.reverse_conj(monic))
+            self.num = self.phase * monic
+            self.den = poly.trim(poly.reverse_conj(monic), 0.0)
         else:
             raise ValueError(f"unknown representation kind {kind!r}")
         self._samples: dict[int, np.ndarray] = {}
-        # degrees under poly.trim's rule, read once: num and den stay fixed
-        self.num_degree = poly.degree(self.num)
-        self.den_degree = poly.degree(self.den) if kind != "poly" else 0
+        # degrees read once: num and den stay fixed
+        if kind == "blaschke":
+            self.num_degree, self.den_degree = len(zs), self.den.size - 1
+        else:       # poly.trim's rule
+            self.num_degree = poly.degree(self.num)
+            self.den_degree = poly.degree(self.den) if kind != "poly" else 0
         self._num_roots = _carried(self.num_degree, num_roots)
 
     # -- constructors -------------------------------------------------------

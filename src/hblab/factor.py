@@ -10,11 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import config, poly
-from .boundary import UnitCircleFunction
+from .boundary import UnitCircleFunction, cancel_with_roots
 from .errors import ExtremeFunctionError, FactorizationError, UnitBallError
 
 
-def fejer_riesz(w_coeffs) -> np.ndarray:
+def fejer_riesz(w_coeffs) -> tuple:
     """Factor a nonnegative trigonometric polynomial as |a(z)|^2 on the circle.
 
     Parameters
@@ -24,9 +24,12 @@ def fejer_riesz(w_coeffs) -> np.ndarray:
 
     Returns
     -------
-    numpy.ndarray
+    (numpy.ndarray, list)
         Coefficients of the polynomial a with no roots in the open disk
-        and a(0) > 0, trimmed by poly.trim's rule.
+        and a(0) > 0, trimmed by poly.trim's rule, and the roots of a with
+        multiplicity in poly.roots_with_multiplicity's order: the ones
+        the factorization picked, or solved on a when the trim dropped
+        its top coefficient.
 
     The Laurent lift z^D w(z) is factored through its roots: (r, 1/conj(r))
     pairs contribute their closed-disk-exterior representative, circle
@@ -96,7 +99,9 @@ def fejer_riesz(w_coeffs) -> np.ndarray:
     if resid > config.PYTHAGOREAN_TOL:
         raise FactorizationError(
             f"factor verification failed (relative l1 residual {resid:.3e})")
-    return a
+    if sum(m for _r, m in reps) != a.size - 1:
+        return a, poly.roots_with_multiplicity(a) if a.size > 1 else []
+    return a, poly._modulus_order(reps, lambda t: t[0])
 
 
 def modulus_sq_laurent(p) -> np.ndarray:
@@ -164,9 +169,11 @@ def mate_of_b(b: UnitCircleFunction) -> UnitCircleFunction:
 
 
 def mate_and_factor(b: UnitCircleFunction):
-    """(a, A): the mate of b and the Fejer-Riesz factor A of |q|^2 - |p|^2.
+    """(a, A, roots of A): the mate of b, the Fejer-Riesz factor A of
+    |q|^2 - |p|^2 and its roots with multiplicity.
 
-    a = A/q (cancelled, rotated so a(0) > 0) from a single factorization.
+    a = A/q (cancelled, rotated so a(0) > 0) from a single factorization,
+    whose roots of A it carries: the only other root solve is of q.
     b is refused as extreme when |1 - |b|^2| <= PYTHAGOREAN_TOL on the
     whole circle, or when w = |q|^2 - |p|^2 is lost in err, the rounding of
     its coefficients and its trimmed tails; a sign change of w is named
@@ -190,7 +197,7 @@ def mate_and_factor(b: UnitCircleFunction):
     if np.sum(np.abs(w)) <= err or _is_extreme(q, w, 0.0):
         raise extreme
     try:
-        a_num = fejer_riesz(w)
+        a_num, a_roots = fejer_riesz(w)
     except UnitBallError:
         if _is_extreme(q, w, err):
             raise extreme from None
@@ -200,15 +207,17 @@ def mate_and_factor(b: UnitCircleFunction):
                                      ) from None
         raise
     if b.is_polynomial():
-        return UnitCircleFunction.polynomial(a_num / q[0]), a_num
-    a = UnitCircleFunction.rational(a_num, q)
+        return UnitCircleFunction.polynomial(a_num / q[0]), a_num, a_roots
+    num, den, kept, left = cancel_with_roots(
+        a_num, q, a_roots, poly.roots_with_multiplicity(q))
+    a = UnitCircleFunction._cancelled(num, den, kept, left)
     a0 = complex(a(0))
     if a0 == 0:
         raise FactorizationError("mate vanishes at 0")
     rot = np.conj(a0) / abs(a0)
     if abs(rot - 1) > 1e-15:
-        a = UnitCircleFunction.rational(a.num * rot, a.den)
-    return a, a_num
+        a = UnitCircleFunction._cancelled(a.num * rot, a.den, kept, left)
+    return a, a_num, a_roots
 
 
 def is_outer(f) -> bool:

@@ -47,7 +47,8 @@ class HbSpace:
     """A validated non-extreme space: b, its mate a, and working precision."""
 
     def __init__(self, b: UnitCircleFunction, a: UnitCircleFunction,
-                 A: np.ndarray, exact_data: Optional[ExactSpaceData],
+                 A: np.ndarray, a_roots: list,
+                 exact_data: Optional[ExactSpaceData],
                  exact_declined: Optional[str]):
         self.b = b
         self.a = a
@@ -57,7 +58,7 @@ class HbSpace:
         self.q = b.den.copy()
         self.A = A                      # fejer_riesz trims it
         self._one: Optional[HbElement] = None
-        self._a_roots: Optional[list] = None
+        self._a_roots = a_roots          # fejer_riesz found them
         self._defect: Optional[tuple] = None   # defect_spectrum
         self._sweep: Optional[tuple] = None    # clark.clark_sweep's default
         self._factor = np.zeros((0, 0), dtype=complex)  # embedding_factor
@@ -73,10 +74,8 @@ class HbSpace:
         return self._one
 
     def a_roots(self) -> list:
-        """Roots with multiplicity of A, the zeros of a (cached)."""
-        if self._a_roots is None:
-            self._a_roots = poly.roots_with_multiplicity(self.A) \
-                if poly.degree(self.A) >= 1 else []
+        """Roots with multiplicity of A, the zeros of a, as the
+        factorization found them."""
         return self._a_roots
 
     def embedding_factor(self, rows: int) -> np.ndarray:
@@ -136,11 +135,18 @@ def defect_spectrum(space: HbSpace) -> list:
 
 @dataclass
 class HbElement:
-    """A function f in H(b) with its mate and cached norm data."""
+    """A function f in H(b); its mate and norm data are computed on first
+    read and kept."""
 
     space: HbSpace
     f: np.ndarray
-    mate: np.ndarray
+
+    @cached_property
+    def mate(self) -> np.ndarray:
+        """The float mate, computed on the first float read; a mate
+        residual above MATE_RESIDUAL_TOL raises ArithmeticError then, not
+        at construction."""
+        return poly.trim(_float_mate(self.space, self.f), 1e-13)
 
     @cached_property
     def norm2(self) -> float:
@@ -244,7 +250,7 @@ def make_space(b, use_exact: str | bool = "auto") -> HbSpace:
     if b.kind == "blaschke":
         raise ExtremeFunctionError(
             "finite Blaschke products are extreme; H(b) has no mate")
-    a, A = factor.mate_and_factor(b)
+    a, A, a_roots = factor.mate_and_factor(b)
     exact_data, declined = None, "not requested"
     if use_exact in ("auto", True):
         try:
@@ -255,7 +261,7 @@ def make_space(b, use_exact: str | bool = "auto") -> HbSpace:
                     "exact backend requested but the data could not be "
                     f"certified: {exc}") from None
             declined = str(exc)
-    return HbSpace(b, a, A, exact_data, declined)
+    return HbSpace(b, a, A, a_roots, exact_data, declined)
 
 
 def make_space_from_phi(phi: UnitCircleFunction,
@@ -359,16 +365,15 @@ def _embedding_factor(space: HbSpace, rows: int) -> tuple:
 
 def mate(space: HbSpace, f) -> np.ndarray:
     """The mate f1 of a polynomial f."""
-    f = poly.trim(poly.finite(f, "f: "))
-    return poly.trim(_float_mate(space, f), 1e-13)
+    return make_element(space, f).mate
 
 
 def make_element(space: HbSpace, f) -> HbElement:
-    """Embed a polynomial into H(b), computing its mate and norm."""
+    """Embed a polynomial into H(b): f checked and trimmed; its mates are
+    solved on the first float or exact read."""
     if isinstance(f, UnitCircleFunction):
         f = f.to_polynomial()
-    f = poly.trim(poly.finite(f, "f: "))
-    return HbElement(space, f, mate(space, f))
+    return HbElement(space, poly.trim(poly.finite(f, "f: ")))
 
 
 def gaussian_mate(space: HbSpace, f, shift: int = 0) -> Optional[tuple]:

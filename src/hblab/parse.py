@@ -15,6 +15,11 @@ import math
 from .boundary import UnitCircleFunction
 
 
+# the largest degree, exponent times the degree of the base, that a power
+# may have; checked before any multiplication
+POWER_MAX_DEGREE = 512
+
+
 class ParseError(ValueError):
     pass
 
@@ -86,9 +91,18 @@ class _Parser:
             tok = self._take()
             if not isinstance(tok, float) or tok != int(tok) or tok < 0:
                 raise ParseError("exponent must be a nonnegative integer")
+            n = int(tok)
+            if n * base.degree() > POWER_MAX_DEGREE:
+                raise ParseError(
+                    f"power above the degree cap {POWER_MAX_DEGREE} "
+                    f"(exponent {tok:g}, base degree {base.degree()})")
             out = UnitCircleFunction.constant(1.0)
-            for _ in range(int(tok)):
-                out = out * base
+            while n:                    # by squaring
+                if n & 1:
+                    out = out * base
+                n >>= 1
+                if n:
+                    base = base * base
             return out
         return base
 

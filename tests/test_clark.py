@@ -366,6 +366,19 @@ class TestClosedForm:
             assert len(model.atoms) == n
             assert all(abs(m - mass) <= 1e-12 for _z, m in model.atoms)
 
+    def test_blaschke_keeps_small_terms(self):
+        # the z^5 and z^6 terms of this denominator are below 1e-12 of its
+        # largest coefficient, yet the denominator is only 5e-4 at 1
+        zs = [1e-12, 0.9, 1e-12, 0.9, 0.9, 0.5]
+        theta = UCF.blaschke(zs)
+        assert abs(theta(1.0) - 1) <= 1e-12
+        assert (theta.num_degree, theta.den_degree) == (6, 6)
+        mass, = [m for z, m in models.theta_model(theta).atoms
+                 if abs(z - 1) < 1e-9]
+        want = 1 / sum((1 - abs(z) ** 2) / abs(1 - z) ** 2 for z in zs)
+        assert abs(mass - want) <= 1e-10 * want
+        assert UCF.blaschke([0, 0.5, 0]).den_degree == 1
+
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
     @given(zeros=st.lists(st.tuples(st.floats(0, 0.9),
@@ -374,9 +387,7 @@ class TestClosedForm:
     def test_theta_masses_match_radial_limits(self, zeros):
         # 1/|theta'| = 1/sum (1-|z_k|^2)/|zeta-z_k|^2 on the circle, and
         # the radial limits of the Herglotz transform (1+theta)/(1-theta),
-        # theta evaluated as the product of its factors; the model reads
-        # theta's coefficients as poly.trim keeps them (to 1e-12 of the
-        # largest), hence 1e-9
+        # theta evaluated as the product of its factors
         zs = [r * np.exp(1j * t) for r, t in zeros]
         model = models.theta_model(UCF.blaschke(zs))
         assert len(model.atoms) == len(zs)

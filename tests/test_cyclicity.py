@@ -239,7 +239,7 @@ class TestDecay:
         f = [1, 0.5, 0.25j]
         for b in ([0.5, 0.5], [0.1, 0.2j, -0.3, 0.25, 0.1j]):
             sp = hb.make_space(UCF.polynomial(b), use_exact=False)
-            sp.one()
+            sp.one().norm2
             # a build makes one, a stored factor none, a larger N rebuilds
             for n, builds in ((20, 1), (20, 0), (1, 0), (256, 1), (64, 0),
                               (256, 0)):
@@ -273,7 +273,7 @@ class TestDecay:
         b = rng.normal(size=9) + 1j * rng.normal(size=9)
         b *= 0.5 / np.sum(np.abs(b))
         sp = hb.make_space(UCF.polynomial(b), use_exact=False)
-        sp.one()
+        sp.one().norm2
         f = rng.normal(size=4) + 1j * rng.normal(size=4)
         monkeypatch.setattr(config, "MATE_RESIDUAL_TOL", 1e-30)
         with pytest.raises(ArithmeticError, match="mate residual"):

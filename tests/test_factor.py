@@ -12,13 +12,15 @@ from hblab.factor import fejer_riesz, inner_outer, is_outer, mate_of_b
 
 class TestFejerRiesz:
     def test_half_shift_weight(self):
-        a = fejer_riesz([-0.25, 0.5, -0.25])
+        a, roots = fejer_riesz([-0.25, 0.5, -0.25])
         assert np.allclose(a, [0.5, -0.5], atol=1e-12)
+        (r, m), = roots
+        assert abs(r - 1) < 1e-15 and m == 1
 
     def test_constant(self):
-        a = fejer_riesz([0.75])
-        assert np.allclose(a, [np.sqrt(3) / 2])
-        assert np.allclose(fejer_riesz([1.0]), [1.0])
+        a, roots = fejer_riesz([0.75])
+        assert np.allclose(a, [np.sqrt(3) / 2]) and roots == []
+        assert np.allclose(fejer_riesz([1.0])[0], [1.0])
 
     def test_no_interior_roots_and_positive_at_zero(self):
         rng = np.random.default_rng(23)
@@ -27,11 +29,15 @@ class TestFejerRiesz:
             p = 0.3 * p / np.max(np.abs(p))
             w = -np.convolve(p, np.conj(p)[::-1])
             w[len(p) - 1] += 1.0  # 1 - |p|^2 >= 0
-            a = fejer_riesz(w)
+            a, roots = fejer_riesz(w)
             assert a[0].real > 0 and abs(a[0].imag) < 1e-12
+            # the carried roots are a's, as its own solve finds them
+            assert sum(m for _r, m in roots) == poly.degree(a)
             if poly.degree(a) >= 1:
-                for r, _m in poly.roots_with_multiplicity(a):
-                    assert abs(r) >= 1 - 1e-10
+                solved = poly.roots_with_multiplicity(a)
+                assert [m for _r, m in roots] == [m for _r, m in solved]
+                for (r, _m), (s, _n) in zip(roots, solved):
+                    assert abs(r) >= 1 - 1e-10 and abs(r - s) < 1e-12 * abs(s)
             pts = config.unit_circle_points(512)
             wv = sum(w[k + len(p) - 1] * pts ** k
                      for k in range(-(len(p) - 1), len(p)))
@@ -108,7 +114,7 @@ def _near_extreme_rational():
     q = np.array([1.0, -0.99])
     w = factor.mate_weight([0.0], q)
     w[1] -= 3e-10
-    return UCF.rational(fejer_riesz(w), q)
+    return UCF.rational(fejer_riesz(w)[0], q)
 
 
 def _blaschke_12(c, seed):

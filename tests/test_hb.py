@@ -19,6 +19,25 @@ class TestMakeSpace:
         assert np.allclose(space_small_shift.a.to_polynomial(),
                            [np.sqrt(3) / 2])
 
+    def test_roots_of_a_carried_from_the_factorization(self, root_solves):
+        # the weight z^D w is a polynomial b's one solve; a rational b adds
+        # q, for the cancellation of a = A/q, whose numerator roots it keeps
+        for b, solves in ((UCF.polynomial([0.0, 0.5, 0.5]), 1),
+                          (UCF.polynomial([0.5, 0.0, 0.5]), 1),
+                          (UCF.rational([0.0, 1.0], [2.0, 1.0]), 2),
+                          (UCF.rational([1.0, 1.0], [3.0, 1.0]), 2)):
+            root_solves.clear()
+            sp = hb.make_space(b)
+            roots = sp.a_roots()
+            hb.defect_spectrum(sp)
+            if not b.is_polynomial():
+                sp.a.num_roots()
+            assert len(root_solves) == solves, b
+            want = poly.roots_with_multiplicity(sp.A)
+            assert [m for _r, m in roots] == [m for _r, m in want], b
+            assert all(abs(r - s) <= 1e-14 * abs(s)
+                       for (r, _m), (s, _n) in zip(roots, want)), b
+
     def test_extreme_rejected(self):
         with pytest.raises(ExtremeFunctionError):
             hb.make_space(UCF.blaschke([0.5]))
@@ -91,10 +110,11 @@ class TestNegligibleCoefficients:
         assert hb.make_element(sp, [0.0]).exact == ((exact.QC(0),), ())
 
     def test_weight_tails_trimmed_by_trim_rule(self):
-        a = factor.fejer_riesz([-8.1e-13, 0.19, -8.1e-13])
+        a, roots = factor.fejer_riesz([-8.1e-13, 0.19, -8.1e-13])
         assert a.size == 1 and abs(a[0] - np.sqrt(0.19)) < 1e-15
-        a = factor.fejer_riesz([-8.1e-12, 0.19, -8.1e-12])
-        assert a.size == 2
+        assert roots == []
+        a, roots = factor.fejer_riesz([-8.1e-12, 0.19, -8.1e-12])
+        assert a.size == 2 and len(roots) == 1
 
 
 class TestRationalExact:
@@ -148,6 +168,46 @@ class TestMate:
     def test_zero_element(self, space_half_shift):
         el = hb.make_element(space_half_shift, [0.0])
         assert el.norm2 == 0.0 and np.allclose(el.mate, [0.0])
+
+    def test_mates_solved_on_first_float_read(self, monkeypatch):
+        calls = []
+        solve = hb._float_mate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(hb, "_float_mate", counted)
+        sp = hb.make_space(UCF.polynomial([0.5, 0.5]), use_exact=True)
+        F = hb.make_element(sp, [1.0, 0.5])
+        G = hb.make_element(sp, [0.25, 0.0, -1.0])
+        assert hb.inner_product_exact(sp, F, G) is not None
+        assert F.norm2_exact > 0 and G.norm2_exact > 0
+        assert not calls                    # exact reads solve no float mate
+        for read in (lambda el: el.mate, lambda el: el.norm2,
+                     lambda el: hb.inner_product(sp, el, el)):
+            el = hb.make_element(sp, [1.0, 0.5])
+            read(el)
+            assert len(calls) == 1
+            read(el)
+            el.mate, el.norm2
+            assert len(calls) == 1
+            calls.clear()
+        hb.inner_product(sp, F, G)          # one solve per element
+        hb.inner_product(sp, F, G)
+        assert len(calls) == 2
+        assert float(F.norm2_exact) == pytest.approx(F.norm2, abs=1e-14)
+
+    def test_mate_residual_raises_at_first_float_read(self, monkeypatch):
+        rng = np.random.default_rng(103)
+        b = rng.normal(size=9) + 1j * rng.normal(size=9)
+        b *= 0.5 / np.sum(np.abs(b))
+        sp = hb.make_space(UCF.polynomial(b), use_exact=False)
+        f = rng.normal(size=4) + 1j * rng.normal(size=4)
+        monkeypatch.setattr(config, "MATE_RESIDUAL_TOL", 1e-30)
+        el = hb.make_element(sp, f)
+        with pytest.raises(ArithmeticError, match="mate residual"):
+            el.norm2
 
     def test_non_finite_refused(self, space_half_shift, monkeypatch):
         # inf used to set trim's threshold to inf: [1, inf] was the zero

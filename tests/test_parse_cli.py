@@ -9,7 +9,7 @@ import pytest
 
 from hblab import cli, config
 from hblab.boundary import UnitCircleFunction as UCF
-from hblab.parse import ParseError, parse_function
+from hblab.parse import POWER_MAX_DEGREE, ParseError, parse_function
 
 
 class TestParse:
@@ -62,6 +62,40 @@ class TestParse:
                 parse_function(bad)
 
 
+    def test_powers_by_squaring(self, monkeypatch):
+        assert np.array_equal(parse_function("(1+z)^7").to_polynomial(),
+                              [1, 7, 21, 35, 35, 21, 7, 1])
+        assert np.array_equal(parse_function("2^1000").to_polynomial(),
+                              [2.0 ** 1000])
+        assert parse_function("(1+z)^0").to_polynomial().tolist() == [1]
+        base = parse_function("(1+z)/(3+z)")
+        want = base * base * base * base * base
+        got = parse_function("((1+z)/(3+z))^5")
+        assert np.allclose(got.num, want.num, rtol=0, atol=1e-15)
+        assert np.allclose(got.den, want.den, rtol=0, atol=1e-15)
+        products = []
+        mul = UCF.__mul__
+
+        def counted(self, other):
+            products.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(UCF, "__mul__", counted)
+        assert parse_function("z^512").degree() == 512
+        assert len(products) == 10           # 9 squarings and one product
+
+    def test_power_degree_cap(self):
+        assert POWER_MAX_DEGREE == 512
+        assert parse_function("(z^2)^256").degree() == 512
+        for bad, why in (("z^513", "513, base degree 1"),
+                         ("z^100000/2", "100000, base degree 1"),
+                         ("(z^2)^257", "257, base degree 2"),
+                         ("(1/(2+z))^1e300", "1e\\+300, base degree 1")):
+            with pytest.raises(ParseError, match=f"degree cap 512 "
+                               f"\\(exponent {why}\\)"):
+                parse_function(bad)
+
+
 def run_cli(capsys, *argv):
     code = 0
     try:
@@ -82,6 +116,12 @@ class TestCli:
             code, doc, _ = run_cli(capsys, "norm", "--b", "(1+z)/2",
                                    "--f", bad)
             assert code == 2 and doc["error"].startswith(f"--f {bad!r}")
+
+    def test_power_above_cap_exit_two(self, capsys):
+        code, doc, _ = run_cli(capsys, "mate", "--b", "z^100000/2")
+        assert code == 2 and doc["error"] == (
+            "--b 'z^100000/2': power above the degree cap 512 (exponent "
+            "100000, base degree 1)")
 
     def test_rational_error(self, capsys):
         # beside every exact read, and beside its refusal: the largest

@@ -59,9 +59,10 @@ class UnitCircleFunction:
         # degrees read once: num and den stay fixed
         if kind == "blaschke":
             self.num_degree, self.den_degree = len(zs), self.den.size - 1
-        else:       # poly.trim's rule
-            self.num_degree = poly.degree(self.num)
-            self.den_degree = poly.degree(self.den) if kind != "poly" else 0
+        else:       # trimmed; only num, scaled by den[0], needs trim's rule
+            self.num_degree = poly.degree(self.num) if kind == "rational" \
+                else self.num.size - 1 if self.num.any() else -1
+            self.den_degree = self.den.size - 1
         self._num_roots = _carried(self.num_degree, num_roots)
 
     # -- constructors -------------------------------------------------------
@@ -79,8 +80,9 @@ class UnitCircleFunction:
         function keeps the roots of num it leaves (num_roots).  den_roots,
         when given, are the roots with multiplicity of a den the caller has
         already cancelled against num (cancel_with_roots); the cancellation
-        and both root solves are then skipped, and num's roots are solved
-        on first use.
+        and both root solves are then skipped, num's roots are solved on
+        first use, and den is trimmed of exact zeros only: its roots give
+        its degree, which the relative rule may undercut where den is small.
         """
         return cls("rational", num, den, boundary_singular=boundary_singular,
                    den_roots=den_roots)
@@ -264,6 +266,9 @@ def _as_ucf(x) -> UnitCircleFunction:
 
 
 def _make_rational(num, den) -> UnitCircleFunction:
+    # an overflowed coefficient would make trim's tolerance infinite
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        raise OverflowError("a coefficient overflows")
     num, den = poly.trim(num), poly.trim(den)
     if poly.degree(den) == 0:
         return UnitCircleFunction.polynomial(num / den[0])
@@ -283,7 +288,8 @@ def _normalize_rational(num, den, boundary_singular, den_roots=None):
     coefficients that are not finite, or overflow when divided by den[0],
     raise ValueError."""
     num = poly.trim(poly.finite(num, "numerator: "))
-    den = poly.trim(poly.finite(den, "denominator: "))
+    den = poly.trim(poly.finite(den, "denominator: "),
+                    0.0 if den_roots else 1e-12)
     if poly.degree(den) < 0 or (poly.degree(den) == 0 and den[0] == 0):
         raise ZeroDivisionError("zero denominator")
     num_roots = None

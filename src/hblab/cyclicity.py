@@ -23,8 +23,8 @@ from . import config, exact, factor, poly
 from .boundary import Arc, UnitCircleFunction, arc_union_contains, \
     arcs_cover_circle
 from .errors import NormalizationError
-from .hb import HbElement, HbSpace, defect_spectrum, element_from_rational, \
-    gaussian_mate, make_element
+from .hb import HbElement, HbSpace, defect_points, defect_spectrum, \
+    element_from_rational, gaussian_mate, make_element
 
 CYCLIC = "cyclic"
 NOT_CYCLIC = "not_cyclic"
@@ -99,7 +99,7 @@ def classify_finite_defect(space: HbSpace, f) -> CyclicityReport:
     zero of a.
     """
     return outer_nonvanishing_rule(
-        f, defect_spectrum(space), "finite_defect_classifier",
+        f, defect_points(space), "finite_defect_classifier",
         "cyclic iff outer and nonvanishing at every unimodular zero of a")
 
 
@@ -108,16 +108,18 @@ def outer_nonvanishing_rule(f, points, rule: str,
     """Cyclic iff the polynomial f is outer and nonzero at every point.
 
     The rule behind the finite-defect classifier and the Dirichlet and
-    inner-model oracles; points are the circle points where the space
-    carries its defect (zeros of a, atoms of the measure).
+    inner-model oracles; points are (zeta, config.circle_angle(zeta))
+    for the circle points where the space carries its defect (zeros of
+    a, atoms of the measure).
     """
     fn = _candidate(f)
-    f = fn.num
     if fn.num_degree < 0:
         return CyclicityReport(NOT_CYCLIC, [Evidence(
             rule, "the zero function is never cyclic")])
     outer = factor.is_outer(fn)
-    values = {_ang(z): float(abs(poly.horner(f, z))) for z in points}
+    rev = fn.num[::-1].tolist()
+    values = {round(t, 12): abs(poly.horner_list(rev, complex(z)))
+              for z, t in points}
     small = [a for a, v in values.items() if v <= config.POINT_ZERO_TOL]
     verdict = CYCLIC if outer and not small else NOT_CYCLIC
     return CyclicityReport(verdict, [Evidence(
@@ -195,8 +197,8 @@ def decay_table(space: HbSpace, f, n_max: int,
     bandwidth deg f, so B is zero below its (deg f)-th subdiagonal, and
     its QR is blocked, BLOCK (or deg f) columns at a time (_banded_r):
     a slab factors its own columns and hands on deg f rows for the later
-    ones, B is never formed, and N <= BLOCK is one QR.  Columns whose
-    pivot collapses against their closed-form norm are flagged.
+    ones, and N <= BLOCK is one QR, of B itself.  Columns whose pivot
+    collapses against their closed-form norm are flagged.
     R is at most TABLE_MAX_ROWS.  The exact backend forms the Gram matrix
     of the multiples (exact_entries: one exact mate, the Gram matrix by
     the shift recurrence, one fraction-free elimination over Gaussian
@@ -222,16 +224,16 @@ def decay_table(space: HbSpace, f, n_max: int,
     # f and the flag rule |pivot| <= 1e-12 max(1, ||column||) scaled by
     # 2^-e, max|f| < 2^e: exact, and no column norm overflows
     e = math.frexp(max(map(abs, f.tolist())))[1]
-    pivots, proj, col_sq = _banded_r(R0, c, f * 2.0 ** -e, n_max)
-    flags = (np.abs(pivots) <= 1e-12 * np.maximum(
-        2.0 ** -e, np.sqrt(col_sq))).nonzero()[0] + 1
+    fs = f * 2.0 ** -e
+    pivots, proj = _banded_r(R0, fs, n_max)
     # ||w||^2 = ||B[:, N]||^2 = |R0[0, 0]|^2 less |R[i, N]|^2 one at a time
-    d2 = np.subtract.accumulate(np.concatenate(
-        [[abs(R0[0, 0]) ** 2], np.abs(proj) ** 2]))[1:]
+    d2 = np.abs(proj) ** 2
+    d2[0] = abs(R0[0, 0]) ** 2 - d2[0]
+    d2 = np.subtract.accumulate(d2)
     table = DecayTable(f=f, entries=list(zip(range(1, n_max + 1),
                                              np.maximum(d2, 0.0).tolist())),
                        norm1_sq=float(space.one().norm2),
-                       ridge_flags=flags.tolist())
+                       ridge_flags=_ridge_flags(np.abs(pivots), c, fs, e))
     if use_exact in ("auto", True):
         table.exact_entries = _exact_decay(
             space, f, n_max if use_exact is True else min(n_max, 32))
@@ -241,9 +243,9 @@ def decay_table(space: HbSpace, f, n_max: int,
     return table
 
 
-def _banded_r(R0: np.ndarray, c: np.ndarray, f: np.ndarray, n: int):
-    """diag(R)[:n], R[:n, n] and the squared column norms of B[:, :n] for
-    a QR of B = R0 [T_f | e_0], up to a unimodular diagonal, without B.
+def _banded_r(R0: np.ndarray, f: np.ndarray, n: int):
+    """diag(R)[:n] and R[:n, n] for a QR of B = R0 [T_f | e_0], up to a
+    unimodular diagonal.
 
     B is zero below its d-th subdiagonal (d = deg f), so k = max(BLOCK, d)
     columns at a time reach k + d rows, A: d rows handed on over k new
@@ -252,16 +254,13 @@ def _banded_r(R0: np.ndarray, c: np.ndarray, f: np.ndarray, n: int):
     k + d columns follow, A is the slab's columns, an identity and w = e_0,
     so those rows are E = Q[:, k:]^H, the slab's complement, and w's; each
     later column gets E times A's rows of it, one GEMM on R0's rows, then
-    the d + 1 taps of f.  Else A spans all later columns (N <= BLOCK: one
-    QR).  The mate of z^j f is z^j mate(f) + sum_i f_i c_(i+l) z^(j-l),
-    l = 1..j: column norms are running sums of |f_i|^2, |sum_i f_i c_(i+l)|^2.
+    the d + 1 taps of f.  Else A spans all later columns (n <= k: A is
+    B, one QR).
     """
     d = f.size - 1
     k = max(BLOCK, d)
     buf = np.empty((min(k + d, d + n), min(n, 2 * k + d) + 1), complex, "F")
     pivots, proj = np.empty((2, n), dtype=complex)
-    col_sq = (np.abs(np.concatenate(
-        [f, np.convolve(c, f[::-1])[:d + n]])) ** 2).cumsum()[2 * d + 1:]
     j0, top, carry = 0, 0, np.empty((0, n + 1))     # top: rows handed on
     while True:
         r0, r1, m = j0 + top, min(j0 + k + d, d + n), min(k, n - j0)
@@ -277,9 +276,11 @@ def _banded_r(R0: np.ndarray, c: np.ndarray, f: np.ndarray, n: int):
         if e:
             A[:, b:-1] = np.eye(e)
         h = np.linalg.qr(A, mode="raw")[0]     # R^T in its lower part
+        if m == n:                              # one QR, of B itself
+            return h.diagonal()[:n], h[-1, :n]
         pivots[j0:j0 + m], proj[j0:j0 + m] = h.diagonal()[:m], h[-1, :m]
         if j0 + m == n:
-            return pivots, proj, col_sq
+            return pivots, proj
         h = np.triu(h[m:, m:].T)                # R[m:, m:], handed on
         if e:
             X = h[:, top:e] @ R0[r0:r1, j0 + m:n + d]
@@ -289,6 +290,27 @@ def _banded_r(R0: np.ndarray, c: np.ndarray, f: np.ndarray, n: int):
             nxt += h[:, :top] @ carry[:, m:-1]
             h = np.column_stack((nxt, h[:, -1]))
         carry, top, j0 = h, d, j0 + m
+
+
+def _ridge_flags(piv: np.ndarray, c: np.ndarray, f: np.ndarray, e: int):
+    """1 + the j with piv[j] <= 1e-12 max(2^-e, ||B[:, j]||).  The norms do
+    not decrease and by Cauchy-Schwarz are at most ||f|| sqrt(1 + c.size
+    ||c||^2); a pivot above 1e-12 max(2^-e, twice that) is no flag, and
+    when every pivot is, no norm is formed (_column_sq)."""
+    bound = 2 * math.sqrt(float(np.vdot(f, f).real) *
+                          (1 + c.size * float(np.vdot(c, c).real)))
+    if piv.min() > 1e-12 * max(2.0 ** -e, bound):
+        return []
+    flags = piv <= 1e-12 * np.maximum(2.0 ** -e, np.sqrt(_column_sq(c, f)))
+    return (np.flatnonzero(flags) + 1).tolist()
+
+
+def _column_sq(c: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """||B[:, j]||^2 in closed form, c the c.size = deg f + N constants:
+    the mate of z^j f is z^j mate(f) + sum_i f_i c_(i+l) z^(j-l), l =
+    1..j, so they are running sums of |f_i|^2, |sum_i f_i c_(i+l)|^2."""
+    return (np.abs(np.concatenate([f, np.convolve(c, f[::-1])[:c.size]]))
+            ** 2).cumsum()[2 * f.size - 1:]
 
 
 def _exact_decay(space: HbSpace, f, n: int):
@@ -671,18 +693,17 @@ def necessity_check(space: HbSpace, f, alphas=None) -> NecessityOutcome:
     """
     from . import clark
     fn = _candidate(f)
-    f = fn.num
     if fn.num_degree < 0 or not factor.is_outer(fn):
         rep = CyclicityReport(NOT_CYCLIC, [Evidence(
             "outer_necessity", "cyclic vectors must be outer",
             numbers={"is_outer": False})])
         return NecessityOutcome(False, rep, None)
     sweep = clark.clark_sweep(space, alphas)
-    checked = 0
+    rev, checked = fn.num[::-1].tolist(), 0
     for a, cm in sweep:
         for zeta, mass in cm.atoms:
             checked += 1
-            val = float(abs(poly.horner(f, zeta)))
+            val = abs(poly.horner_list(rev, complex(zeta)))
             if val < config.POINT_ZERO_TOL:
                 rep = CyclicityReport(NOT_CYCLIC, [Evidence(
                     "singular_atom_necessity",

@@ -59,7 +59,7 @@ class HbSpace:
         self.A = A                      # fejer_riesz trims it
         self._one: Optional[HbElement] = None
         self._a_roots = a_roots          # fejer_riesz found them
-        self._defect: Optional[tuple] = None   # defect_spectrum
+        self._defect: Optional[tuple] = None   # defect_points
         self._sweep: Optional[tuple] = None    # clark.clark_sweep's default
         self._factor = np.zeros((0, 0), dtype=complex)  # embedding_factor
         self._consts = np.zeros(0, dtype=complex)       # mate_constants
@@ -127,10 +127,16 @@ def defect_spectrum(space: HbSpace) -> list:
     element of the space has a finite non-tangential limit and the
     classifier evaluates candidates.  Sorted once per space.
     """
+    return [z for z, _t in defect_points(space)]
+
+
+def defect_points(space: HbSpace) -> tuple:
+    """(zeta, config.circle_angle(zeta)) by angle, kept per space."""
     if space._defect is None:
-        space._defect = tuple(sorted(space.a_circle_zeros(),
-                                     key=config.circle_angle))
-    return list(space._defect)
+        space._defect = tuple(sorted(
+            ((z, config.circle_angle(z)) for z in space.a_circle_zeros()),
+            key=lambda t: t[1]))
+    return space._defect
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import cyclicity, factor, hb, poly
+from . import config, cyclicity, factor, hb, poly
 from .boundary import UnitCircleFunction
 from .errors import DomainError
 from .hb import HbSpace, kernel_element, element_from_rational
@@ -104,7 +104,8 @@ def dirichlet_norm_exact(spec: DirichletSpec, f) -> Optional[Fraction]:
 def dirichlet_cyclic(spec: DirichletSpec, f) -> cyclicity.CyclicityReport:
     """Cyclic in D(mu) iff outer and nonvanishing on the support of mu."""
     return cyclicity.outer_nonvanishing_rule(
-        f, [z for z, _w in spec.atoms], "dirichlet_support_rule",
+        f, [(z, config.circle_angle(z)) for z, _w in spec.atoms],
+        "dirichlet_support_rule",
         "cyclic iff outer and nonvanishing at every atom of the measure")
 
 
@@ -147,12 +148,17 @@ def theta_model(theta) -> ThetaModel:
     if float(np.sum(np.abs(factor.mate_weight(tn, td)))) > \
             1e-10 * poly.l2sq(td):
         raise ValueError("theta must be inner (unimodular boundary values)")
-    b = UnitCircleFunction.rational(poly.padd(td, tn), 2.0 * td) \
-        if poly.degree(td) >= 1 else \
-        UnitCircleFunction.polynomial(poly.padd(td, tn) / (2.0 * td[0]))
-    a = UnitCircleFunction.rational(poly.psub(td, tn), 2.0 * td) \
-        if poly.degree(td) >= 1 else \
-        UnitCircleFunction.polynomial(poly.psub(td, tn) / (2.0 * td[0]))
+    # over 2 td as theta keeps it; no pole of theta is a root of td +- tn
+    if theta.den_degree >= 1:
+        poles = [(1 / np.conj(z), 1) for z in theta.zeros if z] \
+            if theta.kind == "blaschke" else poly.roots_with_multiplicity(td)
+        b = UnitCircleFunction.rational(poly.padd(td, tn), 2.0 * td,
+                                       den_roots=poles)
+        a = UnitCircleFunction.rational(poly.psub(td, tn), 2.0 * td,
+                                       den_roots=poles)
+    else:
+        b = UnitCircleFunction.polynomial(poly.padd(td, tn) / (2.0 * td[0]))
+        a = UnitCircleFunction.polynomial(poly.psub(td, tn) / (2.0 * td[0]))
 
     atoms = []
     level = poly.psub(tn, td)
@@ -176,7 +182,8 @@ def theta_model(theta) -> ThetaModel:
 def theta_cyclic(model: ThetaModel, f) -> cyclicity.CyclicityReport:
     """Cyclic iff outer and nonvanishing at every atom of the level measure."""
     return cyclicity.outer_nonvanishing_rule(
-        f, [z for z, _m in model.atoms], "inner_level_set_rule",
+        f, [(z, config.circle_angle(z)) for z, _m in model.atoms],
+        "inner_level_set_rule",
         "cyclic iff outer and nonzero at every solution of theta = 1")
 
 

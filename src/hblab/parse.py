@@ -40,7 +40,10 @@ class _Parser:
         self.pos = 0
 
     def parse(self) -> UnitCircleFunction:
-        value = self._expr()
+        try:
+            value = self._expr()
+        except OverflowError as exc:    # the arithmetic's, not a zero
+            raise ParseError(f"{exc} in a product or quotient") from None
         if self.pos != len(self.tokens):
             raise ParseError(f"unexpected token {self._peek()!r}")
         return value

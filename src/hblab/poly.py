@@ -81,12 +81,18 @@ def horner(c, z):
     """Evaluate at an array of points, or at a scalar in complex arithmetic."""
     arr = aspoly(c)[::-1]
     if isinstance(z, numbers.Number) or np.ndim(z) == 0:
-        z, arr = complex(z), arr.tolist()
-        acc = arr[0]
-    else:
-        z = np.asarray(z, dtype=complex)
-        acc = np.full(z.shape, arr[0], dtype=complex)
+        return horner_list(arr.tolist(), complex(z))
+    z = np.asarray(z, dtype=complex)
+    acc = np.full(z.shape, arr[0], dtype=complex)
     for a in arr[1:]:
+        acc = acc * z + a
+    return acc
+
+
+def horner_list(rev: list, z: complex) -> complex:
+    """horner's scalar loop on rev, the coefficients highest first."""
+    acc = rev[0]
+    for a in rev[1:]:
         acc = acc * z + a
     return acc
 
@@ -211,26 +217,25 @@ def roots_with_multiplicity(c, cluster_rtol: float | None = None):
     """All complex roots with multiplicities.
 
     Companion-matrix eigenvalues, clustered at the configured relative
-    radius, then polished with the multiplicity-aware Newton step.  c must
-    be finite; it is read under trim's rule, without a copy.  At degree 1
-    the root is read off as np.roots returns it: 0.0 when c0 = 0, else
-    the one entry of the 1 x 1 companion matrix, -c0/c1 in numpy
-    arithmetic, where LAPACK returns it unscaled (|c0/c1| within
-    1e-130..1e130; LAPACK rescales a matrix whose norm leaves about
-    1e-138..1e138).
+    radius, then polished with the multiplicity-aware Newton step; a
+    single root goes straight to the polish.  c must be finite; it is
+    read under trim's rule, without a copy.  At degree 1 the root is read
+    off as np.roots returns it: 0.0 when c0 = 0, else the one entry of
+    the 1 x 1 companion matrix, -c0/c1 in numpy arithmetic, where LAPACK
+    returns it unscaled (|c0/c1| within 1e-130..1e130; LAPACK rescales a
+    matrix whose norm leaves about 1e-138..1e138).
     """
     arr = finite(c)
     arr = arr[:_kept(arr, 1e-12)]
     if arr.size < 2:
         raise ValueError("root finding needs degree >= 1")
-    rtol = config.ROOT_CLUSTER_RTOL if cluster_rtol is None else cluster_rtol
     root = -arr[0] / arr[1] if arr.size == 2 else 0
-    if arr.size == 2 and arr[0] == 0:
-        raw = [0.0]                     # np.roots splits off zero roots
-    elif 1e-130 < abs(root) < 1e130:
-        raw = [complex(root)]
-    else:
-        raw = np.roots(arr[::-1]).tolist()
+    raw = [complex(root)] if 1e-130 < abs(root) < 1e130 else \
+        _companion_roots(arr)
+    dp = derivative(arr)
+    if len(raw) == 1:           # the division keeps a signed zero
+        return [(_polish(arr, dp, complex(raw[0] / 1), 1), 1)]
+    rtol = config.ROOT_CLUSTER_RTOL if cluster_rtol is None else cluster_rtol
     clusters: list[list] = []           # [sum of members, member count]
     for r in _modulus_order(raw):
         for cl in clusters:
@@ -241,12 +246,23 @@ def roots_with_multiplicity(c, cluster_rtol: float | None = None):
                 break
         else:
             clusters.append([r, 1])
-    dp = derivative(arr)
     out = []
     for total, count in clusters:
         z = _polish(arr, dp, complex(total / count), count)
         out.append((z, count))
     return _modulus_order(out, lambda t: t[0])
+
+
+def _companion_roots(arr: np.ndarray) -> list:
+    """np.roots(arr[::-1]).tolist(), arr[-1] != 0: zero roots split off,
+    the eigenvalues of the rest's companion matrix as np.roots builds it."""
+    z = int(np.flatnonzero(arr)[0])
+    p = arr[z:][::-1]
+    if p.size == 1:
+        return [0.0] * z
+    A = np.diag(np.ones(p.size - 2, complex), -1)
+    A[0, :] = -p[1:] / p[0]
+    return np.linalg.eigvals(A).tolist() + [0j] * z
 
 
 def _modulus_order(items, root=lambda t: t) -> list:

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, \
+    strategies as st
 from test_clark import RANDOM_B, _random_b
 from test_exact import bordered_schur, qc_inner, qc_matches
 
@@ -436,6 +437,31 @@ class TestBandedQR:
             for n in (cy.BLOCK + 1, 2 * cy.BLOCK, 2 * cy.BLOCK + 1, 256):
                 _matches_dense_qr(sp, f, n)
 
+    def test_ridge_flags_form_norms_only_near_the_bound(
+            self, factor_route_spaces, monkeypatch):
+        # pivots far above 1e-12 times the closed-form norms form none;
+        # one just below the last norm, or pivots around 1e-12 times
+        # theirs, are read against every norm
+        rng = np.random.default_rng(5)
+        formed = []
+        column_sq = cy._column_sq
+        monkeypatch.setattr(cy, "_column_sq",
+                            lambda c, f: formed.append(1) or column_sq(c, f))
+        for sp in factor_route_spaces.values():
+            for deg in (0, 1, 3):
+                f, c = _random_f(deg, 7), sp.mate_constants(deg + 32)
+                norms = np.sqrt(column_sq(c, f))
+                last = np.full(32, 1e3) * norms[-1]
+                last[-1] = 0.999e-12 * norms[-1]
+                for piv, forms in (
+                        (1e3 * norms, []), (last, [1]),
+                        (1e-12 * norms * rng.uniform(0.5, 2, 32), [1])):
+                    formed.clear()
+                    want = np.flatnonzero(piv <= 1e-12 * np.maximum(
+                        2.0 ** -3, norms)) + 1
+                    assert cy._ridge_flags(piv, c, f, 3) == want.tolist()
+                    assert formed == forms
+
     def test_largest_table(self, factor_route_spaces):
         # deg f + N = TABLE_MAX_ROWS; the block width deg f = N: one QR
         f = _random_f(256, 3)
@@ -480,8 +506,8 @@ class TestBandedQR:
 def _matches_dense_qr(space, f, n):
     d2, flags, R, norm_w, col_sq = single_qr_table(space, f, n)
     rows = f.size - 1 + n
-    pivots, proj, got_sq = cy._banded_r(
-        space.embedding_factor(rows), space.mate_constants(rows), f, n)
+    pivots, proj = cy._banded_r(space.embedding_factor(rows), f, n)
+    got_sq = cy._column_sq(space.mate_constants(rows), f)
     want = np.abs(np.diag(R)[:n])
     assert np.max(np.abs(np.abs(pivots) - want) / want) <= 1e-12, n
     assert np.max(np.abs(np.abs(proj) ** 2 - np.abs(R[:n, n]) ** 2)) <= \
@@ -533,8 +559,8 @@ def _matches_reference_route(space, f, n):
     R0 = space.embedding_factor(rows)
     scale = 2.0 ** -math.frexp(np.max(np.abs(f)))[1]
     want_piv, want_proj, want_sq = reference_banded_r(R0, f * scale, n)
-    pivots, proj, col_sq = cy._banded_r(R0, space.mate_constants(rows),
-                                        f * scale, n)
+    pivots, proj = cy._banded_r(R0, f * scale, n)
+    col_sq = cy._column_sq(space.mate_constants(rows), f * scale)
     norm_w = abs(R0[0, 0]) ** 2
     assert np.max(np.abs(np.abs(pivots) - np.abs(want_piv)) /
                   np.abs(want_piv)) <= 1e-12, (f.size - 1, n)
@@ -943,6 +969,89 @@ class TestAssess:
         assert "decay_heuristic" in rules
         agree = [e for e in rep.evidence if e.rule == "route_agreement"]
         assert agree and agree[0].numbers["agree"]
+
+
+ASSESS_SPACES = {"(1+z)/2": UCF.polynomial([0.5, 0.5]),
+                 "(1+z^4)/2": UCF.polynomial([0.5, 0, 0, 0, 0.5]),
+                 "z/(2+z)": UCF.rational([0, 1], [2, 1])}
+
+
+def merged_rules(space, f) -> cy.CyclicityReport:
+    """assess's report from its rules called one by one: the classifier,
+    the necessity sweep, an N = 32 table and its heuristic, and their
+    agreement when both decide."""
+    rep = cy.classify_finite_defect(space, f)
+    nec = cy.necessity_check(space, f)
+    table = cy.decay_table(space, f, 32)
+    est = cy.estimate_from_decay(table)
+    evidence = rep.evidence + nec.report.evidence + est.evidence
+    if rep.verdict in (cy.CYCLIC, cy.NOT_CYCLIC) and \
+            est.verdict in (cy.LIKELY_CYCLIC, cy.LIKELY_NOT_CYCLIC):
+        evidence.append(cy.Evidence(
+            "route_agreement", "classifier and decay heuristic compared",
+            numbers={"agree": (rep.verdict == cy.CYCLIC) ==
+                     (est.verdict == cy.LIKELY_CYCLIC)}))
+    return cy.CyclicityReport(rep.verdict, evidence, decay=table)
+
+
+@pytest.fixture
+def steady_calls(monkeypatch):
+    """Counts of the calls a steady assess may make: LAPACK's eigenvalue
+    solve and QR, np.roots, root sorts and circle angles."""
+    calls = {}
+    for mod, name in ((np.linalg, "eigvals"), (np.linalg, "qr"),
+                      (np, "roots"), (poly, "_modulus_order"),
+                      (config, "circle_angle")):
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestSteadyAssess:
+    """A steady assess (sweep, factor, one() and defect angles kept) pays
+    for its LAPACK calls and little else, and is its rules merged."""
+
+    def _steady(self, calls, b, f):
+        sp = hb.make_space(b, use_exact=False)
+        cy.assess(sp, f)
+        calls.clear()
+        return sp
+
+    def test_degree_one_makes_one_qr(self, steady_calls):
+        # a single root goes straight to the polish: no eigenvalue solve,
+        # no clustering and no sort
+        sp = self._steady(steady_calls, ASSESS_SPACES["z/(2+z)"], [2, 1])
+        cy.assess(sp, [2, 1])
+        assert steady_calls == {"qr": 1}
+
+    def test_degree_three_makes_one_eigenvalue_solve(self, steady_calls):
+        f = [2, 1, 0.5j, 0.25]
+        sp = self._steady(steady_calls, ASSESS_SPACES["z/(2+z)"], f)
+        cy.assess(sp, f)
+        assert steady_calls == {"eigvals": 1, "qr": 1, "_modulus_order": 2}
+
+    def test_defect_angles_kept(self, steady_calls):
+        sp = self._steady(steady_calls, ASSESS_SPACES["(1+z^4)/2"], [2, 1])
+        assert len(hb.defect_spectrum(sp)) == 4
+        cy.assess(sp, [3, 1])
+        assert "circle_angle" not in steady_calls
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(**RANDOM_B, named=st.sampled_from([None, *ASSESS_SPACES]),
+           f=st.lists(st.complex_numbers(max_magnitude=2), min_size=1,
+                      max_size=5))
+    @example(num=[1], poles=[], named="(1+z)/2", f=[1, -1])
+    @example(num=[1], poles=[], named="(1+z^4)/2", f=[1j, -1j, 0.5])
+    def test_assess_is_its_rules_merged(self, num, poles, named, f):
+        assume(poly.degree(f) >= 0)
+        b = ASSESS_SPACES[named] if named else _random_b(num, poles)
+        sp = hb.make_space(b, use_exact=False)
+        for _ in range(2):          # on a fresh space, then a steady one
+            assert cy.assess(sp, f).to_json() == \
+                merged_rules(sp, f).to_json()
 
 
 def _multiple(c, d) -> bool:

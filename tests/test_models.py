@@ -122,6 +122,18 @@ class TestThetaModel:
         assert abs(m.herglotz_mass - 1 / 3) < 1e-12
         assert abs(sum(mm for _z, mm in m.atoms) - 1 / 3) < 1e-6
 
+    def test_model_keeps_small_denominator_terms(self):
+        # b and a over 2 td as theta keeps td: its z^5 and z^6 terms are
+        # below 1e-12 of its largest coefficient, yet td(1) is only 5e-4
+        zs = [1e-12, 0.9, 1e-12, 0.9, 0.9, 0.5]
+        m = models.theta_model(UCF.blaschke(zs))
+        for fn in (m.b, m.a):
+            assert (fn.num_degree, fn.den_degree) == (6, 6)
+        assert abs(m.b(1.0) - 1) <= 1e-12 and abs(m.a(1.0)) <= 1e-12
+        mass, = [mm for z, mm in m.atoms if abs(z - 1) < 1e-9]
+        want = 1 / sum((1 - abs(z) ** 2) / abs(1 - z) ** 2 for z in zs)
+        assert abs(mass - want) <= 1e-12
+
     def test_polynomial_theta_literal(self):
         m = models.theta_model(UCF.polynomial([0.0, 0.0, 1.0]))
         assert m.model_dimension == 2

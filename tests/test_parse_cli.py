@@ -95,6 +95,16 @@ class TestParse:
                                f"\\(exponent {why}\\)"):
                 parse_function(bad)
 
+    def test_overflowing_products_refused(self):
+        # an infinite coefficient would make trim's tolerance infinite and
+        # leave the zero polynomial
+        for text in ("1e200*1e200*z", "(10+z)^400", "z - 1e200*1e200*z",
+                     "1/(1e200*1e200*z + 2)"):
+            with pytest.raises(ParseError, match="coefficient overflows"):
+                parse_function(text)
+        assert parse_function("1e150*1e150*z").to_polynomial().tolist() == \
+            [0, 1e150 * 1e150]
+
 
 def run_cli(capsys, *argv):
     code = 0
@@ -122,6 +132,16 @@ class TestCli:
         assert code == 2 and doc["error"] == (
             "--b 'z^100000/2': power above the degree cap 512 (exponent "
             "100000, base degree 1)")
+
+    def test_overflowing_literal_exit_two(self, capsys):
+        for argv, flag in ((("norm", "--b", "z/2", "--f", "1e200*1e200*z"),
+                            "--f"),
+                           (("mate", "--b", "1e200*1e200*z"), "--b"),
+                           (("mate", "--b", "(10+z)^400"), "--b")):
+            code, doc, _ = run_cli(capsys, *argv)
+            assert code == 2 and doc["error"] == (
+                f"{flag} {argv[-1]!r}: a coefficient overflows in a product "
+                "or quotient"), argv
 
     def test_rational_error(self, capsys):
         # beside every exact read, and beside its refusal: the largest

@@ -271,7 +271,11 @@ def _make_rational(num, den) -> UnitCircleFunction:
         raise OverflowError("a coefficient overflows")
     num, den = poly.trim(num), poly.trim(den)
     if poly.degree(den) == 0:
-        return UnitCircleFunction.polynomial(num / den[0])
+        with np.errstate(over="ignore"):
+            num = num / den[0]
+        if not np.isfinite(num).all():
+            raise OverflowError("a coefficient overflows")
+        return UnitCircleFunction.polynomial(num)
     return UnitCircleFunction.rational(num, den)
 
 

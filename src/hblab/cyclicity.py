@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .boundary import Arc, UnitCircleFunction, arc_union_contains, \
     arcs_cover_circle
 from .errors import NormalizationError
 from .hb import HbElement, HbSpace, defect_points, defect_spectrum, \
-    element_from_rational, gaussian_mate, make_element
+    element_from_rational, gaussian_mate, make_element, rationalize
 
 CYCLIC = "cyclic"
 NOT_CYCLIC = "not_cyclic"
@@ -36,8 +37,8 @@ _THEOREM_GRADE = {CYCLIC, NOT_CYCLIC}
 _VERDICTS = _THEOREM_GRADE | {LIKELY_CYCLIC, LIKELY_NOT_CYCLIC, UNDETERMINED}
 TABLE_MAX_N = 256           # largest decay table
 TABLE_MAX_ROWS = 2 * TABLE_MAX_N    # largest deg f + N: caps a stored factor
-# largest under use_exact=True; N = 128 took 0.08 s on (1+z)/2, f = 1+z, and
-# 0.5 s on z/(2+z) and z(1+z)/2 with f of degree 3 and 2 (2-core x86 host)
+# largest under use_exact=True: N = 128 took 0.10-0.19 s on a fresh space and
+# 0.003-0.03 s for a second f on its stored factor (README; 2-core x86 host)
 EXACT_TABLE_MAX_N = 128
 BLOCK = 64                  # column block of a float table's banded QR
 
@@ -235,8 +236,11 @@ def decay_table(space: HbSpace, f, n_max: int,
                        norm1_sq=float(space.one().norm2),
                        ridge_flags=_ridge_flags(np.abs(pivots), c, fs, e))
     if use_exact in ("auto", True):
-        table.exact_entries = _exact_decay(
-            space, f, n_max if use_exact is True else min(n_max, 32))
+        n = n_max if use_exact is True else min(n_max, 32)
+        # the stored factor where it was measured faster: 16 deg f <= N
+        stored = space.exact is not None and 0 < 16 * (f.size - 1) <= n
+        table.exact_entries = (_factor_decay if stored else _exact_decay)(
+            space, f, n)
     if table.exact_entries is None and use_exact is True:
         raise NormalizationError("exact decay requested but the data is "
                                  "not exactly representable")
@@ -314,88 +318,45 @@ def _column_sq(c: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _exact_decay(space: HbSpace, f, n: int):
-    """Exact d_k^2, k <= n, from one exact mate and one elimination.
-
-    mate(z h) = z mate(h) plus a constant, so the exact mate u of
-    z^(n-1) f holds every column: mate(z^k f) = u[n-1-k:], with constant
-    term c_k = u[n-1-k].  As z g has no constant term, the Gram matrix
-    G[j][k] = <z^k f, z^j f> follows from its first row by G[j][k] =
-    G[j-1][k-1] + c_k conj(c_j) / s2, and the first row needs only the
-    deg f + 1 places where f and z^k f, and their mates, overlap.  The
-    mate of 1 is a constant v, so the border <1, z^j f> is
-    v conj(c_j) / s2 for j >= 1.  G is positive definite (f, zf, ... are
-    independent), and the corners of [[G, r], [r*, ||1||^2]] are the
-    d_k^2 (exact._bareiss).
-
-    With f over Df and the mates over Du, the matrix times Df^2 Du^2
-    num(s2) is over the Gaussian integers, and it is handed on divided
-    by the gcd g of its entries.  Its shift terms are wu c_k conj(c_j),
-    wu = Df^2 den(s2), whose gcd is wu |gamma|^2 for gamma the Gaussian
-    gcd of c_1 ... c_(n-1); so g is the gcd of the first row, the
-    border, the corner and wu |gamma|^2.  Only gamma's gcd delta with
-    the first three is formed: it divides every c_k, and the rows follow
-    from the c_k / delta with no division."""
+    """Exact d_k^2, k <= n, from the exact mate of z^(n-1) f (shift_gram)."""
     pair = gaussian_mate(space, f, n - 1)
     if pair is None:
         return None
-    (hr, hi, df), (ur, ui, du) = pair   # u has h's length
-    vr, vi, dv = space.one().exact_ints[1]
-    d = len(hr) - n                     # deg f
-    lcm = math.lcm(du, dv)
-    if lcm != du:
-        ur, ui = [x * (lcm // du) for x in ur], [x * (lcm // du) for x in ui]
-    v0, v1 = vr[0] * (lcm // dv), vi[0] * (lcm // dv)
-    s2 = space.exact.s2
-    wf, wu = lcm * lcm * s2.numerator, df * df * s2.denominator
-    fr, fi = hr[n - 1:], hi[n - 1:]
-    # the first row <z^k f, f>: its f part is conj(P_+(conj(f) f))[k],
-    # k <= deg f, and its mates' part P_+(conj(mate f) u)[n-1-k]
-    sr, si = exact._pplus_conj(fr, fi, fr, fi)
-    mr, mi = exact._pplus_conj(ur[n - 1:], ui[n - 1:], ur, ui)
-    top_r, top_i = [wu * x for x in mr[n - 1::-1]], \
-        [wu * x for x in mi[n - 1::-1]]
-    for k in range(min(d + 1, n)):
-        top_r[k] += wf * sr[k]
-        top_i[k] -= wf * si[k]
-    cr, ci = ur[n - 1::-1], ui[n - 1::-1]           # c_k = u[n-1-k]
-    # the border wu v conj(c_j), f's constant term only in j = 0
-    br = [wu * (v0 * x + v1 * y) for x, y in zip(cr, ci)]
-    bi = [wu * (v1 * x - v0 * y) for x, y in zip(cr, ci)]
-    br[0] += wf * df * fr[0]
-    bi[0] -= wf * df * fi[0]
-    corner = wf * df * df + wu * (v0 * v0 + v1 * v1)
-    g = math.gcd(*top_r, *top_i, *br, *bi, corner)
-    delta = g, 0
-    for x, y in zip(cr[1:], ci[1:]):
-        if delta[0] ** 2 + delta[1] ** 2 == 1:
-            break
-        delta = exact.gaussian_gcd(x, y, *delta)
-    norm = delta[0] ** 2 + delta[1] ** 2
-    g = math.gcd(g, wu * norm)
-    if delta != (1, 0):                 # c_k / delta, k >= 1
-        e, t = delta
-        cr, ci = ([0] + [(x * e + y * t) // norm
-                         for x, y in zip(cr[1:], ci[1:])],
-                  [0] + [(y * e - x * t) // norm
-                         for x, y in zip(cr[1:], ci[1:])])
-    scale = wu * norm // g              # an integer: g divides it
-    if g != 1:
-        top_r, top_i = [x // g for x in top_r], [x // g for x in top_i]
-        br, bi = [x // g for x in br], [x // g for x in bi]
-        corner //= g
-    re, im = [top_r + br[:1]], [top_i + bi[:1]]
-    zeros = [0] * n
-    for j in range(1, n):               # + scale c_k conj(c_j)
-        a, b = scale * cr[j], -scale * ci[j]
-        pr, pi, xr, xi = re[j - 1][j - 1:n - 1], im[j - 1][j - 1:n - 1], \
-            cr[j:], ci[j:]
-        re.append(zeros[:j] + [p + x * a - y * b
-                               for p, x, y in zip(pr, xr, xi)] + [br[j]])
-        im.append(zeros[:j] + [p + x * b + y * a
-                               for p, x, y in zip(pi, xr, xi)] + [bi[j]])
-    re.append(zeros + [corner])
-    im.append(zeros + [0])
-    return list(enumerate(exact._bareiss(re, im, g, wf * df * df), 1))
+    return list(enumerate(exact._bareiss(*exact.shift_gram(
+        *pair, space.one().exact_ints[1], space.exact.s2, n)), 1))
+
+
+def _factor_decay(space: HbSpace, f, n: int):
+    """Exact d_k^2, k <= n, deg f = d >= 1, exact space: the multiples of f
+    of degree < m = k + d are the kernel of C_m, column i the coefficients
+    of z^i mod f, and 1 mod f = 1, so d_k^2 = [M^-1]_00, M = C_m G_m^-1
+    C_m^H, G the Gram matrix of 1, z, ... (HbSpace.exact_factor).  Replayed,
+    G leaves K = P_m (-M); pivots on its rows d-1..1 leave -p / [M^-1]_00."""
+    (fr, fi, _), error, bound = rationalize(f)      # f is finite
+    if not error <= bound:
+        return None
+    d, rows = len(fr) - 1, (n + len(fr)) // 2 * 2  # n + d, made even
+    num, den, steps = space.exact_factor(rows)
+    # z^(i+1) mod f is z (z^i mod f) less its top term over D = |F_d|^2
+    # times f conj(F_d): over D^(rows - d), every column is integral
+    D = fr[d] ** 2 + fi[d] ** 2
+    gr = [fr[d] * a + fi[d] * b for a, b in zip(fr, fi)]
+    gi = [fi[d] * a - fr[d] * b for a, b in zip(fr, fi)]
+    br, bi = ([[0] * rows for _ in range(d)] for _ in "ri")
+    br[0][0] = D ** (rows - d)
+    for i in range(rows - 1):           # row t of C^H: conj(z^i mod f)[t]
+        tr, ti = exact._quo(br[-1][i], D), exact._quo(bi[-1][i], D)
+        for t in range(d):
+            br[t][i + 1] = (t and br[t - 1][i]) - tr * gr[t] + ti * gi[t]
+            bi[t][i + 1] = (t and bi[t - 1][i]) - tr * gi[t] - ti * gr[t]
+    scale, out = num * D ** (2 * (rows - d)), []
+    for p, kr, ki in list(exact.bareiss_replay(steps, br, bi))[d:d + n]:
+        for t in range(d - 1, 0, -1):
+            a = kr[t][t]
+            kr, ki = exact._schur(kr, ki, a, kr[t][:t], ki[t][:t], p)
+            p = a
+        out.append(Fraction(-p * scale, kr[0][0] * den))
+    return list(enumerate(out, 1))
 
 
 def estimate_from_decay(table: DecayTable) -> CyclicityReport:

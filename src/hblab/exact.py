@@ -381,7 +381,86 @@ def _pplus_conj(xr, xi, yr, yi) -> tuple:
     return re, im
 
 
-def _bareiss(re, im, num: int, den: int) -> list[Fraction]:
+def shift_gram(h, u, v, s2: Fraction, n: int) -> tuple:
+    """(re, im, num, den) for _bareiss from h = z^(n-1) f, its mate u, 1's
+    mate v and s2: the Gram matrix of the z^k f, k < n, bordered by 1.
+    mate(z h) = z mate(h) plus a constant, so u holds every column:
+    mate(z^k f) = u[n-1-k:], with constant term c_k = u[n-1-k].  As z g
+    has no constant term, the Gram matrix G[j][k] = <z^k f, z^j f>
+    follows from its first row by G[j][k] = G[j-1][k-1] + c_k conj(c_j)
+    / s2, and the first row needs only the deg f + 1 places where f and
+    z^k f, and their mates, overlap.  The mate of 1 is a constant v, so
+    the border <1, z^j f> is v conj(c_j) / s2 for j >= 1.  G is positive
+    definite (f, zf, ... are independent), and the corners of
+    [[G, r], [r*, ||1||^2]] are the d_k^2.
+
+    With f over Df and the mates over Du, the matrix times Df^2 Du^2
+    num(s2) is over the Gaussian integers, and it is handed on divided
+    by the gcd g of its entries.  Its shift terms are wu c_k conj(c_j),
+    wu = Df^2 den(s2), whose gcd is wu |gamma|^2 for gamma the Gaussian
+    gcd of c_1 ... c_(n-1); so g is the gcd of the first row, the
+    border, the corner and wu |gamma|^2.  Only gamma's gcd delta with
+    the first three is formed: it divides every c_k, and the rows follow
+    from the c_k / delta with no division."""
+    (hr, hi, df), (ur, ui, du), (vr, vi, dv) = h, u, v
+    d = len(hr) - n                     # deg f
+    lcm = math.lcm(du, dv)
+    if lcm != du:
+        ur, ui = [x * (lcm // du) for x in ur], [x * (lcm // du) for x in ui]
+    v0, v1 = vr[0] * (lcm // dv), vi[0] * (lcm // dv)
+    wf, wu = lcm * lcm * s2.numerator, df * df * s2.denominator
+    fr, fi = hr[n - 1:], hi[n - 1:]
+    # the first row <z^k f, f>: its f part is conj(P_+(conj(f) f))[k],
+    # k <= deg f, and its mates' part P_+(conj(mate f) u)[n-1-k]
+    sr, si = _pplus_conj(fr, fi, fr, fi)
+    mr, mi = _pplus_conj(ur[n - 1:], ui[n - 1:], ur, ui)
+    top_r, top_i = [wu * x for x in mr[n - 1::-1]], \
+        [wu * x for x in mi[n - 1::-1]]
+    for k in range(min(d + 1, n)):
+        top_r[k] += wf * sr[k]
+        top_i[k] -= wf * si[k]
+    cr, ci = ur[n - 1::-1], ui[n - 1::-1]           # c_k = u[n-1-k]
+    # the border wu v conj(c_j), f's constant term only in j = 0
+    br = [wu * (v0 * x + v1 * y) for x, y in zip(cr, ci)]
+    bi = [wu * (v1 * x - v0 * y) for x, y in zip(cr, ci)]
+    br[0] += wf * df * fr[0]
+    bi[0] -= wf * df * fi[0]
+    corner = wf * df * df + wu * (v0 * v0 + v1 * v1)
+    g = math.gcd(*top_r, *top_i, *br, *bi, corner)
+    delta = g, 0
+    for x, y in zip(cr[1:], ci[1:]):
+        if delta[0] ** 2 + delta[1] ** 2 == 1:
+            break
+        delta = gaussian_gcd(x, y, *delta)
+    norm = delta[0] ** 2 + delta[1] ** 2
+    g = math.gcd(g, wu * norm)
+    if delta != (1, 0):                 # c_k / delta, k >= 1
+        e, t = delta
+        cr, ci = ([0] + [(x * e + y * t) // norm
+                         for x, y in zip(cr[1:], ci[1:])],
+                  [0] + [(y * e - x * t) // norm
+                         for x, y in zip(cr[1:], ci[1:])])
+    scale = wu * norm // g              # an integer: g divides it
+    if g != 1:
+        top_r, top_i = [x // g for x in top_r], [x // g for x in top_i]
+        br, bi = [x // g for x in br], [x // g for x in bi]
+        corner //= g
+    re, im = [top_r + br[:1]], [top_i + bi[:1]]
+    zeros = [0] * n
+    for j in range(1, n):               # + scale c_k conj(c_j)
+        a, b = scale * cr[j], -scale * ci[j]
+        pr, pi, xr, xi = re[j - 1][j - 1:n - 1], im[j - 1][j - 1:n - 1], \
+            cr[j:], ci[j:]
+        re.append(zeros[:j] + [p + x * a - y * b
+                               for p, x, y in zip(pr, xr, xi)] + [br[j]])
+        im.append(zeros[:j] + [p + x * b + y * a
+                               for p, x, y in zip(pi, xr, xi)] + [bi[j]])
+    re.append(zeros + [corner])
+    im.append(zeros + [0])
+    return re, im, g, wf * df * df
+
+
+def _bareiss(re, im, num: int, den: int, steps=None) -> list[Fraction]:
     """num/den times the Schur complements of a Hermitian positive definite
     Gaussian-integer matrix re + i im, given on and above its diagonal;
     the last row is the corner.  Fraction-free (Bareiss 1968), in place,
@@ -397,7 +476,7 @@ def _bareiss(re, im, num: int, den: int) -> list[Fraction]:
     (a corner - |A[k][last]|^2) / p, read before the step, and complement
     k is the corner over P_k.  A remainder or a non-positive pivot raises
     ArithmeticError; the first step's divisor is 1, so its updates skip
-    the division."""
+    the division.  A list steps gets each step's (a, b, P, [(u_i, v_i)])."""
     n = len(re)
     last = n - 1
     out, prev, k, cr, ci = [], 1, 0, re[last], im[last]
@@ -406,9 +485,7 @@ def _bareiss(re, im, num: int, den: int) -> list[Fraction]:
         if ik[k] != 0 or a <= 0:
             raise ArithmeticError("Gram pivot is not positive")
         x, y = rk[last], ik[last]
-        corner, r = divmod(a * cr[last] - x * x - y * y, prev)
-        if r:
-            raise ArithmeticError("inexact Bareiss division")
+        corner = _quo(a * cr[last] - x * x - y * y, prev)
         if ci[last] != 0:
             raise ArithmeticError("exact distance has nonzero imaginary part")
         out.append(Fraction(corner * num, a * den))
@@ -416,19 +493,19 @@ def _bareiss(re, im, num: int, den: int) -> list[Fraction]:
             break
         rl, il = re[k + 1], im[k + 1]
         br, bi, c = rk[k + 1], ik[k + 1], rl[k + 1]
-        piv, r = divmod(a * c - br * br - bi * bi, prev)
-        if r:
-            raise ArithmeticError("inexact Bareiss division")
+        piv = _quo(a * c - br * br - bi * bi, prev)
         if il[k + 1] != 0 or piv <= 0:
             raise ArithmeticError("Gram pivot is not positive")
+        mult = []
+        if steps is not None:
+            steps.append((a, br, bi, piv, mult))
         for i in range(k + 2, n):
             xr, xi, yr, yi = rk[i], ik[i], rl[i], il[i]
-            ur, r1 = divmod(br * yr - bi * yi - c * xr, prev)
-            ui, r2 = divmod(c * xi - br * yi - bi * yr, prev)
-            vr, r3 = divmod(br * xr + bi * xi - a * yr, prev)
-            vi, r4 = divmod(bi * xr - br * xi + a * yi, prev)
-            if r1 or r2 or r3 or r4:
-                raise ArithmeticError("inexact Bareiss division")
+            ur, ui = (_quo(br * yr - bi * yi - c * xr, prev),
+                      _quo(c * xi - br * yi - bi * yr, prev))
+            vr, vi = (_quo(br * xr + bi * xi - a * yr, prev),
+                      _quo(bi * xr - br * xi + a * yi, prev))
+            mult.append((ur, ui, vr, vi))
             ri, ii = re[i], im[i]
             if prev == 1:
                 for j in range(i, n):
@@ -450,3 +527,47 @@ def _bareiss(re, im, num: int, den: int) -> list[Fraction]:
         out.append(Fraction(cr[last] * num, piv * den))
         prev, k = piv, k + 2
     return out
+
+
+def bareiss_replay(steps, br, bi):
+    """Yield (P_m, re, im), m = 1..R, after each pivot of _bareiss's steps of G
+    replayed on [[G, B], [B^H, 0]], B's columns (br[t], bi[t]) of even
+    length R, updated in place: P_m is G's leading minor and re + i im the
+    corner P_m (-B_m^H G_m^-1 B_m).  Each division is exact and checked."""
+    rows, prev = len(br[0]), 1
+    kr = ki = [[0] * len(br) for _ in br]
+    for k, (a, sr, si, piv, mult) in zip(range(0, rows, 2), steps):
+        xr, xi = [r[k] for r in br], [r[k] for r in bi]
+        yr, yi = [r[k + 1] for r in br], [r[k + 1] for r in bi]
+        kr, ki = _schur(kr, ki, a, xr, xi, prev)
+        yield a, kr, ki
+        w = [(_quo(a * q - sr * x - si * y, prev),  # B's row k+1 after k
+              _quo(a * t - sr * y + si * x, prev))
+             for x, y, q, t in zip(xr, xi, yr, yi)]
+        kr, ki = _schur(kr, ki, piv, *zip(*w), a)
+        yield piv, kr, ki
+        for rr, ri, pr, pi, qr, qi in zip(br, bi, xr, xi, yr, yi):
+            for i, (ur, ui, vr, vi) in enumerate(mult[:rows - k - 2], k + 2):
+                rr[i] = _quo(piv * rr[i] + ur * pr - ui * pi +
+                             vr * qr - vi * qi, prev)
+                ri[i] = _quo(piv * ri[i] + ur * pi + ui * pr +
+                             vr * qi + vi * qr, prev)
+        prev = piv
+
+
+def _schur(kr, ki, a: int, xr, xi, p: int) -> tuple:
+    """(a K - x^H x) / p: K after a pivot a with row x, p the one before."""
+    if len(xr) == 1:                # real: no comprehension for one entry
+        return [[_quo(a * kr[0][0] - xr[0] ** 2 - xi[0] ** 2, p)]], [[0]]
+    d = range(len(xr))
+    return ([[_quo(a * kr[s][t] - xr[s] * xr[t] - xi[s] * xi[t], p)
+              for t in d] for s in d],
+            [[_quo(a * ki[s][t] - xr[s] * xi[t] + xi[s] * xr[t], p)
+              for t in d] for s in d])
+
+
+def _quo(x: int, p: int) -> int:
+    q, r = divmod(x, p)
+    if r:
+        raise ArithmeticError("inexact Bareiss division")
+    return q

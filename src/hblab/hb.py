@@ -63,6 +63,7 @@ class HbSpace:
         self._sweep: Optional[tuple] = None    # clark.clark_sweep's default
         self._factor = np.zeros((0, 0), dtype=complex)  # embedding_factor
         self._consts = np.zeros(0, dtype=complex)       # mate_constants
+        self._xfactor = 0, None                         # exact_factor
 
     def __repr__(self):
         tag = "exact" if self.exact else "float"
@@ -99,6 +100,19 @@ class HbSpace:
         """c_0, ..., c_(rows-1), K's diagonals, kept beside the factor."""
         self.embedding_factor(rows)
         return self._consts[:rows]
+
+    def exact_factor(self, rows: int) -> tuple:
+        """(num, den, steps): exact._bareiss's steps on den/num times the
+        Gram matrix of 1, ..., z^(R-1), R >= rows (even: two pivots a step),
+        from the exact mate of z^(R-1); rebuilt only for more rows."""
+        if self._xfactor[0] < rows:
+            h, u = gaussian_mate(self, [1.0], rows - 1)
+            *gram, num, den = exact.shift_gram(
+                h, u, ([u[0][-1]], [u[1][-1]], u[2]), self.exact.s2, rows)
+            steps = []
+            exact._bareiss(*gram, num, den, steps)
+            self._xfactor = rows, (num, den, steps)
+        return self._xfactor[1]
 
     def a_circle_zeros(self) -> tuple:
         """Unimodular zeros of A, hence of a, in root order."""

@@ -694,9 +694,10 @@ class TestExactDecay:
             .exact_entries == per_column_exact_decay(sp, [1, -0.5j], 64)
 
     def test_integer_gram_matches_qc_gram(self, exact_spaces, monkeypatch):
-        # the integer assembly against the QC one, and the matrix handed
-        # to the elimination is primitive: a common factor grows every
-        # minor (N = 128 on z/(2+z) and z(1+z)/2 took 2-2.6 times as long)
+        # the integer assembly against the QC one on both routes, and every
+        # matrix handed to the elimination is primitive, the stored
+        # factor's included: a common factor grows every minor (N = 128 on
+        # z/(2+z) and z(1+z)/2 took 2-2.6 times as long)
         gcds, bareiss = [], exact._bareiss
 
         def primitive(re, im, *scale):
@@ -711,10 +712,14 @@ class TestExactDecay:
         for name, f, n in cases:
             sp = exact_spaces[name]
             want = reference_exact_decay(sp, f, n)
+            f = poly.trim(np.asarray(f, complex))
             gcds.clear()
-            assert cy._exact_decay(sp, poly.trim(np.asarray(f, complex)),
-                                   n) == want, (name, n)
+            assert cy._exact_decay(sp, f, n) == want, (name, n)
             assert gcds == [1], (name, n)
+            # a fresh space builds its factor: one more elimination
+            fresh = hb.make_space(EXACT_SPACES[name], use_exact=True)
+            assert cy._factor_decay(fresh, f, n) == want, (name, n)
+            assert gcds == [1, 1], (name, n)
 
     def test_generator_fill_matches_reference(self, exact_spaces,
                                               monkeypatch):
@@ -766,6 +771,8 @@ class TestExactDecay:
             per_column_exact_decay(sp, poly.trim(f), n)
 
     def test_one_exact_mate_per_table(self, monkeypatch):
+        # one exact mate per table on the per-table route (16 deg f > N),
+        # and one per build of the stored factor (16 deg f <= N)
         calls = []
         solve = exact.mate_solve
 
@@ -776,13 +783,74 @@ class TestExactDecay:
         monkeypatch.setattr(exact, "mate_solve", counted)
         for name in ("(1+z)/2", "z/(2+z)"):
             sp = hb.make_space(EXACT_SPACES[name], use_exact=True)
-            for n, mode, want in ((20, "auto", 2), (1, True, 1),
-                                  (64, True, 1), (100, "auto", 1)):
+            for n, mode, want in ((20, "auto", 2),  # + space.one() once
+                                  (1, True, 1),
+                                  (64, True, 1),    # the factor, 66 rows
+                                  (100, "auto", 0)):    # 34 rows: stored
                 calls.clear()
                 table = cy.decay_table(sp, [1, 0.5, 0.25j], n, use_exact=mode)
                 assert len(table.exact_entries) == \
                     (min(n, 32) if mode == "auto" else n)
-                assert len(calls) == want, (name, n)    # + space.one() once
+                assert len(calls) == want, (name, n)
+
+    def test_stored_factor_counts(self, monkeypatch):
+        # exact mates and fills per table: the factor's own when it is
+        # built or grows, none on a stored factor with rows enough
+        mates, fills = [], []
+        solve, fill = exact.mate_solve, exact.shift_gram
+
+        def counted_solve(*args):
+            mates.append(1)
+            return solve(*args)
+
+        def counted_fill(*args):
+            fills.append(args[-1])          # its size n
+            return fill(*args)
+
+        monkeypatch.setattr(exact, "mate_solve", counted_solve)
+        monkeypatch.setattr(exact, "shift_gram", counted_fill)
+        sp = hb.make_space(EXACT_SPACES["z/(2+z)"], use_exact=True)
+        # (f, N, mates, fills, the factor's rows after the table)
+        for f, n, *want in (([1, 0.5j], 16, 1, [18], 18),   # 17, made even
+                            ([2, -1], 17, 0, [], 18),       # another f
+                            ([1, 0.25, 0.5j], 40, 1, [42], 42),     # grows
+                            ([1, 1j], 16, 0, [], 42)):      # fewer rows
+            mates.clear()
+            fills.clear()
+            table = cy.decay_table(sp, f, n, use_exact=True)
+            assert len(table.exact_entries) == n
+            assert [len(mates), fills, sp._xfactor[0]] == want, (f, n)
+        # 16 deg f > N: the table's own mate and fill, and no factor
+        sp = hb.make_space(EXACT_SPACES["z/(2+z)"], use_exact=True)
+        sp.one().exact_ints
+        mates.clear()
+        fills.clear()
+        table = cy.decay_table(sp, [1, 0.5j], 12, use_exact=True)
+        assert len(table.exact_entries) == 12
+        assert (len(mates), fills, sp._xfactor) == (1, [12], (0, None))
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              database=None)
+    @given(name=st.sampled_from(sorted(EXACT_SPACES)),
+           fs=st.lists(st.lists(st.tuples(st.integers(-8, 8),
+                                          st.integers(-8, 8),
+                                          st.sampled_from([1, 2, 3, 4, 8])),
+                                min_size=2, max_size=5),
+                       min_size=3, max_size=3),
+           short=st.integers(1, 16), long=st.integers(17, 48))
+    def test_stored_factor_matches_per_table_route(self, name, fs, short,
+                                                   long):
+        # f of degree 1-4 on a fresh space: a short table, a longer one
+        # that grows the factor, then a short one on the grown factor
+        sp = hb.make_space(EXACT_SPACES[name], use_exact=True)
+        for coeffs, n in zip(fs, (short, long, short)):
+            f = np.array([complex(re, im) / den for re, im, den in coeffs])
+            f[-1] = f[-1] or 1
+            got = cy._factor_decay(sp, f, n)
+            assert len(got) == n and sp._xfactor[0] >= n + f.size - 1
+            assert got == cy._exact_decay(sp, f, n), (f, n)
+            if n <= 16:
+                assert got == reference_exact_decay(sp, f, n), (f, n)
 
     def test_exact_mate_residual_checked(self, monkeypatch):
         solve = exact.mate_solve
@@ -797,9 +865,11 @@ class TestExactDecay:
 
         monkeypatch.setattr(exact, "mate_solve", perturbed)
         sp = hb.make_space(EXACT_SPACES["z(1+z)/2"], use_exact=True)
-        for mode in ("auto", True):
+        # N = 8: the table's own mate; N = 16: the stored factor's
+        for mode, n in (("auto", 8), (True, 8), ("auto", 16), (True, 16)):
             with pytest.raises(ArithmeticError, match="exact mate residual"):
-                cy.decay_table(sp, [1, 1], 8, use_exact=mode)
+                cy.decay_table(sp, [1, 1], n, use_exact=mode)
+        assert sp._xfactor == (0, None)
 
     def test_unrepresentable_f(self, exact_spaces):
         sp, f = exact_spaces["(1+z)/2"], [1, 1.5e-11]

@@ -428,6 +428,7 @@ def test_exact_reads_build_no_qc(monkeypatch):
             sp = hb.make_space(b, use_exact=True)
             assert hb.gaussian_mate(sp, f, 2) is not None
             assert len(cy._exact_decay(sp, f, 16)) == 16
+            assert len(cy._factor_decay(sp, f, 16)) == 16
             assert models.dirichlet_norm_exact(spec, f) is not None
             assert built == []
             hb.exact_mate(sp, f)            # the public boundary does

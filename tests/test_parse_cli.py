@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +100,7 @@ class TestParse:
         # an infinite coefficient would make trim's tolerance infinite and
         # leave the zero polynomial
         for text in ("1e200*1e200*z", "(10+z)^400", "z - 1e200*1e200*z",
-                     "1/(1e200*1e200*z + 2)"):
+                     "1/(1e200*1e200*z + 2)", "1e300*z/1e-10"):
             with pytest.raises(ParseError, match="coefficient overflows"):
                 parse_function(text)
         assert parse_function("1e150*1e150*z").to_polynomial().tolist() == \
@@ -137,8 +138,12 @@ class TestCli:
         for argv, flag in ((("norm", "--b", "z/2", "--f", "1e200*1e200*z"),
                             "--f"),
                            (("mate", "--b", "1e200*1e200*z"), "--b"),
-                           (("mate", "--b", "(10+z)^400"), "--b")):
-            code, doc, _ = run_cli(capsys, *argv)
+                           (("mate", "--b", "(10+z)^400"), "--b"),
+                           # finite until divided by its constant denominator
+                           (("mate", "--b", "1e300*z/1e-10"), "--b")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no RuntimeWarning either
+                code, doc, _ = run_cli(capsys, *argv)
             assert code == 2 and doc["error"] == (
                 f"{flag} {argv[-1]!r}: a coefficient overflows in a product "
                 "or quotient"), argv
